@@ -1,13 +1,10 @@
 """indseqlab: exact independence polynomials of trees and where their
 log-concavity breaks.
 
-Everything is exact integer arithmetic.  The hot kernels (coefficient
-convolution and the subset-sweep oracle) run from a compiled extension
-when it is built, with a pure-Python fallback selected at import time;
-see intpoly.kernel_backend().
+Everything is exact integer arithmetic.
 """
 
-from .intpoly import ONE, X, ZERO, IntPolynomial, add, coeff, kernel_backend, mul, poly_pow
+from .intpoly import ONE, X, ZERO, IntPolynomial, add, coeff, mul, poly_pow
 from .trees import (
     FamilySpec,
     RootedTree,
@@ -77,7 +74,6 @@ __all__ = [
     "indpoly_sst",
     "indpoly_tree",
     "is_unimodal",
-    "kernel_backend",
     "lc_breaks",
     "mul",
     "parse_edge_list",

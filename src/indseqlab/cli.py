@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from . import formulas, search
 from .indpoly import ORACLE_MAX_VERTICES, indpoly_oracle, indpoly_sst, indpoly_tree
+from .intpoly import int_to_str
 from .seqcheck import analyze_sequence, lc_breaks, report_to_json
 from .trees import build_family, parse_edge_list, parse_family
 
@@ -103,7 +104,7 @@ def _check_tree_input(parser, args):
 def cmd_poly(args):
     _n, coeffs = _load_sequence(args)
     for k, c in enumerate(coeffs):
-        print("%d: %d" % (k, c))
+        print("%d: %s" % (k, int_to_str(c)))
     return EXIT_OK
 
 

@@ -17,36 +17,15 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from . import _backend
-from .intpoly import IntPolynomial
+from .intpoly import IntPolynomial, _ladd, _lpow, convolve
 from .trees import RootedTree, post_order
 
 ORACLE_MAX_VERTICES = 22
+# the subset sweep keeps one bitset of 2**_SWEEP_LOW bits per set size
+_SWEEP_LOW = 16
 
 
 # raw coefficient-list helpers; IntPolynomial wraps only the final results
-
-
-def _ladd(u, v):
-    if len(u) < len(v):
-        u, v = v, u
-    out = list(u)
-    for i, c in enumerate(v):
-        out[i] += c
-    return out
-
-
-def _lpow(u, e):
-    result = [1]
-    base = u
-    conv = _backend.kernels.convolve
-    while e:
-        if e & 1:
-            result = conv(result, base)
-        e >>= 1
-        if e:
-            base = conv(base, base)
-    return result
 
 
 def _lproduct(factors):
@@ -60,11 +39,10 @@ def _lproduct(factors):
     heap = [(len(f), i, f) for i, f in enumerate(factors)]
     heapq.heapify(heap)
     tie = len(factors)
-    conv = _backend.kernels.convolve
     while len(heap) > 1:
         _, _, f = heapq.heappop(heap)
         _, _, g = heapq.heappop(heap)
-        h = conv(f, g)
+        h = convolve(f, g)
         heapq.heappush(heap, (len(h), tie, h))
         tie += 1
     return heap[0][2]
@@ -185,12 +163,63 @@ def _forest_poly(adj, removed):
 
 
 def indpoly_oracle(tree: RootedTree) -> IntPolynomial:
-    """Independent brute-force count: sweep all 2^n vertex subsets with
-    bitmask adjacency tests.  No code shared with indpoly_tree; bounded to
-    n <= 22 so the sweep stays around 4M subsets."""
-    if tree.n > ORACLE_MAX_VERTICES:
+    """Independent brute-force count over all 2^n vertex subsets (see
+    independent_set_counts).  No code shared with indpoly_tree; raises
+    ValueError past ORACLE_MAX_VERTICES = 22 vertices."""
+    return IntPolynomial._raw(independent_set_counts(tree.neighbor_masks()))
+
+
+def independent_set_counts(neighbor_masks):
+    """Count independent sets by size via a sweep over all vertex subsets.
+
+    neighbor_masks[v] is the bitmask of vertices adjacent to v.  Returns
+    counts[k] = number of independent k-subsets, for k = 0..n.  The low
+    L = min(n, 16) vertices are swept as bitsets: bit S of level[k] is
+    set iff S, a subset of {0..L-1}, is independent with |S| = k.  Each
+    independent subset T of the remaining vertices then adds the sets of
+    level[k] that avoid N(T).  Budget-limited to n <= 22 (a 4M-subset
+    sweep).
+    """
+    n = len(neighbor_masks)
+    if n > ORACLE_MAX_VERTICES:
         raise ValueError(
-            "oracle limited to n <= %d vertices, got n=%d" % (ORACLE_MAX_VERTICES, tree.n)
+            "subset sweep limited to n <= %d, got n=%d" % (ORACLE_MAX_VERTICES, n)
         )
-    counts = _backend.kernels.independent_set_counts(tree.neighbor_masks())
-    return IntPolynomial._raw(counts)
+    low = min(n, _SWEEP_LOW)
+    # avoids[u]: bit S set iff u is not in S -- runs of 2^u ones, 2^u zeros
+    avoids = []
+    for u in range(low):
+        pattern, period = (1 << (1 << u)) - 1, 2 << u
+        while period < 1 << low:
+            pattern |= pattern << period
+            period <<= 1
+        avoids.append(pattern)
+
+    def avoiding(nbrs, width):
+        # sets of width bits avoiding every low vertex in nbrs
+        pattern = (1 << width) - 1
+        while nbrs:
+            u = (nbrs & -nbrs).bit_length() - 1
+            pattern &= avoids[u]
+            nbrs &= nbrs - 1
+        return pattern
+
+    level = [1] + [0] * low
+    for v in range(low):
+        # S + {v} is independent iff S is and S avoids N(v); its bit is S + 2^v
+        avoid = avoiding(neighbor_masks[v] & ((1 << v) - 1), 1 << v)
+        for k in range(v, -1, -1):
+            level[k + 1] |= (level[k] & avoid) << (1 << v)
+    counts = [0] * (n + 1)
+    high = range(low, n)
+    for t in range(1 << len(high)):
+        verts = [v for i, v in enumerate(high) if t >> i & 1]
+        nbrs = 0
+        for v in verts:
+            nbrs |= neighbor_masks[v]
+        if nbrs >> low & t:
+            continue  # T itself is not independent
+        avoid = avoiding(nbrs & ((1 << low) - 1), 1 << low)
+        for k, bits in enumerate(level):
+            counts[k + len(verts)] += (bits & avoid).bit_count()
+    return counts

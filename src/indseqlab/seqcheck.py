@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .indpoly import indpoly_tree
+from .intpoly import int_to_str, str_to_int
 from .trees import RootedTree, independence_number
 
 
@@ -137,7 +138,7 @@ def report_to_json(report: AnalysisReport) -> str:
     obj = {
         "n": report.n,
         "alpha": report.alpha,
-        "coeffs": [str(c) for c in report.coeffs],
+        "coeffs": [int_to_str(c) for c in report.coeffs],
         "breaks": list(report.breaks),
         "is_log_concave": report.is_log_concave,
         "is_unimodal": report.is_unimodal,
@@ -157,7 +158,7 @@ def report_from_json(text: str) -> AnalysisReport:
     return AnalysisReport(
         n=obj["n"],
         alpha=obj["alpha"],
-        coeffs=tuple(int(c) for c in obj["coeffs"]),
+        coeffs=tuple(str_to_int(c) for c in obj["coeffs"]),
         breaks=tuple(obj["breaks"]),
         is_log_concave=obj["is_log_concave"],
         is_unimodal=obj["is_unimodal"],

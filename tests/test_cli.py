@@ -28,6 +28,14 @@ def test_poly_path2(capsys):
     assert out == "0: 1\n1: 2\n"
 
 
+def test_poly_prints_coefficients_past_the_str_digit_limit(capsys, monkeypatch):
+    big = 10**5000 + 1
+    monkeypatch.setattr(cli, "_load_sequence", lambda args: (3, (1, big, 1)))
+    code, out, _ = run_cli(capsys, "poly", "Path:3")
+    assert code == 0
+    assert out == "0: 1\n1: 1%s1\n2: 1\n" % ("0" * 4999)
+
+
 def test_poly_spider2(capsys):
     code, out, _ = run_cli(capsys, "poly", "Spider:2")
     assert code == 0

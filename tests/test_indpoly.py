@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from indseqlab import _backend
 from indseqlab.indpoly import (
+    independent_set_counts,
     indpoly_forest,
     indpoly_oracle,
     indpoly_sst,
@@ -92,7 +92,7 @@ def forest_masks(trees):
 def test_forest_matches_subset_sweep():
     # 21-vertex forest of three spiders checked against the subset sweep
     trees = [spider(3, 2)] * 3
-    counts = _backend.kernels.independent_set_counts(forest_masks(trees))
+    counts = independent_set_counts(forest_masks(trees))
     assert IntPolynomial(counts) == indpoly_forest(trees)
 
 

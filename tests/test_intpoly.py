@@ -110,3 +110,10 @@ def test_hash_and_equality():
     assert P(1, 2) != P(2, 1)
     assert len(P(1, 2, 3)) == 3
     assert list(P(4, 5)) == [4, 5]
+
+
+def test_repr_past_the_str_digit_limit():
+    # 5,001 digits: str() refuses it under the default 4,300-digit limit
+    big = 10**5000 + 1
+    assert repr(P(1, big)) == "IntPolynomial([1, 1%s1])" % ("0" * 4999)
+    assert repr(P(*([big] * 9))).endswith(", ... deg=8])")

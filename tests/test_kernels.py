@@ -1,19 +1,19 @@
-"""Backend equivalence: the compiled kernels and the pure-Python fallback
-must agree bit-for-bit, for every threshold."""
+"""The convolution and subset-sweep kernels against naive references, on
+every path each kernel takes."""
 
 import random
+from itertools import zip_longest
 
 import pytest
 
-from indseqlab import _backend, _kernels_py
-
-needs_compiled = pytest.mark.skipif(
-    "c" not in _backend.available(), reason="compiled kernels not built"
-)
+from indseqlab import intpoly
+from indseqlab.indpoly import ORACLE_MAX_VERTICES, independent_set_counts, indpoly_tree
+from indseqlab.intpoly import IntPolynomial, convolve
+from indseqlab.trees import random_tree
 
 
 def naive_convolve(a, b):
-    # reference product, written independently of both backends
+    # reference product, written independently of the kernel
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -23,8 +23,9 @@ def naive_convolve(a, b):
     return out
 
 
-def random_coeffs(rng, size, bits):
-    return [rng.randint(-(1 << bits), 1 << bits) for _ in range(size)]
+def random_coeffs(rng, size, bits, signed=True):
+    lo = -(1 << bits) if signed else 0
+    return [rng.randint(lo, 1 << bits) for _ in range(size)]
 
 
 def test_py_convolve_matches_naive():
@@ -32,34 +33,78 @@ def test_py_convolve_matches_naive():
     for _ in range(200):
         a = random_coeffs(rng, rng.randint(1, 70), rng.choice([4, 32, 128]))
         b = random_coeffs(rng, rng.randint(1, 70), rng.choice([4, 32, 128]))
-        assert _kernels_py.convolve(a, b) == naive_convolve(a, b)
+        assert convolve(a, b) == naive_convolve(a, b)
 
 
 def test_py_convolve_empty_and_singleton():
-    assert _kernels_py.convolve([], [1, 2]) == []
-    assert _kernels_py.convolve([1, 2], []) == []
-    assert _kernels_py.convolve([7], [3]) == [21]
+    assert convolve([], [1, 2]) == []
+    assert convolve([1, 2], []) == []
+    assert convolve([], []) == []
+    assert convolve([7], [3]) == [21]
+    assert convolve([-7], [3, 0, 5]) == [-21, 0, -35]
 
 
-@pytest.mark.parametrize("threshold", [1, 2, 3, 8, 32, 10**9])
-def test_py_threshold_never_changes_result(threshold):
-    rng = random.Random(threshold)
-    for _ in range(60):
-        a = random_coeffs(rng, rng.randint(1, 90), 64)
-        b = random_coeffs(rng, rng.randint(1, 90), 64)
-        assert _kernels_py.convolve(a, b, threshold) == naive_convolve(a, b)
+@pytest.fixture
+def paths_taken(monkeypatch):
+    """Names of the multiplication paths the kernel entered."""
+    taken = set()
+    for name in ("_schoolbook", "_kronecker_binary", "_kronecker_decimal", "_karatsuba"):
+        inner = getattr(intpoly, name)
+
+        def spy(*args, _inner=inner, _name=name):
+            taken.add(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(intpoly, name, spy)
+    return taken
 
 
-@needs_compiled
-def test_backends_agree_on_convolve():
-    from indseqlab import _kernels_c
+# (paths entered, coefficient count, coefficient bits, leaf cap).  Binary
+# packs up to 2^18 bits per operand and decimal up to the leaf cap; past
+# the cap the product splits Karatsuba-style down to packed leaves.
+PATH_SIZES = [
+    ({"_schoolbook"}, intpoly.SCHOOLBOOK_MAX, 300, None),
+    ({"_kronecker_binary"}, 60, 64, None),
+    ({"_kronecker_binary"}, 30, 9000, None),  # slots too wide for decimal
+    ({"_kronecker_decimal"}, 300, 1000, None),
+    ({"_karatsuba", "_kronecker_decimal"}, 300, 1000, 1 << 19),
+]
 
-    rng = random.Random(99)
-    for _ in range(200):
-        a = random_coeffs(rng, rng.randint(1, 120), rng.choice([8, 64, 256]))
-        b = random_coeffs(rng, rng.randint(1, 120), rng.choice([8, 64, 256]))
-        thr = rng.choice([1, 2, 8, 32, 1000])
-        assert _kernels_c.convolve(a, b, thr) == _kernels_py.convolve(a, b, thr)
+
+@pytest.mark.parametrize(
+    "paths,size,bits,leaf_cap",
+    PATH_SIZES,
+    ids=["%s-%d-%d" % ("+".join(sorted(p)), n, b) for p, n, b, _ in PATH_SIZES],
+)
+def test_convolve_paths_match_naive(monkeypatch, paths_taken, paths, size, bits, leaf_cap):
+    if leaf_cap is not None:
+        monkeypatch.setattr(intpoly, "LEAF_MAX_BITS", leaf_cap)
+    rng = random.Random(size)
+    a = random_coeffs(rng, size, bits, signed=False)
+    b = random_coeffs(rng, size + 3, bits, signed=False)
+    ab = naive_convolve(a, b)
+    assert convolve(a, b) == ab
+    assert paths_taken == paths
+    assert convolve(b, a) == ab
+    # squaring packs the operand once and must give the same product
+    assert convolve(a, a) == naive_convolve(a, list(a))
+    # signed operands split into four nonnegative products
+    s = random_coeffs(rng, size, bits)
+    assert convolve(s, b) == naive_convolve(s, b)
+    assert convolve(s, s) == naive_convolve(s, list(s))
+    # all-zero operands, alone and against a nonzero one
+    zeros = [0] * size
+    assert convolve(zeros, b) == [0] * (2 * size + 2)
+    assert convolve(zeros, zeros) == [0] * (2 * size - 1)
+
+
+def test_convolve_unbalanced_operands():
+    rng = random.Random(4)
+    for short, long_, bits in [(9, 400, 64), (20, 900, 1200), (12, 250, 6000)]:
+        a = random_coeffs(rng, short, bits)
+        b = random_coeffs(rng, long_, bits)
+        assert convolve(a, b) == naive_convolve(a, b)
+        assert convolve(b, a) == naive_convolve(a, b)
 
 
 def random_graph_masks(rng, n, p):
@@ -83,44 +128,42 @@ def naive_independent_counts(masks):
     return counts
 
 
+def branching_independent_counts(masks):
+    # I(G) = I(G - v) + x I(G - N[v]) on the lowest live vertex v, memoized
+    memo = {0: [1]}
+
+    def count(alive):
+        if alive not in memo:
+            v = (alive & -alive).bit_length() - 1
+            rest = alive & ~(1 << v)
+            with_v = [0] + count(rest & ~masks[v])
+            memo[alive] = [x + y for x, y in zip_longest(count(rest), with_v, fillvalue=0)]
+        return memo[alive]
+
+    counts = count((1 << len(masks)) - 1)
+    return counts + [0] * (len(masks) + 1 - len(counts))
+
+
 def test_py_subset_sweep_matches_naive():
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randint(0, 11)
         masks = random_graph_masks(rng, n, rng.choice([0.1, 0.3, 0.7]))
-        assert _kernels_py.independent_set_counts(masks) == naive_independent_counts(masks)
+        assert independent_set_counts(masks) == naive_independent_counts(masks)
 
 
-@needs_compiled
-def test_backends_agree_on_subset_sweep():
-    from indseqlab import _kernels_c
-
-    rng = random.Random(6)
-    for _ in range(40):
-        n = rng.randint(0, 14)
-        masks = random_graph_masks(rng, n, rng.random())
-        assert _kernels_c.independent_set_counts(masks) == _kernels_py.independent_set_counts(masks)
-    # empty graphs of each size: all subsets independent
-    for n in range(0, 15):
-        got = _kernels_c.independent_set_counts([0] * n)
-        want = [naive_independent_counts([0] * n)[k] for k in range(n + 1)]
-        assert got == want
+@pytest.mark.parametrize("n", range(0, ORACLE_MAX_VERTICES + 1))
+def test_subset_sweep_every_size(n):
+    # n > 16 adds vertices outside the bitset sweep, enumerated directly
+    rng = random.Random(n)
+    for p in (0.0, 0.15, 0.5):
+        masks = random_graph_masks(rng, n, p)
+        assert independent_set_counts(masks) == branching_independent_counts(masks)
+    if n:
+        tree = random_tree(n, n)
+        assert IntPolynomial(independent_set_counts(tree.neighbor_masks())) == indpoly_tree(tree)
 
 
-@needs_compiled
-def test_subset_sweep_budget_enforced_both_backends():
-    from indseqlab import _kernels_c
-
-    for mod in (_kernels_c, _kernels_py):
-        with pytest.raises(ValueError):
-            mod.independent_set_counts([0] * 23)
-
-
-def test_backend_switch_roundtrip():
-    start = _backend.name
-    other = "py" if start == "c" else "py"
-    prev = _backend.use(other)
-    assert prev == start
-    assert _backend.name == other
-    _backend.use(start)
-    assert _backend.name == start
+def test_subset_sweep_budget_enforced():
+    with pytest.raises(ValueError):
+        independent_set_counts([0] * (ORACLE_MAX_VERTICES + 1))

@@ -119,6 +119,19 @@ def test_report_json_roundtrip():
         report_from_json('{"n": 1}')
 
 
+def test_report_json_roundtrip_past_the_str_digit_limit():
+    # 5,001 digits: str()/int() refuse it under the default 4,300-digit limit
+    big = 10**5000 + 1
+    r = analyze_sequence(3, [1, big, 1])
+    text = report_to_json(r)
+    assert json.loads(text)["coeffs"][1] == "1" + "0" * 4999 + "1"
+    back = report_from_json(text)
+    assert back == r
+    assert report_to_json(back) == text
+    with pytest.raises(ValueError):
+        report_from_json(text.replace('"1", "1', '"1", "x1'))
+
+
 def random_log_concave(rng, max_len=24):
     """Positive log-concave sequence with no internal zeros: pointwise
     product of a binomial row and 2^(concave integer sequence)."""
