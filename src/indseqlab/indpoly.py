@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 
 from .intpoly import IntPolynomial, _ladd, _lpow, convolve
-from .trees import RootedTree, post_order
+from .trees import RootedTree, post_order, tree_from_edges
 
 ORACLE_MAX_VERTICES = 22
 # the subset sweep keeps one bitset of 2**_SWEEP_LOW bits per set size
@@ -34,8 +34,10 @@ def _lproduct(factors):
     Pairing the two shortest factors keeps the convolution sizes balanced
     on high-degree vertices; the result is order-independent.
     """
-    if not factors:
-        return [1]
+    if len(factors) <= 2:
+        if not factors:
+            return [1]
+        return factors[0] if len(factors) == 1 else convolve(*factors)
     heap = [(len(f), i, f) for i, f in enumerate(factors)]
     heapq.heapify(heap)
     tie = len(factors)
@@ -48,22 +50,51 @@ def _lproduct(factors):
     return heap[0][2]
 
 
-def indpoly_tree(tree: RootedTree) -> IntPolynomial:
-    """Independence polynomial of a rooted tree by the post-order DP."""
+def _root_pair(tree: RootedTree):
+    """(in(root), out(root)) coefficient lists by the post-order DP.
+
+    Leaves are never stored: a leaf child contributes out = 1 to in(v),
+    which is skipped, and in + out = 1 + x to out(v), so L leaf children
+    fold into one (1 + x)^L factor, a binomial row.  Rows are kept per
+    distinct L; those sum to at most n, so they take O(n) entries.
+    """
+    children = tree.children
     ins = [None] * tree.n
     outs = [None] * tree.n
+    rows = {0: [1]}  # rows[L] = coefficients of (1 + x)^L
     for v in post_order(tree):
-        kids = tree.children[v]
+        kids = children[v]
         if not kids:
-            ins[v] = [0, 1]
-            outs[v] = [1]
+            continue
+        inner = [c for c in kids if children[c]]
+        leaves = len(kids) - len(inner)
+        row = rows.get(leaves)
+        if row is None:
+            row = rows[leaves] = [1]
+            for k in range(leaves):  # C(L, k+1) = C(L, k) (L-k) / (k+1)
+                row.append(row[-1] * (leaves - k) // (k + 1))
+        if not inner:
+            ins[v], outs[v] = [0, 1], row
+        elif len(inner) == 1:  # the common cases need no list of factors
+            c = inner[0]
+            ins[v] = [0] + outs[c]
+            tot = _ladd(ins[c], outs[c])
+            outs[v] = convolve(tot, row) if leaves else tot
         else:
-            ins[v] = [0] + _lproduct([outs[c] for c in kids])
-            outs[v] = _lproduct([_ladd(ins[c], outs[c]) for c in kids])
-            for c in kids:  # free child polynomials early
-                ins[c] = outs[c] = None
+            ins[v] = [0] + _lproduct([outs[c] for c in inner])
+            tots = [_ladd(ins[c], outs[c]) for c in inner]
+            outs[v] = _lproduct(tots + [row] if leaves else tots)
+        for c in inner:  # free child polynomials early
+            ins[c] = outs[c] = None
     r = tree.root
-    return IntPolynomial._raw(_ladd(ins[r], outs[r]))
+    if not children[r]:
+        return [0, 1], [1]
+    return ins[r], outs[r]
+
+
+def indpoly_tree(tree: RootedTree) -> IntPolynomial:
+    """Independence polynomial of a rooted tree by the post-order DP."""
+    return IntPolynomial._raw(_ladd(*_root_pair(tree)))
 
 
 def indpoly_sst(child_counts) -> IntPolynomial:
@@ -114,52 +145,20 @@ def root_split(tree: RootedTree, v: int) -> RootSplit:
     without_root counts the independent sets avoiding v (the forest
     tree - v); with_root counts those containing v, which is x times the
     polynomial of the forest tree - N[v].  Their sum is indpoly_tree(tree).
+    Both are the DP's (out, in) pair at the root once v and 0 swap labels.
     """
     if not 0 <= v < tree.n:
         raise ValueError("vertex %d out of range" % v)
-    adj = [list(tree.children[u]) for u in range(tree.n)]
-    for u in range(1, tree.n):
-        adj[u].append(tree.parent[u])
-    without = _forest_poly(adj, {v})
-    with_r = [0] + _forest_poly(adj, {v, *tree.neighbors(v)})
+
+    def swap(u):
+        return 0 if u == v else v if u == 0 else u
+
+    rerooted = tree_from_edges(tree.n, [(swap(p), swap(c)) for p, c in tree.edges()])
+    with_r, without = _root_pair(rerooted)
     return RootSplit(
         without_root=IntPolynomial._raw(without),
         with_root=IntPolynomial._raw(with_r),
     )
-
-
-def _forest_poly(adj, removed):
-    """Coefficients of the independence polynomial of the graph minus the
-    removed vertices; each surviving component is a tree, handled by the
-    same DP recurrence and multiplied together."""
-    n = len(adj)
-    assigned = set(removed)
-    parts = []
-    for start in range(n):
-        if start in assigned:
-            continue
-        # orient the component away from `start`
-        parent = {start: -1}
-        order = [start]
-        for u in order:
-            for w in adj[u]:
-                if w not in assigned and w not in parent:
-                    parent[w] = u
-                    order.append(w)
-        assigned.update(order)
-        ins, outs = {}, {}
-        for u in reversed(order):
-            kids = [w for w in adj[u] if w not in removed and parent.get(w) == u]
-            if not kids:
-                ins[u] = [0, 1]
-                outs[u] = [1]
-            else:
-                ins[u] = [0] + _lproduct([outs[w] for w in kids])
-                outs[u] = _lproduct([_ladd(ins[w], outs[w]) for w in kids])
-                for w in kids:
-                    del ins[w], outs[w]
-        parts.append(_ladd(ins[start], outs[start]))
-    return _lproduct(parts)
 
 
 def indpoly_oracle(tree: RootedTree) -> IntPolynomial:

@@ -4,20 +4,27 @@ Every sample is fully determined by (master seed, sample index): the
 sample's vertex count comes from the stream seeded with
 derive_seed(master, 2*index), and the tree itself is
 random_tree(n, derive_seed(master, 2*index + 1)).  A persisted record
-therefore replays from its own fields alone, and output is byte-identical
-no matter how many worker threads ran the search.
+therefore replays from its own fields alone.
+
+The sample indices are cut into contiguous ranges of CHUNK indices.  With
+more than one worker and more than one chunk, worker processes examine the
+ranges and the parent writes their records in index order, so the output
+is byte-identical no matter how many workers ran the search.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 
 from .rng import SplitMix64, derive_seed
 from .seqcheck import analyze
 from .trees import RootedTree, edge_list_text, random_tree
+
+# sample indices per task a worker process examines
+CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,64 @@ def replay_record(rec: SearchRecord) -> RootedTree:
     return random_tree(rec.n, tree_seed_for(rec.seed, rec.sample_index))
 
 
+def _examine(seed, lo, hi, n_min, n_max, emit_all):
+    """JSONL lines, without newlines, of the samples lo..hi-1 that are
+    recorded: those with breaks, or all of them with emit_all."""
+    for index in range(lo, hi):
+        tree = sample_tree(seed, index, n_min, n_max)
+        report = analyze(tree)
+        if report.breaks or emit_all:
+            yield record_to_json(
+                SearchRecord(
+                    seed=seed,
+                    sample_index=index,
+                    n=tree.n,
+                    edge_list=edge_list_text(tree),
+                    breaks=report.breaks,
+                    alpha=report.alpha,
+                )
+            )
+
+
+def _examine_range(seed, lo, hi, n_min, n_max, emit_all):
+    """A worker process's task: the record lines of one index range."""
+    return list(_examine(seed, lo, hi, n_min, n_max, emit_all))
+
+
+def _ignore_sigint():
+    # Ctrl-C reaches the whole process group; the parent alone handles it
+    # and shuts the pool down, so workers print no tracebacks
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _pooled_lines(seed, samples, n_min, n_max, emit_all, workers):
+    """Record lines of all samples, from worker processes, in index order.
+
+    At most 2 * workers chunks are in flight at a time, so memory stays
+    O(workers * CHUNK) whatever the sample count.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # spawn, not fork: forking a caller that runs threads can deadlock
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_ignore_sigint) as pool:
+        try:
+            pending = deque()
+            for lo in range(0, samples, CHUNK):
+                hi = min(lo + CHUNK, samples)
+                pending.append(pool.submit(_examine_range, seed, lo, hi, n_min, n_max, emit_all))
+                if len(pending) == 2 * workers:
+                    yield from pending.popleft().result()
+            while pending:
+                yield from pending.popleft().result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def run_search(
     n_min: int,
     n_max: int,
@@ -83,13 +148,19 @@ def run_search(
     threads: int | None = None,
     emit_all: bool = False,
 ) -> int:
-    """Analyze `samples` random trees; append one JSONL record per find.
+    """Analyze `samples` random trees; write one JSONL record per find.
 
-    Records stream to `out_path` in sample-index order (so an interrupted
-    run leaves a valid prefix), and the file content is independent of
-    `threads`.  With emit_all every sample is recorded, breaks or not;
-    the command line never sets that, but tests and benchmarks do.
-    Returns the number of records written.
+    Records stream to `out_path` in sample-index order, one whole line per
+    write, so a run stopped by an error or Ctrl-C leaves a prefix of its
+    records, each line whole; with one worker, the records of every sample
+    examined before the stop.  The
+    file content is independent of `threads`, the number of worker
+    processes (default: os.cpu_count()); one worker, or a run that fits in
+    one chunk, runs in this process.  Workers are spawned, so a script
+    that runs several must guard its entry point with
+    `if __name__ == "__main__":`.  With emit_all every sample is
+    recorded, breaks or not; the command line never sets that, but tests
+    and benchmarks do.  Returns the number of records written.
     """
     if n_min < 2:
         raise ValueError("n-min must be >= 2")
@@ -103,27 +174,17 @@ def run_search(
         raise ValueError("threads must be >= 1")
     else:
         workers = threads
-
-    def examine(index):
-        tree = sample_tree(seed, index, n_min, n_max)
-        report = analyze(tree)
-        if report.breaks or emit_all:
-            return SearchRecord(
-                seed=seed,
-                sample_index=index,
-                n=tree.n,
-                edge_list=edge_list_text(tree),
-                breaks=report.breaks,
-                alpha=report.alpha,
-            )
-        return None
-
+    workers = min(workers, -(-samples // CHUNK))
+    if workers == 1:
+        lines = _examine(seed, 0, samples, n_min, n_max, emit_all)
+    else:
+        lines = _pooled_lines(seed, samples, n_min, n_max, emit_all, workers)
     written = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for rec in pool.map(examine, range(samples)):
-                if rec is not None:
-                    fh.write(record_to_json(rec))
-                    fh.write("\n")
-                    written += 1
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+                written += 1
+    finally:
+        lines.close()  # a failed write stops the pool now, not at collection
     return written

@@ -16,6 +16,7 @@ from indseqlab.indpoly import (
 from indseqlab.intpoly import IntPolynomial, poly_pow
 from indseqlab.rng import derive_seed
 from indseqlab.trees import (
+    caterpillar,
     independence_number,
     path,
     prufer_decode,
@@ -131,6 +132,83 @@ def test_root_split_identity_random():
         assert rs.with_root.coeff(0) == 0
     with pytest.raises(ValueError):
         root_split(path(3), 5)
+
+
+def _masks_without(tree, removed):
+    """Neighbor masks of the forest tree - removed, relabelled 0..k-1."""
+    keep = [u for u in range(tree.n) if u not in removed]
+    index = {u: i for i, u in enumerate(keep)}
+    masks = [0] * len(keep)
+    for p, c in tree.edges():
+        if p in index and c in index:
+            masks[index[p]] |= 1 << index[c]
+            masks[index[c]] |= 1 << index[p]
+    return masks
+
+
+def test_root_split_matches_subset_sweep():
+    # root_split shares the DP with indpoly_tree; the sweep shares nothing
+    rng = random.Random(1414)
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        tree = random_tree(n, rng.getrandbits(64))
+        for v in range(n):
+            rs = root_split(tree, v)
+            without = independent_set_counts(_masks_without(tree, {v}))
+            closed = {v, *tree.neighbors(v)}
+            with_v = [0] + independent_set_counts(_masks_without(tree, closed))
+            assert rs.without_root == IntPolynomial(without)
+            assert rs.with_root == IntPolynomial(with_v)
+
+
+def test_leaf_folding_smallest_trees():
+    # n = 1: the root is itself a leaf; n = 2: one leaf child
+    for n in (1, 2):
+        assert indpoly_tree(path(n)) == indpoly_oracle(path(n))
+    assert indpoly_tree(path(1)) == P(1, 1)
+    assert indpoly_tree(path(2)) == P(1, 2)
+
+
+def test_leaf_folding_stars():
+    # a hub whose children are all leaves: (1+x)^(n-1) + x
+    for n in range(2, 23):
+        want = poly_pow(P(1, 1), n - 1) + P(0, 1)
+        assert indpoly_tree(star(n)) == want == indpoly_oracle(star(n))
+
+
+def test_leaf_folding_caterpillars_with_zero_pendants():
+    for pendants in ([0], [0, 0], [0, 3], [3, 0], [0, 0, 2, 0, 0], [1, 0, 4, 0, 1, 0], [0, 5, 0, 0, 5]):
+        tree = caterpillar(pendants)
+        assert indpoly_tree(tree) == indpoly_oracle(tree), pendants
+
+
+def test_leaf_folding_brooms():
+    # a handle path 0 - 1 - ... - (k-1) ending in `bristles` leaves, rooted
+    # at the handle's far end and, relabelled, at the bristles' hub
+    for k in range(1, 8):
+        for bristles in range(1, 22 - k + 1, 3):
+            edges = [(i, i + 1) for i in range(k - 1)]
+            edges += [(k - 1, k + j) for j in range(bristles)]
+            n = k + bristles
+            swap = {0: k - 1, k - 1: 0}
+            hub_rooted = [(swap.get(u, u), swap.get(w, w)) for u, w in edges]
+            for tree in (tree_from_edges(n, edges), tree_from_edges(n, hub_rooted)):
+                assert indpoly_tree(tree) == indpoly_oracle(tree), (k, bristles)
+
+
+def test_long_path_matches_fibonacci_recurrence():
+    # I(P_n) = I(P_{n-1}) + x I(P_{n-2}); 3,000 levels deep, so a recursive
+    # DP would overflow the interpreter stack
+    n = 3000
+    prev, cur = [1], [1, 1]  # I(P_0), I(P_1)
+    for _ in range(n - 1):
+        nxt = cur + [0]
+        for k, c in enumerate(prev):
+            nxt[k + 1] += c
+        prev, cur = cur, nxt
+    while cur[-1] == 0:
+        cur.pop()
+    assert indpoly_tree(path(n)) == IntPolynomial(cur)
 
 
 def test_oracle_examples():

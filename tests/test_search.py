@@ -1,10 +1,15 @@
-"""Seeded search: determinism across runs and thread counts, replayability."""
+"""Seeded search: determinism across runs and worker counts, replayability,
+chunking and interrupted runs."""
 
 import json
+import multiprocessing
+import signal
 
 import pytest
 
+from indseqlab import search
 from indseqlab.search import (
+    CHUNK,
     SearchRecord,
     record_from_json,
     record_to_json,
@@ -84,3 +89,69 @@ def test_record_json_roundtrip():
 def test_sample_trees_vary():
     trees = {edge_list_text(sample_tree(5, i, 6, 12)) for i in range(30)}
     assert len(trees) > 20
+
+
+@pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+def test_chunked_output_identical_across_worker_counts(tmp_path, samples):
+    outs = []
+    for threads in (1, 2, 8):
+        out = tmp_path / ("w%d.jsonl" % threads)
+        assert run_search(4, 9, samples, 2024, out, threads=threads, emit_all=True) == samples
+        outs.append(out.read_bytes())
+        assert multiprocessing.active_children() == []
+    assert outs[0] == outs[1] == outs[2]
+    lines = outs[0].decode().splitlines()
+    assert [record_from_json(line).sample_index for line in lines] == list(range(samples))
+
+
+def test_fewer_samples_than_workers(tmp_path):
+    out = tmp_path / "few.jsonl"
+    assert run_search(4, 9, 3, 5, out, threads=8, emit_all=True) == 3
+    assert out.read_text().count("\n") == 3
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyboardInterrupt()])
+def test_inline_failure_leaves_complete_records_before_it(tmp_path, monkeypatch, exc):
+    full = tmp_path / "full.jsonl"
+    run_search(4, 9, 40, 11, full, threads=1, emit_all=True)
+    real, calls = search.analyze, []
+
+    def analyze(tree):
+        if len(calls) == 23:
+            raise exc
+        calls.append(tree)
+        return real(tree)
+
+    monkeypatch.setattr(search, "analyze", analyze)
+    out = tmp_path / "cut.jsonl"
+    with pytest.raises(type(exc)):
+        run_search(4, 9, 40, 11, out, threads=1, emit_all=True)
+    want = full.read_text().splitlines(keepends=True)[:23]
+    assert out.read_text() == "".join(want)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_interrupted_pooled_run_stops_workers_and_keeps_whole_records(tmp_path):
+    # far more chunks than run before the alarm; the rest are cancelled
+    samples = 4000 * CHUNK
+    full = tmp_path / "full.jsonl"
+    run_search(4, 9, 4 * CHUNK, 12, full, threads=1, emit_all=True)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    out = tmp_path / "cut.jsonl"
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        with pytest.raises(KeyboardInterrupt):
+            run_search(4, 9, samples, 12, out, threads=2, emit_all=True)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+    cut = out.read_text()
+    lines = cut.splitlines()
+    assert cut.endswith("\n") and cut.startswith(full.read_text())
+    assert [record_from_json(line).sample_index for line in lines] == list(range(len(lines)))
