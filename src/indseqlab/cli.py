@@ -36,32 +36,6 @@ EXIT_BREAKS = 3
 # -- input handling -----------------------------------------------------------
 
 
-def _sst_counts(spec):
-    """Per-level child counts when the family is spherically symmetric."""
-    fam, ps = spec.family, spec.params
-    if fam == "Tmt1":
-        return [ps[0], ps[1], 1]
-    if fam == "SST":
-        return list(ps)
-    if fam == "Spider":
-        leg = ps[1] if len(ps) == 2 else 2
-        return [ps[0]] + [1] * (leg - 1)
-    if fam == "Path" and ps[0] >= 2:
-        return [1] * (ps[0] - 1)
-    if fam == "Star" and ps[0] >= 2:
-        return [ps[0] - 1]
-    return None
-
-
-def _sst_vertex_count(counts):
-    n = 1
-    width = 1
-    for c in counts:
-        width *= c
-        n += width
-    return n
-
-
 def _load_sequence(args):
     """(n, coefficient tuple) for the requested tree.
 
@@ -74,9 +48,9 @@ def _load_sequence(args):
             tree = parse_edge_list(fh.read())
         return tree.n, indpoly_tree(tree).coeffs
     spec = parse_family(args.spec)
-    counts = _sst_counts(spec)
+    counts = spec.sst_counts()
     if counts is not None:
-        return _sst_vertex_count(counts), indpoly_sst(counts).coeffs
+        return spec.sst_vertex_count(), indpoly_sst(counts).coeffs
     tree = build_family(spec)
     return tree.n, indpoly_tree(tree).coeffs
 

@@ -6,15 +6,32 @@ The generic route is the post-order DP carrying per-vertex pairs
     in(v)  = x * prod over children c of out(c)
     out(v) = prod over children c of (in(c) + out(c))
 
-with the tree's polynomial being in(root) + out(root).  Spherically
-symmetric trees get a per-level fast path that never materializes the
-tree.  A subset-sweep oracle (shared code with nothing else) provides an
-independent cross-check up to 22 vertices.
+with the tree's polynomial being in(root) + out(root).
+
+The DP runs on plain ints.  Every coefficient it ever holds counts the
+independent sets of some subforest of the tree T, so none exceeds
+i(T) = I(T; 1), which one pass of the same DP at x = 1 gives exactly.
+With w = ceil(bits(i(T)) / 8), slots of w bytes therefore never carry,
+and the DP evaluated at x = 2**(8w) holds each polynomial packed one
+coefficient per slot (Kronecker substitution over the whole tree); the
+root's pair is unpacked once.  Packed, a subtree's polynomial spans its
+degree times 8w bits however small its own coefficients are, and the
+root's products run at CPython's Karatsuba speed; so a tree whose width
+bound 8wn exceeds _PACKED_MAX_BITS, the measured crossover, runs the same
+DP on coefficient lists instead, whose products `intpoly.convolve` packs
+one at a time with slots fitted to the operands.
+
+Spherically symmetric trees get a per-level fast path that never
+materializes the tree.  A subset-sweep oracle (shared code with nothing
+else) provides an independent cross-check up to 22 vertices.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import math
+import operator
 from dataclasses import dataclass
 
 from .intpoly import IntPolynomial, _ladd, _lpow, convolve
@@ -23,6 +40,13 @@ from .trees import RootedTree, post_order, tree_from_edges
 ORACLE_MAX_VERTICES = 22
 # the subset sweep keeps one bitset of 2**_SWEEP_LOW bits per set size
 _SWEEP_LOW = 16
+# A tree runs the DP packed while 8 * w * n, a bound on its packed
+# polynomial's width in bits, is at most this.  Measured (BENCH_5.json),
+# spiders and complete binary trees break even between 2**16 and 2**17.5,
+# random trees and caterpillars near 2**18, paths past it; so up to here
+# no shape measured is slower packed, except stars (one binomial row on
+# lists).
+_PACKED_MAX_BITS = 1 << 16
 
 
 # raw coefficient-list helpers; IntPolynomial wraps only the final results
@@ -50,51 +74,94 @@ def _lproduct(factors):
     return heap[0][2]
 
 
-def _root_pair(tree: RootedTree):
-    """(in(root), out(root)) coefficient lists by the post-order DP.
+def _binomial_row(L):
+    """Coefficients of (1 + x)^L."""
+    row = [1]
+    for k in range(L):  # C(L, k+1) = C(L, k) (L-k) / (k+1)
+        row.append(row[-1] * (L - k) // (k + 1))
+    return row
+
+
+def _lshift(p):
+    return [0] + p
+
+
+# The DP's arithmetic in one representation of polynomials, as
+# (one, add, times_x, product of a list, L -> (1 + x)^L); here on lists.
+_ON_LISTS = ([1], _ladd, _lshift, _lproduct, _binomial_row)
+
+
+def _packed(shift):
+    """The DP's arithmetic on ints standing for polynomials evaluated at
+    x = 2**shift, so that times x is a shift; shift 0 counts the sets."""
+    return 1, operator.add, shift.__rlshift__, math.prod, ((1 << shift) + 1).__pow__
+
+
+def _evaluate(tree: RootedTree, order, arithmetic):
+    """(in(root), out(root)) by the post-order DP over `order`, computed
+    with `arithmetic` (_ON_LISTS or _packed(shift)).
 
     Leaves are never stored: a leaf child contributes out = 1 to in(v),
     which is skipped, and in + out = 1 + x to out(v), so L leaf children
-    fold into one (1 + x)^L factor, a binomial row.  Rows are kept per
-    distinct L; those sum to at most n, so they take O(n) entries.
+    fold into one (1 + x)^L factor, kept per distinct L.  Child values are
+    dropped once their parent holds them.
     """
+    one, add, times_x, prod, binomial = arithmetic
     children = tree.children
     ins = [None] * tree.n
     outs = [None] * tree.n
-    rows = {0: [1]}  # rows[L] = coefficients of (1 + x)^L
-    for v in post_order(tree):
+    rows = {}
+    for v in order:
         kids = children[v]
         if not kids:
             continue
-        inner = [c for c in kids if children[c]]
-        leaves = len(kids) - len(inner)
-        row = rows.get(leaves)
-        if row is None:
-            row = rows[leaves] = [1]
-            for k in range(leaves):  # C(L, k+1) = C(L, k) (L-k) / (k+1)
-                row.append(row[-1] * (leaves - k) // (k + 1))
-        if not inner:
-            ins[v], outs[v] = [0, 1], row
-        elif len(inner) == 1:  # the common cases need no list of factors
-            c = inner[0]
-            ins[v] = [0] + outs[c]
-            tot = _ladd(ins[c], outs[c])
-            outs[v] = convolve(tot, row) if leaves else tot
-        else:
-            ins[v] = [0] + _lproduct([outs[c] for c in inner])
-            tots = [_ladd(ins[c], outs[c]) for c in inner]
-            outs[v] = _lproduct(tots + [row] if leaves else tots)
-        for c in inner:  # free child polynomials early
-            ins[c] = outs[c] = None
-    r = tree.root
-    if not children[r]:
-        return [0, 1], [1]
-    return ins[r], outs[r]
+        child_outs = []
+        totals = []
+        for c in kids:
+            if children[c]:
+                o = outs[c]
+                child_outs.append(o)
+                totals.append(add(ins[c], o))
+                ins[c] = outs[c] = None
+        leaves = len(kids) - len(child_outs)
+        if leaves:
+            row = rows.get(leaves)
+            if row is None:
+                row = rows[leaves] = binomial(leaves)
+            totals.append(row)
+        ins[v] = times_x(prod(child_outs))
+        outs[v] = prod(totals)
+    if not children[tree.root]:
+        return times_x(one), one
+    return ins[tree.root], outs[tree.root]
+
+
+def _unpack(value, w):
+    """Coefficient list of a positive int packed in w-byte slots."""
+    size = -(-value.bit_length() // (8 * w)) * w
+    raw = value.to_bytes(size, "little")
+    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, size, w)]
+
+
+def _root_pair(tree: RootedTree):
+    """(in(root), out(root), coeffs): the root's pair as the DP holds it,
+    packed ints or coefficient lists as the tree's width calls for (see
+    the module docstring), and coeffs(*values), the coefficient list of
+    the sum of such values."""
+    order = post_order(tree)
+    count = sum(_evaluate(tree, order, _packed(0)))
+    w = (count.bit_length() + 7) >> 3
+    if 8 * w * tree.n > _PACKED_MAX_BITS:
+        arithmetic, coeffs = _ON_LISTS, lambda *values: functools.reduce(_ladd, values)
+    else:
+        arithmetic, coeffs = _packed(8 * w), lambda *values: _unpack(sum(values), w)
+    return (*_evaluate(tree, order, arithmetic), coeffs)
 
 
 def indpoly_tree(tree: RootedTree) -> IntPolynomial:
     """Independence polynomial of a rooted tree by the post-order DP."""
-    return IntPolynomial._raw(_ladd(*_root_pair(tree)))
+    ins, outs, coeffs = _root_pair(tree)
+    return IntPolynomial._raw(coeffs(ins, outs))
 
 
 def indpoly_sst(child_counts) -> IntPolynomial:
@@ -154,10 +221,10 @@ def root_split(tree: RootedTree, v: int) -> RootSplit:
         return 0 if u == v else v if u == 0 else u
 
     rerooted = tree_from_edges(tree.n, [(swap(p), swap(c)) for p, c in tree.edges()])
-    with_r, without = _root_pair(rerooted)
+    with_r, without, coeffs = _root_pair(rerooted)
     return RootSplit(
-        without_root=IntPolynomial._raw(without),
-        with_root=IntPolynomial._raw(with_r),
+        without_root=IntPolynomial._raw(coeffs(without)),
+        with_root=IntPolynomial._raw(coeffs(with_r)),
     )
 
 

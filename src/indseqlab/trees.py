@@ -7,7 +7,6 @@ tree, byte for byte.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .rng import SplitMix64
@@ -45,16 +44,13 @@ class RootedTree:
         self.n = n
         self.root = 0
         self.parent = par
-        self.children = tuple(tuple(c) for c in kids)
-        # reachability from the root rules out parent cycles
-        seen = 1
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for c in self.children[v]:
-                seen += 1
-                stack.append(c)
-        if seen != n:
+        self.children = children = tuple(map(tuple, kids))
+        # reachability from the root rules out parent cycles; a vertex has
+        # one parent, so none is listed twice
+        order = [0]
+        for v in order:
+            order.extend(children[v])
+        if len(order) != n:
             raise ValueError("parent array is cyclic or disconnected")
 
     def edges(self):
@@ -158,6 +154,36 @@ class FamilySpec:
 
     def __str__(self):
         return "%s:%s" % (self.family, ",".join(str(p) for p in self.params))
+
+    def sst_counts(self):
+        """Per-level child counts when the family is spherically symmetric
+        (for indpoly_sst, which never materializes the tree), else None.
+        Path:1 and Star:1, a single vertex, have no levels."""
+        fam, ps = self.family, self.params
+        if fam == "Tmt1":
+            return [ps[0], ps[1], 1]
+        if fam == "SST":
+            return list(ps)
+        if fam == "Spider":
+            leg = ps[1] if len(ps) == 2 else 2
+            return [ps[0]] + [1] * (leg - 1)
+        if fam == "Path" and ps[0] >= 2:
+            return [1] * (ps[0] - 1)
+        if fam == "Star" and ps[0] >= 2:
+            return [ps[0] - 1]
+        return None
+
+    def sst_vertex_count(self):
+        """Vertex count of a spherically symmetric family, computed from
+        its level counts without building it; None like sst_counts."""
+        counts = self.sst_counts()
+        if counts is None:
+            return None
+        n = width = 1
+        for c in counts:
+            width *= c
+            n += width
+        return n
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -310,7 +336,11 @@ def prufer_decode(sequence, n: int):
     n-1 edges of its labeled tree, smallest-leaf-first.
 
     This is the standard bijection: every labeled tree on n >= 2 vertices
-    corresponds to exactly one sequence.
+    corresponds to exactly one sequence.  Each edge is (leaf, neighbour)
+    in removal order, the last one (leaf, n-1), so the neighbour is the
+    leaf's parent with the tree rooted at n-1.  Linear time: the smallest
+    leaf is tracked by a pointer that only moves up, except when removing
+    a leaf turns a smaller vertex into a leaf, which is then next.
     """
     seq = list(sequence)
     if n < 2:
@@ -322,18 +352,20 @@ def prufer_decode(sequence, n: int):
         if not 0 <= s < n:
             raise ValueError("sequence entry %r out of range 0..%d" % (s, n - 1))
         degree[s] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    ptr = degree.index(1)
+    leaf = ptr
     edges = []
     for s in seq:
-        leaf = heapq.heappop(leaves)
         edges.append((leaf, s))
         degree[s] -= 1
-        if degree[s] == 1:
-            heapq.heappush(leaves, s)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
+        if degree[s] == 1 and s < ptr:
+            leaf = s
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    edges.append((leaf, n - 1))
     return edges
 
 
@@ -380,9 +412,14 @@ def random_tree(n: int, seed: int) -> RootedTree:
         raise ValueError("random_tree needs n >= 1")
     if n == 1:
         return RootedTree([-1])
-    rng = SplitMix64(seed)
-    seq = [rng.randbelow(n) for _ in range(n - 2)]
-    return tree_from_edges(n, prufer_decode(seq, n))
+    parent = [-1] * n
+    for leaf, p in prufer_decode(SplitMix64(seed).randbelow_many(n, n - 2), n):
+        parent[leaf] = p
+    # the decoding roots the tree at n-1; reverse the path from 0 up to it
+    prev, v = -1, 0
+    while v != -1:
+        parent[v], prev, v = prev, v, parent[v]
+    return RootedTree(parent)
 
 
 # -- edge-list text ----------------------------------------------------------

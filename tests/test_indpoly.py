@@ -1,10 +1,12 @@
 """Independence polynomial routes: DP, fast path, forests, split, oracle."""
 
+import functools
 import itertools
 import random
 
 import pytest
 
+from indseqlab import indpoly
 from indseqlab.indpoly import (
     independent_set_counts,
     indpoly_forest,
@@ -30,6 +32,37 @@ from indseqlab.trees import (
 
 def P(*cs):
     return IntPolynomial(cs)
+
+
+def each_representation(test):
+    """Run the test twice: with every tree's DP forced onto packed ints,
+    then onto coefficient lists, whatever its width."""
+
+    @functools.wraps(test)
+    def run():
+        for bound in (1 << 62, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(indpoly, "_PACKED_MAX_BITS", bound)
+                test()
+
+    return run
+
+
+def packed_width(tree):
+    """8 w n, the width bound the DP compares with _PACKED_MAX_BITS."""
+    count = sum(indpoly_tree(tree).coeffs)
+    return 8 * ((count.bit_length() + 7) // 8) * tree.n
+
+
+def path_poly(n):
+    """I(P_n) by the recurrence I(P_n) = I(P_{n-1}) + x I(P_{n-2})."""
+    prev, cur = [1], [1, 1]  # I(P_0), I(P_1)
+    for _ in range(n - 1):
+        nxt = cur + [0]
+        for k, c in enumerate(prev):
+            nxt[k + 1] += c
+        prev, cur = cur, nxt
+    return IntPolynomial(cur)
 
 
 def test_small_trees():
@@ -146,6 +179,7 @@ def _masks_without(tree, removed):
     return masks
 
 
+@each_representation
 def test_root_split_matches_subset_sweep():
     # root_split shares the DP with indpoly_tree; the sweep shares nothing
     rng = random.Random(1414)
@@ -161,6 +195,7 @@ def test_root_split_matches_subset_sweep():
             assert rs.with_root == IntPolynomial(with_v)
 
 
+@each_representation
 def test_leaf_folding_smallest_trees():
     # n = 1: the root is itself a leaf; n = 2: one leaf child
     for n in (1, 2):
@@ -169,6 +204,7 @@ def test_leaf_folding_smallest_trees():
     assert indpoly_tree(path(2)) == P(1, 2)
 
 
+@each_representation
 def test_leaf_folding_stars():
     # a hub whose children are all leaves: (1+x)^(n-1) + x
     for n in range(2, 23):
@@ -176,12 +212,14 @@ def test_leaf_folding_stars():
         assert indpoly_tree(star(n)) == want == indpoly_oracle(star(n))
 
 
+@each_representation
 def test_leaf_folding_caterpillars_with_zero_pendants():
     for pendants in ([0], [0, 0], [0, 3], [3, 0], [0, 0, 2, 0, 0], [1, 0, 4, 0, 1, 0], [0, 5, 0, 0, 5]):
         tree = caterpillar(pendants)
         assert indpoly_tree(tree) == indpoly_oracle(tree), pendants
 
 
+@each_representation
 def test_leaf_folding_brooms():
     # a handle path 0 - 1 - ... - (k-1) ending in `bristles` leaves, rooted
     # at the handle's far end and, relabelled, at the bristles' hub
@@ -196,19 +234,41 @@ def test_leaf_folding_brooms():
                 assert indpoly_tree(tree) == indpoly_oracle(tree), (k, bristles)
 
 
+@each_representation
 def test_long_path_matches_fibonacci_recurrence():
-    # I(P_n) = I(P_{n-1}) + x I(P_{n-2}); 3,000 levels deep, so a recursive
-    # DP would overflow the interpreter stack
-    n = 3000
-    prev, cur = [1], [1, 1]  # I(P_0), I(P_1)
-    for _ in range(n - 1):
-        nxt = cur + [0]
-        for k, c in enumerate(prev):
-            nxt[k + 1] += c
-        prev, cur = cur, nxt
-    while cur[-1] == 0:
-        cur.pop()
-    assert indpoly_tree(path(n)) == IntPolynomial(cur)
+    # 3,000 levels deep, so a recursive DP would overflow the interpreter
+    # stack
+    assert indpoly_tree(path(3000)) == path_poly(3000)
+
+
+@each_representation
+def test_slots_exactly_filled():
+    # i(T) of exactly 8 bits gives one-byte slots, the narrowest the
+    # no-carry bound allows
+    for tree, count in ((star(8), 2**7 + 1), (path(11), 233)):
+        poly = indpoly_tree(tree)
+        assert sum(poly.coeffs) == count and count.bit_length() == 8
+        assert poly == indpoly_oracle(tree)
+        rs = root_split(tree, tree.n - 1)
+        assert rs.total == poly
+
+
+def test_trees_on_each_side_of_the_packed_bound():
+    rng = random.Random(77)
+    cases = [(path(n), path_poly(n)) for n in range(200, 400, 10)]
+    cases += [(random_tree(n, rng.getrandbits(64)), None) for n in (300, 350, 400, 450)]
+    cases.sort(key=lambda case: packed_width(case[0]))
+    bound = indpoly._PACKED_MAX_BITS
+    split = sum(packed_width(tree) <= bound for tree, _ in cases)
+    assert 3 <= split <= len(cases) - 3
+    for tree, want in cases[split - 3 : split + 3]:  # the nearest on each side
+        got = indpoly_tree(tree)
+        assert want is None or got == want
+        for forced in (0, 1 << 62):  # both representations agree
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(indpoly, "_PACKED_MAX_BITS", forced)
+                assert indpoly_tree(tree) == got
+                assert root_split(tree, tree.n // 2).total == got
 
 
 def test_oracle_examples():

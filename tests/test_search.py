@@ -1,6 +1,7 @@
 """Seeded search: determinism across runs and worker counts, replayability,
 chunking and interrupted runs."""
 
+import hashlib
 import json
 import multiprocessing
 import signal
@@ -52,6 +53,16 @@ def test_search_deterministic_across_runs_and_threads(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2] == outs[3]
     assert outs[0].count(b"\n") == 60
+
+
+def test_search_output_pinned(tmp_path):
+    # SHA-256 of a 600-sample emit-all run at n = 26..40, recorded with the
+    # coefficient-list DP and a heap-based Pruefer decoder; neither the
+    # sampled trees nor their analysis may drift by a byte
+    out = tmp_path / "pinned.jsonl"
+    assert run_search(26, 40, 600, 5, out, threads=1, emit_all=True) == 600
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "0ecc1e81ceff428bd9d43e90b1e2c5949058539140338b1717e032ce7eaad7fd"
 
 
 def test_records_replay(tmp_path):

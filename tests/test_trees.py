@@ -1,10 +1,14 @@
 """Tree construction, parsing, random generation, independence number."""
 
+import hashlib
+import heapq
 import itertools
+import json
 import random
 
 import pytest
 
+from indseqlab.rng import SplitMix64
 from indseqlab.trees import (
     FamilySpec,
     RootedTree,
@@ -181,6 +185,56 @@ def test_prufer_exhaustive_bijection():
         assert len(seen) == n ** (n - 2)
 
 
+def heap_prufer_decode(seq, n):
+    """Reference decoder: pop the smallest leaf from a heap each step."""
+    degree = [1] * n
+    for s in seq:
+        degree[s] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for s in seq:
+        edges.append((heapq.heappop(leaves), s))
+        degree[s] -= 1
+        if degree[s] == 1:
+            heapq.heappush(leaves, s)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return edges
+
+
+def test_prufer_decode_matches_heap_reference_exhaustive():
+    for n in range(2, 9):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            assert prufer_decode(seq, n) == heap_prufer_decode(seq, n), seq
+
+
+def test_prufer_decode_matches_heap_reference_random():
+    rng = random.Random(1729)
+    for _ in range(200):
+        n = rng.randint(2, 500)
+        # few distinct labels make long runs of interior vertices
+        labels = rng.choice([n, max(1, n // 10), 2])
+        seq = [rng.randrange(labels) for _ in range(n - 2)]
+        assert prufer_decode(seq, n) == heap_prufer_decode(seq, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2**63 + 1, 2**64 - 1])
+def test_randbelow_many_equals_repeated_randbelow(n):
+    # 2**63 + 1 rejects almost half of all draws
+    for seed in (0, 1, 2**64 - 1, 0x9E3779B97F4A7C15):
+        for k in (0, 1, 7, 64):
+            one, many = SplitMix64(seed), SplitMix64(seed)
+            assert many.randbelow_many(n, k) == [one.randbelow(n) for _ in range(k)]
+            assert many.next_u64() == one.next_u64()  # same state after
+
+
+def test_randbelow_many_validation():
+    with pytest.raises(ValueError):
+        SplitMix64(1).randbelow_many(0, 3)
+    with pytest.raises(ValueError):
+        SplitMix64(1).randbelow_many(5, -1)
+
+
 def test_prufer_validation():
     with pytest.raises(ValueError):
         prufer_decode([], 1)
@@ -209,10 +263,38 @@ def test_random_tree_determinism():
         random_tree(0, 1)
 
 
+def test_random_trees_pinned():
+    # SHA-256 of the parent arrays, one JSON line per tree; recorded with a
+    # heap-based Pruefer decoder and per-draw randbelow calls, so any drift
+    # of the sampler shows here
+    h = hashlib.sha256()
+    for n in range(1, 61):
+        for seed in range(20):
+            h.update(json.dumps(random_tree(n, seed).parent).encode() + b"\n")
+    assert h.hexdigest() == "cd0885e1b2ca29729856222f49f270630674f6312182bf569844c7e34dbfacad"
+
+
 def test_random_tree_spread():
     # different seeds should not all give the same tree
     trees = {edge_list_text(random_tree(8, s)) for s in range(40)}
     assert len(trees) > 30
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["Tmt1:3,2", "Tmt1:1,1", "SST:2,3,1", "SST:1", "Spider:4", "Spider:2,5",
+     "Spider:3,1", "Path:2", "Path:7", "Star:2", "Star:6", "Path:1", "Star:1",
+     "Cat:0,2,0,3", "Cat:1", "Rand:15,7", "Rand:1,3"],
+)
+def test_family_spec_sst_mapping(text):
+    spec = parse_family(text)
+    counts = spec.sst_counts()
+    if spec.family in ("Rand", "Cat") or text in ("Path:1", "Star:1"):
+        assert counts is None and spec.sst_vertex_count() is None
+    else:
+        tree = build_family(spec)
+        assert spec.sst_vertex_count() == tree.n
+        assert sst(counts) == tree
 
 
 def test_validate_tree_on_all_families():
