@@ -4,7 +4,10 @@ The three-level family tmt1(m, t) splits at its root: deleting the root
 and its neighbors leaves a perfect matching on mt edges, so the sets
 containing the root are counted by x(1+2x)^{mt}; the sets avoiding it
 live in m disjoint spiders with t legs of length 2.  Everything here is
-exact: integers via math.comb, rationals via fractions.Fraction.
+exact.  The sweeps over t build the binomial row C(t, 0..t) once per t, in
+the call, by the exact recurrence C(t, k+1) = C(t, k) (t-k) / (k+1), and
+read their binomials from it; single cells and the term-ratio audit use
+math.comb; rationals are fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from .indpoly import indpoly_sst
-from .intpoly import IntPolynomial, poly_pow
+from .intpoly import IntPolynomial, _binomial_row, poly_pow
 from .seqcheck import lc_breaks
 
 
@@ -40,10 +43,18 @@ def spider_count(t: int, k: int) -> int:
     return _c(t, k - 1) + (1 << k) * _c(t, k)
 
 
+def _spider_counts(t: int) -> list:
+    """[spider_count(t, k) for k in 0..t+1], from one binomial row."""
+    row = _binomial_row(t)
+    return [a + (b << k) for k, (a, b) in enumerate(zip([0] + row, row + [0]))]
+
+
 def spider_sequence(t: int) -> IntPolynomial:
     """The full independence sequence of the 2-leg-length spider, from the
     closed form (not the polynomial engine)."""
-    return IntPolynomial([spider_count(t, k) for k in range(t + 2)])
+    if t < 1:
+        raise ValueError("spider needs t >= 1")
+    return IntPolynomial(_spider_counts(t))
 
 
 def spider_engine_poly(t: int) -> IntPolynomial:
@@ -73,6 +84,20 @@ def binomial_gap_identity(t: int, k: int) -> bool:
     return r == 0 and lhs == q
 
 
+def binomial_gap_sweep(t: int) -> bool:
+    """binomial_gap_identity(t, k) for every 0 <= k <= t at once, reading
+    the binomials from the rows of t and t + 1."""
+    if t < 0:
+        raise ValueError("need t >= 0")
+    row = [0] + _binomial_row(t) + [0]  # row[k + 1] = C(t, k)
+    for k in range(t + 1):
+        below, mid, above = row[k], row[k + 1], row[k + 2]
+        q, r = divmod(mid * (mid + below), k + 1)  # C(t+1, k) = C(t, k) + C(t, k-1)
+        if r or mid * mid - below * above != q:
+            return False
+    return True
+
+
 def spider_ratio_inequality(t: int, k: int) -> bool:
     """The reduced inequality behind spider log-concavity, cross-multiplied
     to integers: 2^k (t+1) / k >= 2 (k-1)(t-k) / (t-k+2), for 1 <= k <= t."""
@@ -83,22 +108,16 @@ def spider_ratio_inequality(t: int, k: int) -> bool:
 
 def spider_lc_sweep(t_max: int) -> bool:
     """For every t <= t_max: the closed-form spider sequence has no
-    log-concavity breaks; the squared-middle-term inequality holds at each
-    interior k; and the reduced ratio inequality holds at each k."""
+    log-concavity breaks (its squared middle term is at least the product
+    of its neighbours at each interior k), and the reduced ratio inequality
+    holds at each k."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     for t in range(1, t_max + 1):
-        seq = [spider_count(t, k) for k in range(t + 2)]
-        if lc_breaks(seq):
+        if lc_breaks(_spider_counts(t)):
             return False
-        for k in range(1, t + 1):
-            mid = _c(t, k - 1) + (1 << k) * _c(t, k)
-            below = _c(t, k - 2) + (1 << (k - 1)) * _c(t, k - 1)
-            above = _c(t, k) + (1 << (k + 1)) * _c(t, k + 1)
-            if mid * mid < below * above:
-                return False
-            if not spider_ratio_inequality(t, k):
-                return False
+        if not all(spider_ratio_inequality(t, k) for k in range(1, t + 1)):
+            return False
     return True
 
 

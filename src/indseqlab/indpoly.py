@@ -22,8 +22,12 @@ DP on coefficient lists instead, whose products `intpoly.convolve` packs
 one at a time with slots fitted to the operands.
 
 Spherically symmetric trees get a per-level fast path that never
-materializes the tree.  A subset-sweep oracle (shared code with nothing
-else) provides an independent cross-check up to 22 vertices.
+materializes the tree.  It follows the same rule: the level recursion at
+x = 1 gives i(T), on degrees alpha(T), and a tree whose packed polynomial
+spans 8w(alpha + 1) <= _SST_PACKED_MAX_BITS bits runs on one int at
+x = 2**(8w); wider trees run on coefficient lists.  A subset-sweep oracle
+(shared code with nothing else) provides an independent cross-check up to
+22 vertices.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .intpoly import IntPolynomial, _ladd, _lpow, convolve
+from .intpoly import IntPolynomial, _binomial_row, _ladd, _lpow, convolve
 from .trees import RootedTree, post_order, tree_from_edges
 
 ORACLE_MAX_VERTICES = 22
@@ -47,6 +51,12 @@ _SWEEP_LOW = 16
 # no shape measured is slower packed, except stars (one binomial row on
 # lists).
 _PACKED_MAX_BITS = 1 << 16
+# indpoly_sst runs packed while 8 * w * (alpha + 1), its packed polynomial's
+# width in bits, is at most this.  Measured (benchmarks/layers.py,
+# BENCH_6.json), trees below 2**15 bits run 2-5x faster packed, the two
+# representations break even from about 2**17 to 2**18.5, and trees past
+# 2**19 run 1.4x (T(2^6 1^17)) to 5x (T(2^7 1^23)) slower packed.
+_SST_PACKED_MAX_BITS = 1 << 18
 
 
 # raw coefficient-list helpers; IntPolynomial wraps only the final results
@@ -72,14 +82,6 @@ def _lproduct(factors):
         heapq.heappush(heap, (len(h), tie, h))
         tie += 1
     return heap[0][2]
-
-
-def _binomial_row(L):
-    """Coefficients of (1 + x)^L."""
-    row = [1]
-    for k in range(L):  # C(L, k+1) = C(L, k) (L-k) / (k+1)
-        row.append(row[-1] * (L - k) // (k + 1))
-    return row
 
 
 def _lshift(p):
@@ -164,6 +166,30 @@ def indpoly_tree(tree: RootedTree) -> IntPolynomial:
     return IntPolynomial._raw(coeffs(ins, outs))
 
 
+# The level recursion's arithmetic, as (one, add, times_x, power): on
+# coefficient lists, on degrees (max-plus: times x adds 1, the c-th power
+# multiplies by c, a sum takes the larger degree) and, via _packed_levels,
+# on packed ints.
+_LEVELS_ON_LISTS = ([1], _ladd, _lshift, _lpow)
+_LEVELS_ON_DEGREES = (0, max, (1).__add__, operator.mul)
+
+
+def _packed_levels(shift):
+    """The level recursion's arithmetic on ints evaluated at x = 2**shift."""
+    return 1, operator.add, shift.__rlshift__, pow
+
+
+def _levels(counts, arithmetic):
+    """(in, out) at the root of the spherically symmetric tree with the
+    given per-level child counts, computed with `arithmetic`."""
+    one, add, times_x, power = arithmetic
+    inp, outp = times_x(one), one
+    for c in reversed(counts):
+        # the larger out first, while the smaller new in does not exist yet
+        outp, inp = power(add(inp, outp), c), times_x(power(outp, c))
+    return inp, outp
+
+
 def indpoly_sst(child_counts) -> IntPolynomial:
     """Independence polynomial of the spherically symmetric tree with the
     given per-level child counts, computed level by level.
@@ -171,19 +197,24 @@ def indpoly_sst(child_counts) -> IntPolynomial:
     All subtrees hanging at one depth are identical, so one (in, out) pair
     per level suffices: at the leaves in = x, out = 1; one level up with c
     children below, in = x * out_below^c and out = (in_below + out_below)^c.
-    Agrees with indpoly_tree on the materialized tree.
+    Every in, out, in + out and power of them is the polynomial of a
+    subforest of T, so, as in the tree DP, w-byte slots with
+    w = ceil(bits(i(T)) / 8) never carry.  The recursion at x = 1 gives
+    i(T) and the same recursion on degrees gives alpha(T); a tree whose
+    packed polynomial spans 8w(alpha + 1) <= _SST_PACKED_MAX_BITS bits runs
+    on one int at x = 2**(8w), unpacked once at the root, and any other on
+    coefficient lists.  Agrees with indpoly_tree on the materialized tree.
     """
     counts = list(child_counts)
     if not counts:
         raise ValueError("child-count list must be nonempty")
     if any(c < 1 for c in counts):
         raise ValueError("child counts must be >= 1, got %r" % (counts,))
-    inp, outp = [0, 1], [1]
-    for c in reversed(counts):
-        new_out = _lpow(_ladd(inp, outp), c)
-        new_in = [0] + _lpow(outp, c)
-        inp, outp = new_in, new_out
-    return IntPolynomial._raw(_ladd(inp, outp))
+    w = (sum(_levels(counts, _packed_levels(0))).bit_length() + 7) >> 3
+    alpha = max(_levels(counts, _LEVELS_ON_DEGREES))
+    if 8 * w * (alpha + 1) > _SST_PACKED_MAX_BITS:
+        return IntPolynomial._raw(_ladd(*_levels(counts, _LEVELS_ON_LISTS)))
+    return IntPolynomial._raw(_unpack(sum(_levels(counts, _packed_levels(8 * w))), w))
 
 
 def indpoly_forest(trees) -> IntPolynomial:
@@ -235,6 +266,21 @@ def indpoly_oracle(tree: RootedTree) -> IntPolynomial:
     return IntPolynomial._raw(independent_set_counts(tree.neighbor_masks()))
 
 
+@functools.cache
+def _avoid_patterns(low):
+    """avoids[u] for u < low: bit S of a 2**low-bit set is set iff u is not
+    in S -- runs of 2^u ones, 2^u zeros.  Built once per low (at most
+    _SWEEP_LOW + 1 tuples), on first use."""
+    avoids = []
+    for u in range(low):
+        pattern, period = (1 << (1 << u)) - 1, 2 << u
+        while period < 1 << low:
+            pattern |= pattern << period
+            period <<= 1
+        avoids.append(pattern)
+    return tuple(avoids)
+
+
 def independent_set_counts(neighbor_masks):
     """Count independent sets by size via a sweep over all vertex subsets.
 
@@ -252,14 +298,7 @@ def independent_set_counts(neighbor_masks):
             "subset sweep limited to n <= %d, got n=%d" % (ORACLE_MAX_VERTICES, n)
         )
     low = min(n, _SWEEP_LOW)
-    # avoids[u]: bit S set iff u is not in S -- runs of 2^u ones, 2^u zeros
-    avoids = []
-    for u in range(low):
-        pattern, period = (1 << (1 << u)) - 1, 2 << u
-        while period < 1 << low:
-            pattern |= pattern << period
-            period <<= 1
-        avoids.append(pattern)
+    avoids = _avoid_patterns(low)
 
     def avoiding(nbrs, width):
         # sets of width bits avoiding every low vertex in nbrs

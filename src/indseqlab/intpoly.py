@@ -300,6 +300,15 @@ def mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     return IntPolynomial._raw(convolve(p.coeffs, q.coeffs))
 
 
+def _binomial_row(n):
+    """Coefficients of (1 + x)^n, C(n, 0) .. C(n, n), by the exact
+    recurrence C(n, k+1) = C(n, k) (n-k) / (k+1)."""
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return row
+
+
 def _lpow(u, e):
     """Coefficient list u**e for e >= 1, by repeated squaring."""
     while not e & 1:

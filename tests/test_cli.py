@@ -1,11 +1,12 @@
 """Command-line surface: outputs, exit codes, JSON artifacts.
 
 Exit-code contract: 0 success, 1 verification mismatch, 2 usage/parse
-error, 3 analyze found breaks.  Scripted invocations run in-process via
+error, 3 analyze found breaks, 4 internal failure.  Scripted invocations run in-process via
 cli.main; a couple of subprocess calls check the installed entry point
 behaves the same.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -175,6 +176,32 @@ def test_search_cli(capsys, tmp_path):
         "--seed", "1", "--out", str(out_path),
     )
     assert code == 2 and "n-min" in err
+
+
+def test_internal_failure_exit_code(capsys, monkeypatch):
+    # an internal failure is neither a mismatch (1) nor a usage error (2)
+    def exhausted(counts):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "indpoly_sst", exhausted)
+    code, out, err = run_cli(capsys, "analyze", "Tmt1:2,2")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "analyze: internal error: MemoryError()\n"
+
+
+@pytest.mark.parametrize(
+    "command, code, digest",
+    [
+        ("verify", 0, "631f111e96a7653e930a8c15e8ab1bebef41ca38d65e3f3193aa885238cb0219"),
+        ("reproduce", 1, "c0288e4058871d14b7e32d7f1ac24850faa0eca53d2964041bf5f33ebb246fe3"),
+    ],
+)
+def test_suite_output_pinned(capsys, command, code, digest):
+    # SHA-256 of the default stdout, recorded before the binomial rows and
+    # the packed level recursion; reproduce exits 1 on its one known FAIL row
+    got, out, _ = run_cli(capsys, command)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 def test_cli_without_command_fails(capsys):

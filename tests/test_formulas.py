@@ -37,6 +37,19 @@ def test_spider_lc_sweep():
         formulas.spider_lc_sweep(0)
 
 
+def test_spider_lc_sweep_rejects_a_break(monkeypatch):
+    # a break at the last interior index k = t must fail the sweep
+    real = formulas._spider_counts
+
+    def broken(t):
+        seq = real(t)
+        seq[t] = 1
+        return seq
+
+    monkeypatch.setattr(formulas, "_spider_counts", broken)
+    assert not formulas.spider_lc_sweep(5)
+
+
 def test_spider_ratio_inequality_boundary():
     # k = t endpoint: 2^4 * 5 / 4 = 20 >= 2*3*0/2 = 0
     assert formulas.spider_ratio_inequality(4, 4)
@@ -51,6 +64,48 @@ def test_binomial_gap_identity():
             assert formulas.binomial_gap_identity(t, k)
     with pytest.raises(ValueError):
         formulas.binomial_gap_identity(3, 4)
+
+
+def test_binomial_rows_match_math_comb():
+    from math import comb
+
+    from indseqlab.intpoly import _binomial_row
+
+    for n in range(0, 303):
+        assert _binomial_row(n) == [comb(n, k) for k in range(n + 1)]
+
+
+def test_binomial_gap_sweep_matches_cells():
+    for t in range(0, 121):
+        cells = all(formulas.binomial_gap_identity(t, k) for k in range(t + 1))
+        assert formulas.binomial_gap_sweep(t) is cells is True
+    with pytest.raises(ValueError):
+        formulas.binomial_gap_sweep(-1)
+
+
+def test_binomial_gap_sweep_rejects_a_wrong_row(monkeypatch):
+    # the sweep must read every cell of the row it builds
+    real = formulas._binomial_row
+    for t in (1, 2, 7, 30):
+        for k in range(t + 1):
+            def bumped(n, t=t, k=k):
+                row = real(n)
+                if n == t:
+                    row[k] += 1
+                return row
+
+            monkeypatch.setattr(formulas, "_binomial_row", bumped)
+            assert not formulas.binomial_gap_sweep(t), (t, k)
+    monkeypatch.undo()
+    assert formulas.binomial_gap_sweep(30)
+
+
+def test_spider_sequence_matches_cells():
+    for t in range(1, 121):
+        want = [formulas.spider_count(t, k) for k in range(t + 2)]
+        assert list(formulas.spider_sequence(t).coeffs) == want
+    with pytest.raises(ValueError):
+        formulas.spider_sequence(0)
 
 
 def test_with_root_poly():

@@ -35,14 +35,16 @@ def P(*cs):
 
 
 def each_representation(test):
-    """Run the test twice: with every tree's DP forced onto packed ints,
-    then onto coefficient lists, whatever its width."""
+    """Run the test twice: with every tree's DP and every level recursion
+    forced onto packed ints, then onto coefficient lists, whatever their
+    width."""
 
     @functools.wraps(test)
     def run():
         for bound in (1 << 62, 0):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(indpoly, "_PACKED_MAX_BITS", bound)
+                mp.setattr(indpoly, "_SST_PACKED_MAX_BITS", bound)
                 test()
 
     return run
@@ -72,6 +74,7 @@ def test_small_trees():
     assert indpoly_tree(star(4)) == P(1, 4, 3, 1)
 
 
+@each_representation
 def test_sst_star_closed_form():
     # star with t leaves: (1+x)^t + x
     for t in range(1, 13):
@@ -79,6 +82,7 @@ def test_sst_star_closed_form():
         assert indpoly_sst([t]) == want
 
 
+@each_representation
 def test_sst_matches_generic_dp():
     from indseqlab.trees import sst
 
@@ -89,6 +93,7 @@ def test_sst_matches_generic_dp():
             assert indpoly_sst([m, t, 1]) == indpoly_tree(tmt1(m, t))
 
 
+@each_representation
 def test_sst_matches_generic_dp_exhaustive():
     # every level profile up to depth 6 with child counts 1..3
     from indseqlab.trees import sst
@@ -96,6 +101,44 @@ def test_sst_matches_generic_dp_exhaustive():
     for depth in range(1, 7):
         for counts in itertools.product((1, 2, 3), repeat=depth):
             assert indpoly_sst(counts) == indpoly_tree(sst(counts))
+
+
+def sst_packed_width(counts):
+    """8 w (alpha + 1), the width indpoly_sst compares with
+    _SST_PACKED_MAX_BITS."""
+    coeffs = indpoly_sst(counts).coeffs
+    return 8 * ((sum(coeffs).bit_length() + 7) // 8) * len(coeffs)
+
+
+def test_sst_on_each_side_of_the_packed_bound():
+    from indseqlab.trees import sst
+
+    cases = [[t, 1] for t in range(380, 460, 10)]
+    cases += [[m, m, 1] for m in (18, 19, 20, 21)]
+    cases += [[1] * n for n in range(700, 1000, 60)]
+    cases.sort(key=sst_packed_width)
+    bound = indpoly._SST_PACKED_MAX_BITS
+    split = sum(sst_packed_width(counts) <= bound for counts in cases)
+    assert 3 <= split <= len(cases) - 3
+    unpacked = []
+
+    def spy(value, w):
+        unpacked.append(w)
+        return unpack(value, w)
+
+    unpack = indpoly._unpack
+    for counts in cases[split - 3 : split + 3]:  # the nearest on each side
+        want = indpoly_tree(sst(counts))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indpoly, "_unpack", spy)
+            del unpacked[:]
+            assert indpoly_sst(counts) == want
+        # packed (one unpack at the root) exactly when within the bound
+        assert bool(unpacked) == (sst_packed_width(counts) <= bound), counts
+        for forced in (0, 1 << 62):  # both representations agree
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(indpoly, "_SST_PACKED_MAX_BITS", forced)
+                assert indpoly_sst(counts) == want, counts
 
 
 def test_sst_rejects_bad_counts():
