@@ -83,7 +83,7 @@ def sst_table(repeat):
         for label, counts in SST_CASES:
             coeffs = indpoly.indpoly_sst(counts).coeffs
             w = (sum(coeffs).bit_length() + 7) >> 3
-            row = {"tree": label, "counts": counts, "width_bits": 8 * w * len(coeffs)}
+            row = {"tree": label, "width_bits": 8 * w * len(coeffs)}
             for name, bound in REPRESENTATIONS:
                 indpoly._SST_PACKED_MAX_BITS = bound
                 row[name + "_s"] = best_of(repeat, indpoly.indpoly_sst, counts)

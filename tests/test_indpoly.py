@@ -120,21 +120,15 @@ def test_sst_on_each_side_of_the_packed_bound():
     bound = indpoly._SST_PACKED_MAX_BITS
     split = sum(sst_packed_width(counts) <= bound for counts in cases)
     assert 3 <= split <= len(cases) - 3
-    unpacked = []
-
-    def spy(value, w):
-        unpacked.append(w)
-        return unpack(value, w)
-
     unpack = indpoly._unpack
     for counts in cases[split - 3 : split + 3]:  # the nearest on each side
         want = indpoly_tree(sst(counts))
+        calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(indpoly, "_unpack", spy)
-            del unpacked[:]
+            mp.setattr(indpoly, "_unpack", lambda value, w: calls.append(w) or unpack(value, w))
             assert indpoly_sst(counts) == want
         # packed (one unpack at the root) exactly when within the bound
-        assert bool(unpacked) == (sst_packed_width(counts) <= bound), counts
+        assert bool(calls) == (sst_packed_width(counts) <= bound), counts
         for forced in (0, 1 << 62):  # both representations agree
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(indpoly, "_SST_PACKED_MAX_BITS", forced)
