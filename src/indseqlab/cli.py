@@ -311,7 +311,13 @@ def build_parser():
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", metavar="FILE", required=True, help="JSONL output path")
-    p.add_argument("--threads", type=int, default=None, help="parallel worker processes (default: machine parallelism)")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="processes that examine trees: this one and THREADS - 1 spawned workers"
+        " (default: machine parallelism)",
+    )
     p.set_defaults(func=cmd_search, needs_tree=False)
 
     p = sub.add_parser("verify", help="run the formula verification suite")

@@ -10,16 +10,21 @@ with the tree's polynomial being in(root) + out(root).
 
 The DP runs on plain ints.  Every coefficient it ever holds counts the
 independent sets of some subforest of the tree T, so none exceeds
-i(T) = I(T; 1), which one pass of the same DP at x = 1 gives exactly.
-With w = ceil(bits(i(T)) / 8), slots of w bytes therefore never carry,
-and the DP evaluated at x = 2**(8w) holds each polynomial packed one
-coefficient per slot (Kronecker substitution over the whole tree); the
-root's pair is unpacked once.  Packed, a subtree's polynomial spans its
+i(T) = I(T; 1).  Slots of w bytes with 2**(8w) > i(T) therefore never
+carry, and the DP evaluated at x = 2**(8w) holds each polynomial packed
+one coefficient per slot (Kronecker substitution over the whole tree);
+the root's pair is unpacked once.  A tree on n vertices has
+i(T) <= 2**(n-1) + 1 < 2**n (the star attains it), so w = ceil(n/8) is
+safe without counting; trees on at most _SLOTS_FROM_N_MAX_VERTICES
+vertices take that width.  Wider slots cost more on larger trees, so those
+take w = ceil(bits(i(T)) / 8) from one pass of the same DP at x = 1,
+which gives i(T) exactly.  Packed, a subtree's polynomial spans its
 degree times 8w bits however small its own coefficients are, and the
 root's products run at CPython's Karatsuba speed; so a tree whose width
 bound 8wn exceeds _PACKED_MAX_BITS, the measured crossover, runs the same
 DP on coefficient lists instead, whose products `intpoly.convolve` packs
-one at a time with slots fitted to the operands.
+one at a time with slots fitted to the operands.  So does a star, whose
+DP has no product to gain from packing (_STAR_PACKED_MAX_BITS).
 
 Spherically symmetric trees get a per-level fast path that never
 materializes the tree.  It follows the same rule: the level recursion at
@@ -38,7 +43,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .intpoly import IntPolynomial, _binomial_row, _ladd, _lpow, convolve
+from .intpoly import IntPolynomial, _binomial_row, _ladd, _lpow, _unpack_slots, convolve
 from .trees import RootedTree, post_order, tree_from_edges
 
 ORACLE_MAX_VERTICES = 22
@@ -48,9 +53,21 @@ _SWEEP_LOW = 16
 # polynomial's width in bits, is at most this.  Measured (BENCH_5.json),
 # spiders and complete binary trees break even between 2**16 and 2**17.5,
 # random trees and caterpillars near 2**18, paths past it; so up to here
-# no shape measured is slower packed, except stars (one binomial row on
-# lists).
+# no shape measured is slower packed, except stars.
 _PACKED_MAX_BITS = 1 << 16
+# The same bound for stars, one vertex adjacent to all others.  Their DP is
+# one binomial row with no product, so packed it only adds packing and
+# unpacking: measured (benchmarks/layers.py, BENCH_7.json), stars of
+# 26..256 vertices run 1.7-2.7x slower packed, so none is.
+_STAR_PACKED_MAX_BITS = 0
+# Trees on at most this many vertices take w = ceil(n/8) byte slots rather
+# than counting i(T) first.  Measured (benchmarks/layers.py, BENCH_7.json
+# "layers"), slots from n take 0.6-0.85x the time up to 96 vertices, and
+# at 112 no shape is slower (caterpillars break even, 0.98-1.01x); past it
+# caterpillars and spiders lose (1.03-1.16x at 120-160 vertices), and from
+# 192 every shape but paths.  A multiple of 8, so a star at the bound fills
+# its slots exactly.
+_SLOTS_FROM_N_MAX_VERTICES = 112
 # indpoly_sst runs packed while 8 * w * (alpha + 1), its packed polynomial's
 # width in bits, is at most this.  Measured (benchmarks/layers.py,
 # BENCH_6.json), trees below 2**15 bits run 2-5x faster packed, the two
@@ -140,9 +157,14 @@ def _evaluate(tree: RootedTree, order, arithmetic):
 
 def _unpack(value, w):
     """Coefficient list of a positive int packed in w-byte slots."""
-    size = -(-value.bit_length() // (8 * w)) * w
-    raw = value.to_bytes(size, "little")
-    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, size, w)]
+    return _unpack_slots(value, w, -(-value.bit_length() // (8 * w)))
+
+
+def _is_star(tree: RootedTree):
+    """Whether one vertex of the tree is adjacent to all the others: the
+    root, or the root's only child."""
+    kids = tree.children[tree.root]
+    return len(kids) == tree.n - 1 or len(kids) == 1 and len(tree.children[kids[0]]) == tree.n - 2
 
 
 def _root_pair(tree: RootedTree):
@@ -151,9 +173,11 @@ def _root_pair(tree: RootedTree):
     the module docstring), and coeffs(*values), the coefficient list of
     the sum of such values."""
     order = post_order(tree)
-    count = sum(_evaluate(tree, order, _packed(0)))
-    w = (count.bit_length() + 7) >> 3
-    if 8 * w * tree.n > _PACKED_MAX_BITS:
+    if tree.n <= _SLOTS_FROM_N_MAX_VERTICES:
+        w = (tree.n + 7) >> 3
+    else:
+        w = (sum(_evaluate(tree, order, _packed(0))).bit_length() + 7) >> 3
+    if 8 * w * tree.n > (_STAR_PACKED_MAX_BITS if _is_star(tree) else _PACKED_MAX_BITS):
         arithmetic, coeffs = _ON_LISTS, lambda *values: functools.reduce(_ladd, values)
     else:
         arithmetic, coeffs = _packed(8 * w), lambda *values: _unpack(sum(values), w)

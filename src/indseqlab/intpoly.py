@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import decimal
 from decimal import Decimal
+from itertools import repeat
 
 # operands with at most this many coefficients multiply schoolbook
 SCHOOLBOOK_MAX = 8
@@ -158,18 +159,24 @@ def _karatsuba(a, b):
     return out
 
 
+def _pack_slots(coeffs, width):
+    """The int holding nonnegative coefficients, lowest first, one per
+    width-byte slot."""
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+
+
+def _unpack_slots(value, width, count):
+    """The lowest `count` width-byte slots of a nonnegative int, lowest first."""
+    raw = value.to_bytes(width * count, "little")
+    chunks = [raw[i : i + width] for i in range(0, len(raw), width)]
+    return list(map(int.from_bytes, chunks, repeat("little")))
+
+
 def _kronecker_binary(a, b, slot):
     width = (slot + 7) >> 3  # bytes per slot
-
-    def pack(u):
-        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in u), "little")
-
-    x = pack(a)
-    y = x if b is a else pack(b)
-    raw = (x * y).to_bytes(width * (len(a) + len(b) - 1), "little")
-    return [
-        int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
-    ]
+    x = _pack_slots(a, width)
+    y = x if b is a else _pack_slots(b, width)
+    return _unpack_slots(x * y, width, len(a) + len(b) - 1)
 
 
 def _kronecker_decimal(a, b, slot):

@@ -7,9 +7,10 @@ random_tree(n, derive_seed(master, 2*index + 1)).  A persisted record
 therefore replays from its own fields alone.
 
 The sample indices are cut into contiguous ranges of CHUNK indices.  With
-more than one worker and more than one chunk, worker processes examine the
-ranges and the parent writes their records in index order, so the output
-is byte-identical no matter how many workers ran the search.
+more than one worker and more than one chunk, the parent spawns one fewer
+worker process and examines ranges itself while they start and run; it
+writes all records in index order, so the output is byte-identical no
+matter how many workers ran the search.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .rng import SplitMix64, derive_seed
 from .seqcheck import analyze
 from .trees import RootedTree, edge_list_text, random_tree
 
-# sample indices per task a worker process examines
+# sample indices per task a worker examines
 CHUNK = 256
 
 
@@ -114,26 +115,47 @@ def _ignore_sigint():
 
 
 def _pooled_lines(seed, samples, n_min, n_max, emit_all, workers):
-    """Record lines of all samples, from worker processes, in index order.
+    """Record lines of all samples in index order, examined by workers - 1
+    spawned processes and by this one.
 
-    At most 2 * workers chunks are in flight at a time, so memory stays
+    The chunks not yet yielded wait, oldest first, in one deque: futures of
+    the pool, and line lists this process examined itself.  While the
+    oldest is not back and chunks remain, this process examines the next
+    chunk rather than wait, so it works while the pool starts.  The pool
+    has at most 2 * (workers - 1) chunks in flight and never takes the
+    last chunk, which this process examines while the pool finishes.  The
+    deque holds at most 4 * workers chunks, so memory stays
     O(workers * CHUNK) whatever the sample count.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    in_flight_max = 2 * (workers - 1)
+    pending_max = 4 * workers
+
+    def chunk(lo):
+        return seed, lo, min(lo + CHUNK, samples), n_min, n_max, emit_all
+
     # spawn, not fork: forking a caller that runs threads can deadlock
     ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_ignore_sigint) as pool:
+    with ProcessPoolExecutor(workers - 1, mp_context=ctx, initializer=_ignore_sigint) as pool:
         try:
             pending = deque()
-            for lo in range(0, samples, CHUNK):
-                hi = min(lo + CHUNK, samples)
-                pending.append(pool.submit(_examine_range, seed, lo, hi, n_min, n_max, emit_all))
-                if len(pending) == 2 * workers:
+            lo = 0
+            while pending or lo < samples:
+                in_flight = sum(not isinstance(e, list) and not e.done() for e in pending)
+                while lo + CHUNK < samples and in_flight < in_flight_max and len(pending) < pending_max:
+                    pending.append(pool.submit(_examine_range, *chunk(lo)))
+                    lo += CHUNK
+                    in_flight += 1
+                head = pending[0]
+                if isinstance(head, list):
+                    yield from pending.popleft()
+                elif lo < samples and len(pending) < pending_max and not head.done():
+                    pending.append(list(_examine(*chunk(lo))))
+                    lo += CHUNK
+                else:
                     yield from pending.popleft().result()
-            while pending:
-                yield from pending.popleft().result()
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -153,11 +175,12 @@ def run_search(
     Records stream to `out_path` in sample-index order, one whole line per
     write, so a run stopped by an error or Ctrl-C leaves a prefix of its
     records, each line whole; with one worker, the records of every sample
-    examined before the stop.  The
-    file content is independent of `threads`, the number of worker
-    processes (default: os.cpu_count()); one worker, or a run that fits in
-    one chunk, runs in this process.  Workers are spawned, so a script
-    that runs several must guard its entry point with
+    examined before the stop.  The file content is independent of
+    `threads`, the number of processes that examine trees (default:
+    os.cpu_count()): threads - 1 spawned worker processes plus this one,
+    which examines chunks while they start.  One worker, or a run that
+    fits in one chunk, runs in this process alone.  Workers are spawned,
+    so a script that runs several must guard its entry point with
     `if __name__ == "__main__":`.  With emit_all every sample is
     recorded, breaks or not; the command line never sets that, but tests
     and benchmarks do.  Returns the number of records written.

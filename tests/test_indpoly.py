@@ -43,8 +43,8 @@ def each_representation(test):
     def run():
         for bound in (1 << 62, 0):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(indpoly, "_PACKED_MAX_BITS", bound)
-                mp.setattr(indpoly, "_SST_PACKED_MAX_BITS", bound)
+                for name in ("_PACKED_MAX_BITS", "_STAR_PACKED_MAX_BITS", "_SST_PACKED_MAX_BITS"):
+                    mp.setattr(indpoly, name, bound)
                 test()
 
     return run
@@ -280,14 +280,88 @@ def test_long_path_matches_fibonacci_recurrence():
 
 @each_representation
 def test_slots_exactly_filled():
-    # i(T) of exactly 8 bits gives one-byte slots, the narrowest the
-    # no-carry bound allows
+    # i(T) of exactly 8w bits fills w-byte slots, the narrowest the no-carry
+    # bound allows: star(8) takes w = 1 from its 8 vertices (path(11) takes
+    # w = 2 from its 11), and path(114), past the slot bound, w = 10 from
+    # counting
     for tree, count in ((star(8), 2**7 + 1), (path(11), 233)):
         poly = indpoly_tree(tree)
         assert sum(poly.coeffs) == count and count.bit_length() == 8
         assert poly == indpoly_oracle(tree)
         rs = root_split(tree, tree.n - 1)
         assert rs.total == poly
+    assert 114 > indpoly._SLOTS_FROM_N_MAX_VERTICES
+    poly = indpoly_tree(path(114))
+    assert poly == path_poly(114) and sum(poly.coeffs).bit_length() == 80
+    assert root_split(path(114), 57).total == poly
+
+
+def test_count_pass_runs_only_above_the_slot_bound(monkeypatch):
+    # up to the bound the slots are w = ceil(n/8) bytes without counting;
+    # past it the DP first runs at x = 1, which is _packed(0)
+    bound = indpoly._SLOTS_FROM_N_MAX_VERTICES
+    shifts = []
+    packed = indpoly._packed
+    monkeypatch.setattr(indpoly, "_packed", lambda shift: shifts.append(shift) or packed(shift))
+    rng = random.Random(112)
+    for n in (9, 40, bound - 1, bound, bound + 1, bound + 9):
+        tree = random_tree(n, rng.getrandbits(64))
+        shifts.clear()
+        poly = indpoly_tree(tree)
+        count_bits = sum(poly.coeffs).bit_length()
+        if n <= bound:
+            assert shifts == [8 * ((n + 7) // 8)], n
+        else:
+            assert shifts == [0, 8 * ((count_bits + 7) // 8)], n
+
+
+@each_representation
+def test_trees_on_each_side_of_the_slot_bound():
+    bound = indpoly._SLOTS_FROM_N_MAX_VERTICES
+    rng = random.Random(113)
+    for n in (bound - 1, bound, bound + 1):
+        cases = [(path(n), path_poly(n)), (star(n), poly_pow(P(1, 1), n - 1) + P(0, 1))]
+        cases += [(random_tree(n, rng.getrandbits(64)), None) for _ in range(3)]
+        cases.append((caterpillar([3] * (n // 4 - 1) + [n % 4 + 3]), None))
+        for tree, want in cases:
+            assert tree.n == n
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(indpoly, "_PACKED_MAX_BITS", 0)
+                mp.setattr(indpoly, "_STAR_PACKED_MAX_BITS", 0)
+                on_lists = indpoly_tree(tree)
+            assert want is None or on_lists == want
+            assert indpoly_tree(tree) == on_lists
+            assert root_split(tree, n // 2).total == on_lists
+    # a star at the bound fills its slots exactly: i = 2^(n-1) + 1 has n bits
+    count = sum(indpoly_tree(star(bound)).coeffs)
+    assert count == 2 ** (bound - 1) + 1
+    assert count.bit_length() == 8 * ((bound + 7) // 8)
+
+
+@each_representation
+def test_wide_stars():
+    # n = 257 is the first star whose width 8wn passes _PACKED_MAX_BITS
+    for n in (200, 256, 257):
+        want = poly_pow(P(1, 1), n - 1) + P(0, 1)
+        tree = star(n)
+        assert indpoly_tree(tree) == want
+        assert root_split(tree, 0).total == want
+        assert root_split(tree, n - 1).total == want
+
+
+def test_stars_run_on_lists():
+    # one vertex adjacent to all others, rooted there or at a leaf; packed,
+    # the DP would only pack and unpack the binomial row
+    calls = []
+    unpack = indpoly._unpack
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indpoly, "_unpack", lambda value, w: calls.append(w) or unpack(value, w))
+        for n in (1, 2, 3, 40, 200):
+            assert root_split(star(n), 0).total == indpoly_tree(star(n))
+            assert root_split(star(n), n - 1).total == indpoly_tree(star(n))
+        assert calls == []
+        indpoly_tree(spider(20))
+        assert calls
 
 
 def test_trees_on_each_side_of_the_packed_bound():

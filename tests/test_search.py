@@ -166,3 +166,55 @@ def test_interrupted_pooled_run_stops_workers_and_keeps_whole_records(tmp_path):
     lines = cut.splitlines()
     assert cut.endswith("\n") and cut.startswith(full.read_text())
     assert [record_from_json(line).sample_index for line in lines] == list(range(len(lines)))
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyboardInterrupt()])
+def test_failure_in_a_chunk_this_process_examines(tmp_path, monkeypatch, exc):
+    # on the pool path this process examines chunks too; the workers import
+    # analyze afresh, so only this process's chunks fail
+    samples = 3 * CHUNK + 7
+    full = tmp_path / "full.jsonl"
+    run_search(4, 9, samples, 13, full, threads=1, emit_all=True)
+
+    def analyze(tree):
+        raise exc
+
+    monkeypatch.setattr(search, "analyze", analyze)
+    out = tmp_path / "cut.jsonl"
+    with pytest.raises(type(exc)):
+        run_search(4, 9, samples, 13, out, threads=2, emit_all=True)
+    assert multiprocessing.active_children() == []
+    cut = out.read_text()
+    lines = cut.splitlines(keepends=True)
+    assert full.read_text().startswith(cut)
+    assert all(line.endswith("\n") for line in lines)
+    assert [record_from_json(line).sample_index for line in lines] == list(range(len(lines)))
+
+
+@pytest.mark.parametrize("threads", [2, 3, 8])
+def test_threads_count_this_process(tmp_path, monkeypatch, threads):
+    # threads = k spawns k - 1 worker processes, and this process examines
+    # at least one chunk: the last, which the pool never takes
+    samples = 8 * CHUNK + 7
+    want = tmp_path / "inline.jsonl"
+    run_search(4, 9, samples, 21, want, threads=1, emit_all=True)
+    started, examined = [], []
+    start, examine = multiprocessing.context.SpawnProcess.start, search._examine
+
+    def spy_start(process):
+        started.append(process)
+        return start(process)
+
+    def spy_examine(seed, lo, hi, *args):
+        examined.append((lo, hi))
+        return examine(seed, lo, hi, *args)
+
+    monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", spy_start)
+    monkeypatch.setattr(search, "_examine", spy_examine)
+    out = tmp_path / "pooled.jsonl"
+    assert run_search(4, 9, samples, 21, out, threads=threads, emit_all=True) == samples
+    assert multiprocessing.active_children() == []
+    assert out.read_bytes() == want.read_bytes()
+    assert len(started) == threads - 1
+    assert (8 * CHUNK, samples) in examined
+    assert all(lo % CHUNK == 0 and hi == min(lo + CHUNK, samples) for lo, hi in examined)
