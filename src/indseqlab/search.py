@@ -148,10 +148,9 @@ def _pooled_lines(seed, samples, n_min, n_max, emit_all, workers):
                     pending.append(pool.submit(_examine_range, *chunk(lo)))
                     lo += CHUNK
                     in_flight += 1
-                head = pending[0]
-                if isinstance(head, list):
+                if pending and isinstance(pending[0], list):
                     yield from pending.popleft()
-                elif lo < samples and len(pending) < pending_max and not head.done():
+                elif lo < samples and len(pending) < pending_max and not (pending and pending[0].done()):
                     pending.append(list(_examine(*chunk(lo))))
                     lo += CHUNK
                 else:

@@ -218,3 +218,32 @@ def test_threads_count_this_process(tmp_path, monkeypatch, threads):
     assert len(started) == threads - 1
     assert (8 * CHUNK, samples) in examined
     assert all(lo % CHUNK == 0 and hi == min(lo + CHUNK, samples) for lo, hi in examined)
+
+
+def test_last_chunk_after_the_pool_drains(tmp_path, monkeypatch):
+    # every chunk of the pool comes back while this process examines one of
+    # its own; it yields them all, and the deque is empty when this process
+    # still has the last chunk to examine
+    from concurrent.futures import process, wait
+
+    samples = 3 * CHUNK + 7
+    want = tmp_path / "inline.jsonl"
+    run_search(4, 9, samples, 31, want, threads=1, emit_all=True)
+    futures = []
+    submit, examine = process.ProcessPoolExecutor.submit, search._examine
+
+    def spy_submit(pool, *args):
+        futures.append(submit(pool, *args))
+        return futures[-1]
+
+    def examine_once_the_pool_is_done(*args):
+        wait(futures, timeout=60)
+        assert all(f.done() for f in futures)
+        return examine(*args)
+
+    monkeypatch.setattr(process.ProcessPoolExecutor, "submit", spy_submit)
+    monkeypatch.setattr(search, "_examine", examine_once_the_pool_is_done)
+    out = tmp_path / "pooled.jsonl"
+    assert run_search(4, 9, samples, 31, out, threads=2, emit_all=True) == samples
+    assert out.read_bytes() == want.read_bytes()
+    assert multiprocessing.active_children() == []
