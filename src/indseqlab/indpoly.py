@@ -57,16 +57,15 @@ _SWEEP_LOW = 16
 _PACKED_MAX_BITS = 1 << 16
 # The same bound for stars, one vertex adjacent to all others.  Their DP is
 # one binomial row with no product, so packed it only adds packing and
-# unpacking: measured (benchmarks/layers.py, BENCH_7.json), stars of
-# 26..256 vertices run 1.7-2.7x slower packed, so none is.
+# unpacking: measured (benchmarks/layers.py, BENCH_7.json "layers"), stars
+# of 26..256 vertices run 1.1-7.7x slower packed, so none is.
 _STAR_PACKED_MAX_BITS = 0
 # Trees on at most this many vertices take w = ceil(n/8) byte slots rather
 # than counting i(T) first.  Measured (benchmarks/layers.py, BENCH_7.json
-# "layers"), slots from n take 0.6-0.85x the time up to 96 vertices, and
-# at 112 no shape is slower (caterpillars break even, 0.98-1.01x); past it
-# caterpillars and spiders lose (1.03-1.16x at 120-160 vertices), and from
-# 192 every shape but paths.  A multiple of 8, so a star at the bound fills
-# its slots exactly.
+# "layers"), slots from n take 0.58-0.95x the time of counting for every
+# shape up to 112 vertices; at 120-128 caterpillars, spiders and random
+# trees lose (up to 1.11x), and past 160 most shapes do (up to 1.41x).  A
+# multiple of 8, so a star at the bound fills its slots exactly.
 _SLOTS_FROM_N_MAX_VERTICES = 112
 # indpoly_sst runs packed while 8 * w * (alpha + 1), its packed polynomial's
 # width in bits, is at most this.  Measured (benchmarks/layers.py,

@@ -102,7 +102,7 @@ def _examine(seed, lo, hi, n_min, n_max, emit_all):
 
 
 def _examine_range(seed, lo, hi, n_min, n_max, emit_all):
-    """A worker process's task: the record lines of one index range."""
+    """A pooled run's task: the record lines of one index range."""
     return list(_examine(seed, lo, hi, n_min, n_max, emit_all))
 
 
@@ -151,7 +151,7 @@ def _pooled_lines(seed, samples, n_min, n_max, emit_all, workers):
                 if pending and isinstance(pending[0], list):
                     yield from pending.popleft()
                 elif lo < samples and len(pending) < pending_max and not (pending and pending[0].done()):
-                    pending.append(list(_examine(*chunk(lo))))
+                    pending.append(_examine_range(*chunk(lo)))
                     lo += CHUNK
                 else:
                     yield from pending.popleft().result()
