@@ -340,7 +340,8 @@ def test_trees_on_each_side_of_the_slot_bound():
 
 @each_representation
 def test_wide_stars():
-    # n = 257 is the first star whose width 8wn passes _PACKED_MAX_BITS
+    # stars of up to 256 vertices ran packed before they ran on lists;
+    # Star:257 was the first past _PACKED_MAX_BITS
     for n in (200, 256, 257):
         want = poly_pow(P(1, 1), n - 1) + P(0, 1)
         tree = star(n)
