@@ -30,7 +30,8 @@ Spherically symmetric trees get a per-level fast path that never
 materializes the tree.  It follows the same rule: the level recursion at
 x = 1 gives i(T), on degrees alpha(T), and a tree whose packed polynomial
 spans 8w(alpha + 1) <= _SST_PACKED_MAX_BITS bits runs on one int at
-x = 2**(8w); wider trees run on coefficient lists.  A subset-sweep oracle
+x = 2**(8w); wider trees run on coefficient lists.  For both DPs one
+helper, _represented, picks w and the representation.  A subset-sweep oracle
 (shared code with nothing else) provides an independent cross-check up to
 22 vertices.
 """
@@ -104,27 +105,30 @@ def _lshift(p):
     return [0] + p
 
 
-# The DP's arithmetic in one representation of polynomials, as
-# (one, add, times_x, product of a list, L -> (1 + x)^L); here on lists.
-_ON_LISTS = ([1], _ladd, _lshift, _lproduct, _binomial_row)
+# The DP's arithmetic in one representation of polynomials, as (one, add,
+# times_x, product of a list, c-th power, L -> (1 + x)^L): on coefficient
+# lists, on packed ints (_packed) and on degrees (max-plus: times x adds 1,
+# a product sums, the c-th power multiplies by c, a sum takes the larger).
+_ON_LISTS = ([1], _ladd, _lshift, _lproduct, _lpow, _binomial_row)
+_ON_DEGREES = (0, max, (1).__add__, sum, operator.mul, int)
 
 
 def _packed(shift):
     """The DP's arithmetic on ints standing for polynomials evaluated at
     x = 2**shift, so that times x is a shift; shift 0 counts the sets."""
-    return 1, operator.add, shift.__rlshift__, math.prod, ((1 << shift) + 1).__pow__
+    return 1, operator.add, shift.__rlshift__, math.prod, pow, ((1 << shift) + 1).__pow__
 
 
 def _evaluate(tree: RootedTree, order, arithmetic):
     """(in(root), out(root)) by the post-order DP over `order`, computed
-    with `arithmetic` (_ON_LISTS or _packed(shift)).
+    with `arithmetic`, one of the tables above.
 
     Leaves are never stored: a leaf child contributes out = 1 to in(v),
     which is skipped, and in + out = 1 + x to out(v), so L leaf children
     fold into one (1 + x)^L factor, kept per distinct L.  Child values are
     dropped once their parent holds them.
     """
-    one, add, times_x, prod, binomial = arithmetic
+    one, add, times_x, prod, _, binomial = arithmetic
     children = tree.children
     ins = [None] * tree.n
     outs = [None] * tree.n
@@ -166,46 +170,42 @@ def _is_star(tree: RootedTree):
     return len(kids) == tree.n - 1 or len(kids) == 1 and len(tree.children[kids[0]]) == tree.n - 2
 
 
+def _represented(dp, count, span, bound):
+    """(values, coeffs): the values dp(arithmetic) computes, on packed ints
+    or on coefficient lists, and coeffs(*values), the coefficient list of
+    their sum.
+
+    count is at least i(T) and fixes the slot width w =
+    ceil(bits(count) / 8); the DP runs packed while the polynomial it
+    packs, `span` slots of w bytes, spans at most `bound` bits.
+    """
+    w = (count.bit_length() + 7) >> 3
+    if 8 * w * span > bound:
+        return dp(_ON_LISTS), lambda *values: functools.reduce(_ladd, values)
+    return dp(_packed(8 * w)), lambda *values: _unpack(sum(values), w)
+
+
 def _root_pair(tree: RootedTree):
-    """(in(root), out(root), coeffs): the root's pair as the DP holds it,
+    """((in(root), out(root)), coeffs): the root's pair as the DP holds it,
     packed ints or coefficient lists as the tree's width calls for (see
-    the module docstring), and coeffs(*values), the coefficient list of
-    the sum of such values."""
-    order = post_order(tree)
-    if tree.n <= _SLOTS_FROM_N_MAX_VERTICES:
-        w = (tree.n + 7) >> 3
-    else:
-        w = (sum(_evaluate(tree, order, _packed(0))).bit_length() + 7) >> 3
-    if 8 * w * tree.n > (_STAR_PACKED_MAX_BITS if _is_star(tree) else _PACKED_MAX_BITS):
-        arithmetic, coeffs = _ON_LISTS, lambda *values: functools.reduce(_ladd, values)
-    else:
-        arithmetic, coeffs = _packed(8 * w), lambda *values: _unpack(sum(values), w)
-    return (*_evaluate(tree, order, arithmetic), coeffs)
+    the module docstring), and its decoder (see _represented)."""
+    dp = functools.partial(_evaluate, tree, post_order(tree))
+    # i(T) < 2**n, so small trees need not count
+    count = (1 << tree.n) - 1 if tree.n <= _SLOTS_FROM_N_MAX_VERTICES else sum(dp(_packed(0)))
+    bound = _STAR_PACKED_MAX_BITS if _is_star(tree) else _PACKED_MAX_BITS
+    return _represented(dp, count, tree.n, bound)
 
 
 def indpoly_tree(tree: RootedTree) -> IntPolynomial:
     """Independence polynomial of a rooted tree by the post-order DP."""
-    ins, outs, coeffs = _root_pair(tree)
+    (ins, outs), coeffs = _root_pair(tree)
     return IntPolynomial._raw(coeffs(ins, outs))
-
-
-# The level recursion's arithmetic, as (one, add, times_x, power): on
-# coefficient lists, on degrees (max-plus: times x adds 1, the c-th power
-# multiplies by c, a sum takes the larger degree) and, via _packed_levels,
-# on packed ints.
-_LEVELS_ON_LISTS = ([1], _ladd, _lshift, _lpow)
-_LEVELS_ON_DEGREES = (0, max, (1).__add__, operator.mul)
-
-
-def _packed_levels(shift):
-    """The level recursion's arithmetic on ints evaluated at x = 2**shift."""
-    return 1, operator.add, shift.__rlshift__, pow
 
 
 def _levels(counts, arithmetic):
     """(in, out) at the root of the spherically symmetric tree with the
     given per-level child counts, computed with `arithmetic`."""
-    one, add, times_x, power = arithmetic
+    one, add, times_x, _, power, _ = arithmetic
     inp, outp = times_x(one), one
     for c in reversed(counts):
         # the larger out first, while the smaller new in does not exist yet
@@ -233,11 +233,10 @@ def indpoly_sst(child_counts) -> IntPolynomial:
         raise ValueError("child-count list must be nonempty")
     if any(c < 1 for c in counts):
         raise ValueError("child counts must be >= 1, got %r" % (counts,))
-    w = (sum(_levels(counts, _packed_levels(0))).bit_length() + 7) >> 3
-    alpha = max(_levels(counts, _LEVELS_ON_DEGREES))
-    if 8 * w * (alpha + 1) > _SST_PACKED_MAX_BITS:
-        return IntPolynomial._raw(_ladd(*_levels(counts, _LEVELS_ON_LISTS)))
-    return IntPolynomial._raw(_unpack(sum(_levels(counts, _packed_levels(8 * w))), w))
+    dp = functools.partial(_levels, counts)
+    span = max(dp(_ON_DEGREES)) + 1  # alpha(T) + 1 coefficients
+    values, coeffs = _represented(dp, sum(dp(_packed(0))), span, _SST_PACKED_MAX_BITS)
+    return IntPolynomial._raw(coeffs(*values))
 
 
 def indpoly_forest(trees) -> IntPolynomial:
@@ -275,7 +274,7 @@ def root_split(tree: RootedTree, v: int) -> RootSplit:
         return 0 if u == v else v if u == 0 else u
 
     rerooted = tree_from_edges(tree.n, [(swap(p), swap(c)) for p, c in tree.edges()])
-    with_r, without, coeffs = _root_pair(rerooted)
+    (with_r, without), coeffs = _root_pair(rerooted)
     return RootSplit(
         without_root=IntPolynomial._raw(coeffs(without)),
         with_root=IntPolynomial._raw(coeffs(with_r)),

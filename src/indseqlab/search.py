@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .rng import SplitMix64, derive_seed
 from .seqcheck import analyze
@@ -41,28 +41,16 @@ class SearchRecord:
 
 
 def record_to_json(rec: SearchRecord) -> str:
-    return json.dumps(
-        {
-            "seed": rec.seed,
-            "sample_index": rec.sample_index,
-            "n": rec.n,
-            "edge_list": rec.edge_list,
-            "breaks": list(rec.breaks),
-            "alpha": rec.alpha,
-        }
-    )
+    return json.dumps(vars(rec))
 
 
 def record_from_json(line: str) -> SearchRecord:
+    """Inverse of record_to_json; a missing field raises KeyError, and
+    fields SearchRecord lacks are ignored."""
     obj = json.loads(line)
-    return SearchRecord(
-        seed=obj["seed"],
-        sample_index=obj["sample_index"],
-        n=obj["n"],
-        edge_list=obj["edge_list"],
-        breaks=tuple(obj["breaks"]),
-        alpha=obj["alpha"],
-    )
+    values = {f.name: obj[f.name] for f in fields(SearchRecord)}
+    values["breaks"] = tuple(values["breaks"])
+    return SearchRecord(**values)
 
 
 def tree_seed_for(master: int, index: int) -> int:

@@ -8,15 +8,11 @@ All comparisons here are exact integer arithmetic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .indpoly import indpoly_tree
 from .intpoly import int_to_str, str_to_int
 from .trees import RootedTree, independence_number
-
-
-def _as_list(seq):
-    return list(seq)
 
 
 def lc_breaks(seq):
@@ -25,7 +21,7 @@ def lc_breaks(seq):
     The scan covers every interior index 1 <= k <= len-2.  Entries must be
     positive; the break notion is only meaningful for positive sequences.
     """
-    a = _as_list(seq)
+    a = list(seq)
     if not a:
         raise ValueError("sequence must be nonempty")
     for v in a:
@@ -38,7 +34,7 @@ def is_unimodal(seq):
     """(flag, mode_range): whether the sequence weakly rises then weakly
     falls; mode_range is the (lo, hi) index interval attaining the maximum
     when unimodal, None otherwise."""
-    a = _as_list(seq)
+    a = list(seq)
     if not a:
         raise ValueError("sequence must be nonempty")
     m = max(a)
@@ -66,7 +62,7 @@ def tail_monotone(seq, alpha: int) -> bool:
 
     Requires alpha == len(seq) - 1 (the sequence must run 0..alpha).
     """
-    a = _as_list(seq)
+    a = list(seq)
     if alpha != len(a) - 1:
         raise ValueError(
             "alpha must equal len(seq)-1, got alpha=%d len=%d" % (alpha, len(a))
@@ -118,52 +114,20 @@ def analyze(tree: RootedTree) -> AnalysisReport:
     return report
 
 
-# fixed field order of the JSON form; coefficient values are decimal strings
-_JSON_FIELDS = (
-    "n",
-    "alpha",
-    "coeffs",
-    "breaks",
-    "is_log_concave",
-    "is_unimodal",
-    "mode_lo",
-    "mode_hi",
-    "tail_start",
-    "tail_monotone",
-)
+# the JSON form keeps the dataclass's field order; coefficient values are
+# decimal strings
+_JSON_FIELDS = tuple(f.name for f in fields(AnalysisReport))
 
 
 def report_to_json(report: AnalysisReport) -> str:
     """Serialize a report; big integers become decimal strings."""
-    obj = {
-        "n": report.n,
-        "alpha": report.alpha,
-        "coeffs": [int_to_str(c) for c in report.coeffs],
-        "breaks": list(report.breaks),
-        "is_log_concave": report.is_log_concave,
-        "is_unimodal": report.is_unimodal,
-        "mode_lo": report.mode_lo,
-        "mode_hi": report.mode_hi,
-        "tail_start": report.tail_start,
-        "tail_monotone": report.tail_monotone,
-    }
-    return json.dumps(obj)
+    return json.dumps(dict(vars(report), coeffs=[int_to_str(c) for c in report.coeffs]))
 
 
 def report_from_json(text: str) -> AnalysisReport:
     """Inverse of report_to_json; round-trips byte-identically."""
     obj = json.loads(text)
-    if tuple(obj.keys()) != _JSON_FIELDS:
-        raise ValueError("unexpected report fields: %r" % list(obj.keys()))
-    return AnalysisReport(
-        n=obj["n"],
-        alpha=obj["alpha"],
-        coeffs=tuple(str_to_int(c) for c in obj["coeffs"]),
-        breaks=tuple(obj["breaks"]),
-        is_log_concave=obj["is_log_concave"],
-        is_unimodal=obj["is_unimodal"],
-        mode_lo=obj["mode_lo"],
-        mode_hi=obj["mode_hi"],
-        tail_start=obj["tail_start"],
-        tail_monotone=obj["tail_monotone"],
-    )
+    if tuple(obj) != _JSON_FIELDS:
+        raise ValueError("unexpected report fields: %r" % list(obj))
+    obj.update(coeffs=tuple(map(str_to_int, obj["coeffs"])), breaks=tuple(obj["breaks"]))
+    return AnalysisReport(**obj)

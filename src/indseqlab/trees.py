@@ -202,16 +202,27 @@ def parse_family(text: str) -> FamilySpec:
     except ValueError:
         raise ValueError("non-integer parameter in %r" % text) from None
     spec = FamilySpec(name, params)
-    _family_builder(spec)  # validates arity and ranges
+    _check_params(spec)
     return spec
 
 
 def build_family(spec: FamilySpec) -> RootedTree:
-    """Materialize a FamilySpec as a breadth-first-numbered rooted tree."""
-    return _family_builder(spec)()
+    """Materialize a FamilySpec as a breadth-first-numbered rooted tree;
+    spherically symmetric families through their level counts, the one
+    map the fast path uses too."""
+    _check_params(spec)
+    counts = spec.sst_counts()
+    if counts is not None:
+        return sst(counts)
+    if spec.family == "Cat":
+        return caterpillar(spec.params)
+    if spec.family == "Rand":
+        return random_tree(*spec.params)
+    return RootedTree([-1])  # Path:1 and Star:1
 
 
-def _family_builder(spec):
+def _check_params(spec):
+    """Raise ValueError unless the spec's parameters fit its family."""
     fam, ps = spec.family, spec.params
 
     def need(cond, msg):
@@ -221,34 +232,24 @@ def _family_builder(spec):
     if fam == "Tmt1":
         need(len(ps) == 2, "expected parameters m,t")
         need(ps[0] >= 1 and ps[1] >= 1, "m and t must be >= 1")
-        return lambda: tmt1(ps[0], ps[1])
-    if fam == "SST":
+    elif fam == "SST":
         need(len(ps) >= 1, "expected a nonempty child-count list")
         need(all(c >= 1 for c in ps), "child counts must be >= 1")
-        return lambda: sst(ps)
-    if fam == "Spider":
+    elif fam == "Spider":
         need(len(ps) in (1, 2), "expected parameters t[,len]")
-        leg = ps[1] if len(ps) == 2 else 2
         need(ps[0] >= 1, "leg count must be >= 1")
-        need(leg >= 1, "leg length must be >= 1")
-        return lambda: spider(ps[0], leg)
-    if fam == "Cat":
+        need(len(ps) == 1 or ps[1] >= 1, "leg length must be >= 1")
+    elif fam == "Cat":
         need(len(ps) >= 1, "expected pendant counts, one per spine vertex")
         need(all(p >= 0 for p in ps), "pendant counts must be >= 0")
-        return lambda: caterpillar(ps)
-    if fam == "Path":
+    elif fam in ("Path", "Star"):
         need(len(ps) == 1, "expected parameter n")
         need(ps[0] >= 1, "n must be >= 1")
-        return lambda: path(ps[0])
-    if fam == "Star":
-        need(len(ps) == 1, "expected parameter n")
-        need(ps[0] >= 1, "n must be >= 1")
-        return lambda: star(ps[0])
-    if fam == "Rand":
+    elif fam == "Rand":
         need(len(ps) == 2, "expected parameters n,seed")
         need(ps[0] >= 1, "n must be >= 1")
-        return lambda: random_tree(ps[0], ps[1])
-    raise ValueError("unknown family %r" % fam)
+    else:
+        raise ValueError("unknown family %r" % fam)
 
 
 def sst(child_counts) -> RootedTree:

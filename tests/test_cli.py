@@ -160,6 +160,18 @@ def test_verify_small_bounds(capsys, tmp_path):
     assert len(obj["checks"]) == len(lines) - 1
     code, _, err = run_cli(capsys, "verify", "--t-max", "0")
     assert code == 2
+    # at grid bounds 1 to 3 the mt+2 and mt+3 ranges are empty or one row
+    for g in (1, 2, 3):
+        code, out, _ = run_cli(capsys, "verify", "--t-max", "5", "--grid-max", str(g))
+        assert code == 0
+        assert out.splitlines()[3:8] == [
+            "PASS root_split_sum_equals_polynomial grid m,t<=%d" % g,
+            "PASS with_root_tops_out_at_mt+1_with_2^mt grid m,t<=%d" % g,
+            "PASS closed_form_count_at_mt+2 grid 2<=m,t<=%d" % g,
+            "PASS lower_bound_at_mt+3 grid 3<=m<=%d t<=%d" % (g, g),
+            "PASS break_sufficient_implies_break grid m,t<=%d" % g,
+        ]
+        assert out.endswith("verify: 10/10 checks passed\n")
 
 
 def test_search_cli(capsys, tmp_path):
@@ -225,3 +237,18 @@ def test_console_entry_point():
         text=True,
     )
     assert proc.returncode == 3
+
+
+def test_closed_stdout_pipe():
+    # like `indseqlab poly Path:3000 | head -1`: the reader leaves after one
+    # line, and the writer exits 141 (128 + SIGPIPE) with nothing on stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "indseqlab.cli", "poly", "Path:3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"0: 1\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

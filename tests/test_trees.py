@@ -289,10 +289,15 @@ def test_random_tree_spread():
 def test_family_spec_sst_mapping(text):
     spec = parse_family(text)
     counts = spec.sst_counts()
+    tree = build_family(spec)
+    # build_family goes through sst_counts; each family's own constructor
+    # does not, so the two agree only if the map is right
+    named = {"Tmt1": tmt1, "SST": lambda *ps: sst(ps), "Spider": spider, "Path": path,
+             "Star": star, "Cat": lambda *ps: caterpillar(ps), "Rand": random_tree}
+    assert tree == named[spec.family](*spec.params)
     if spec.family in ("Rand", "Cat") or text in ("Path:1", "Star:1"):
         assert counts is None and spec.sst_vertex_count() is None
     else:
-        tree = build_family(spec)
         assert spec.sst_vertex_count() == tree.n
         assert sst(counts) == tree
 
