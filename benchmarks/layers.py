@@ -5,9 +5,10 @@ Run from the repository root:
 
     python3 benchmarks/layers.py [--repeat 5]
 
-It regenerates two tables, each case timed best-of-N with the module's
-bounds forced to each representation; a ratio below 1 means the first
-representation named is faster.
+It regenerates four tables, each case timed best-of-N.  The first two
+force the module's bounds to each representation; a ratio below 1 means
+the first representation named is faster.  The last two run at each
+candidate value of `intpoly.LEAF_MAX_BITS`.
 
 - `indpoly_sst` on packed ints against coefficient lists, for spherically
   symmetric trees on both sides of `indpoly._SST_PACKED_MAX_BITS`.
@@ -15,6 +16,13 @@ representation named is faster.
   vertices: packed with w = ceil(n/8) byte slots, packed with slots from
   the count pass at x = 1, and on lists; plus the rule as shipped.  It is
   the measurement behind `indpoly._SLOTS_FROM_N_MAX_VERTICES`.
+- One square of 5,162-bit coefficients (reproduce's top-level width) at
+  packed sizes 2^20..2^23 bits, under each candidate leaf cap: best
+  seconds and the traced (`tracemalloc`) peak of one call.
+- T(2^8 1^27), Tmt1:60,60 and the `reproduce` command under each candidate
+  leaf cap, each in a fresh process: best seconds and the process's peak
+  RSS.  With the square table, it is the measurement behind
+  `intpoly.LEAF_MAX_BITS`.
 
 Prints one JSON object with the environment, the git revision, N and the
 rows.
@@ -23,17 +31,22 @@ rows.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
+import random
+import resource
 import subprocess
 import sys
+import tracemalloc
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from indseqlab import indpoly  # noqa: E402
+from indseqlab import cli, indpoly, intpoly  # noqa: E402
 from indseqlab.rng import derive_seed  # noqa: E402
 from indseqlab.trees import caterpillar, path, random_tree, spider, star  # noqa: E402
 
@@ -74,6 +87,18 @@ TREE_MODES = (
 )
 # calls per timing, so that each timing spans milliseconds
 TREE_CALLS = 20
+
+# candidate values of intpoly.LEAF_MAX_BITS
+LEAF_CAPS = (1 << 21, 1 << 22, 1 << 23)
+# packed operand sizes of the squares timed under each cap, in bits
+SQUARE_SIZES = (1 << 20, 1 << 21, 1 << 22, 1 << 23)
+SQUARE_COEFF_BITS = 5162
+# label -> job, each run in a fresh process under each cap
+CAP_JOBS = {
+    "T(2^8 1^27)": lambda: indpoly.indpoly_sst([2] * 8 + [1] * 27),
+    "Tmt1:60,60": lambda: indpoly.indpoly_sst([60, 60, 1]),
+    "reproduce": lambda: cli.main(["reproduce"]),
+}
 
 
 def cpu_model():
@@ -162,12 +187,85 @@ def tree_dp_table(repeat):
     return rows
 
 
+def square_table(repeat):
+    """One row per packed size and leaf cap: best seconds of one square and
+    its traced peak in MB."""
+    bits = SQUARE_COEFF_BITS
+    rng = random.Random(bits)
+    saved = intpoly.LEAF_MAX_BITS
+    rows = []
+    try:
+        for size in SQUARE_SIZES:
+            # slots of 2 * bits + bits(len(a)) bits, so that a packs within size
+            count = size // (2 * bits + size.bit_length())
+            a = [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(count)]
+            for cap in LEAF_CAPS:
+                intpoly.LEAF_MAX_BITS = cap
+                tracemalloc.start()
+                base = tracemalloc.get_traced_memory()[0]
+                intpoly.convolve(a, a)
+                peak = tracemalloc.get_traced_memory()[1] - base
+                tracemalloc.stop()
+                rows.append(
+                    {
+                        "packed_bits": count * (2 * bits + count.bit_length()),
+                        "leaf_cap_bits": cap,
+                        "s": best_of(repeat, intpoly.convolve, a, a),
+                        "traced_peak_mb": peak / 1e6,
+                    }
+                )
+    finally:
+        intpoly.LEAF_MAX_BITS = saved
+    return rows
+
+
+def peak_rss_mb():
+    """This process's peak resident set in MB (10**6 bytes), as perfbench
+    reports it.  Linux's VmHWM starts afresh at exec; ru_maxrss keeps the
+    peak of the process that forked this one, so it is the fallback."""
+    try:
+        with open("/proc/self/status", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024 / 1e6
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6  # KiB on Linux
+
+
+def cap_job(label, cap, repeat):
+    """Best seconds of one CAP_JOBS entry under a leaf cap, and the peak RSS
+    of the process that ran it; meant for a fresh process."""
+    intpoly.LEAF_MAX_BITS = cap
+    with contextlib.redirect_stdout(io.StringIO()):
+        seconds = best_of(repeat, CAP_JOBS[label])
+    return {"job": label, "leaf_cap_bits": cap, "s": seconds, "peak_rss_mb": peak_rss_mb()}
+
+
+def cap_table(repeat):
+    """One row per CAP_JOBS entry and leaf cap, each from its own process."""
+    rows = []
+    for label in CAP_JOBS:
+        for cap in LEAF_CAPS:
+            argv = [sys.executable, os.path.abspath(__file__), "--repeat", str(repeat)]
+            argv += ["--cap-job", label, str(cap)]
+            out = subprocess.run(argv, capture_output=True, text=True, check=True)
+            rows.append(json.loads(out.stdout))
+    return rows
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5, help="best of this many timings per cell")
+    # one cell of the leaf-cap table, run by cap_table in a fresh process
+    ap.add_argument("--cap-job", nargs=2, metavar=("JOB", "CAP"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be >= 1")
+    if args.cap_job:
+        label, cap = args.cap_job
+        json.dump(cap_job(label, int(cap), args.repeat), sys.stdout)
+        return 0
     report = {
         "revision": git_revision(),
         "environment": {
@@ -187,6 +285,15 @@ def main(argv=None):
             "slots_from_n_max_vertices": indpoly._SLOTS_FROM_N_MAX_VERTICES,
             "packed_max_bits": indpoly._PACKED_MAX_BITS,
             "rows": tree_dp_table(args.repeat),
+        },
+        "leaf_squares": {
+            "leaf_max_bits": intpoly.LEAF_MAX_BITS,
+            "coeff_bits": SQUARE_COEFF_BITS,
+            "rows": square_table(args.repeat),
+        },
+        "leaf_cap_jobs": {
+            "leaf_max_bits": intpoly.LEAF_MAX_BITS,
+            "rows": cap_table(args.repeat),
         },
     }
     json.dump(report, sys.stdout, indent=1)

@@ -24,7 +24,9 @@ root's products run at CPython's Karatsuba speed; so a tree whose width
 bound 8wn exceeds _PACKED_MAX_BITS, the measured crossover, runs the same
 DP on coefficient lists instead, whose products `intpoly.convolve` packs
 one at a time with slots fitted to the operands.  So does a star, whose
-DP has no product to gain from packing (_STAR_PACKED_MAX_BITS).
+DP has no product to gain from packing (_STAR_PACKED_MAX_BITS).  A tree
+that runs on lists even in one-byte slots, any star among them, needs no
+width and skips the count.
 
 Spherically symmetric trees get a per-level fast path that never
 materializes the tree.  It follows the same rule: the level recursion at
@@ -190,9 +192,13 @@ def _root_pair(tree: RootedTree):
     packed ints or coefficient lists as the tree's width calls for (see
     the module docstring), and its decoder (see _represented)."""
     dp = functools.partial(_evaluate, tree, post_order(tree))
-    # i(T) < 2**n, so small trees need not count
-    count = (1 << tree.n) - 1 if tree.n <= _SLOTS_FROM_N_MAX_VERTICES else sum(dp(_packed(0)))
     bound = _STAR_PACKED_MAX_BITS if _is_star(tree) else _PACKED_MAX_BITS
+    # i(T) < 2**n, so small trees need not count, nor trees too wide to run
+    # packed even in one-byte slots
+    if tree.n <= _SLOTS_FROM_N_MAX_VERTICES or 8 * tree.n > bound:
+        count = (1 << tree.n) - 1
+    else:
+        count = sum(dp(_packed(0)))
     return _represented(dp, count, tree.n, bound)
 
 

@@ -14,13 +14,17 @@ multiplied, and the product is cut back into slots.  A slot is wide
 enough that no product coefficient carries into the next one.  Small
 packings multiply as CPython ints; large ones as `decimal.Decimal`,
 whose libmpdec backend multiplies huge operands by a number-theoretic
-transform.  Operands past a fixed size split Karatsuba-style first, which
-bounds the transform's working memory.
+transform.  Operands past a fixed size (LEAF_MAX_BITS) split
+Karatsuba-style first, which bounds the transform's working memory.  A
+Decimal leaf drops each of its buffers once the next one exists and turns
+the product into digits in two halves, so its peak memory is the product
+and the transform, and no more.
 """
 
 from __future__ import annotations
 
 import decimal
+import sys
 from decimal import Decimal
 from itertools import repeat
 
@@ -32,9 +36,12 @@ BINARY_MAX_BITS = 1 << 18
 # (about 14,000 bits), and unpacking through Decimal instead costs more
 # than the transform saves.
 DECIMAL_MAX_SLOT_BITS = 13_000
-# packed operands past this many bits split Karatsuba-style; this caps the
-# transform buffers libmpdec allocates for one product
-LEAF_MAX_BITS = 1 << 21
+# Packed operands past this many bits split Karatsuba-style; this caps the
+# transform buffers libmpdec allocates for one product.  Measured
+# (benchmarks/layers.py, BENCH_9.json "layers"), 2**22 runs reproduce,
+# T(2^8 1^27) and Tmt1:60,60 26-29% faster than 2**21 for 5% more peak
+# RSS; 2**23 is another 23-28% faster for 11% more again.
+LEAF_MAX_BITS = 1 << 22
 
 # Exact products only: any rounding raises instead of losing digits.  A
 # private context, so the caller's decimal settings are never touched.
@@ -182,18 +189,46 @@ def _kronecker_binary(a, b, slot):
 def _kronecker_decimal(a, b, slot):
     # Digit strings, not ints, cross between the two number types: int <->
     # Decimal conversion of a packed operand takes time quadratic in its size.
+    # Each buffer is dropped once the next one exists, so the leaf's peak
+    # memory is the product and libmpdec's transform.
     width = slot * 30103 // 100000 + 1  # decimal digits; 10**width > 2**slot
+    # Slots of up to DECIMAL_MAX_SLOT_BITS bits fit int() and str() under the
+    # default digit limit.  A limit lowered below the slot sends the product
+    # to ints (0 is no limit, and Pythons before 3.10.7 have none).
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if 0 < limit < width:
+        return _kronecker_binary(a, b, slot)
+    pad = "%%0%dd" % width
 
     def pack(u):
-        return Decimal("".join(int_to_str(c).zfill(width) for c in reversed(u)))
+        # one format call writes the digit string, with no list of pieces
+        return Decimal((pad * len(u)) % tuple(reversed(u)))
 
     x = pack(a)
     y = x if b is a else pack(b)
+    product = _EXACT.multiply(x, y)
+    del x, y
+    # str() holds two copies of a Decimal's digits at once, so the product
+    # goes to digits in two halves, split at a slot boundary; shift() keeps
+    # as many low digits as its context's precision
     n = len(a) + len(b) - 1
-    digits = str(_EXACT.multiply(x, y)).zfill(n * width)
-    return [
-        str_to_int(digits[i - width : i]) for i in range(n * width, 0, -width)
-    ]
+    half = n >> 1
+    high = product.shift(-half * width, _EXACT)
+    low = product.shift(0, decimal.Context(prec=half * width))
+    del product
+    out = _decimal_slots(low, width, half)
+    del low
+    return out + _decimal_slots(high, width, n - half)
+
+
+def _decimal_slots(value, width, count):
+    """The lowest `count` slots of `width` digits of a nonnegative integral
+    Decimal, lowest first."""
+    digits = str(value)
+    # no leading zeros: only the top slot may be short, and those above are 0
+    out = [int(digits[max(i - width, 0) : i]) for i in range(len(digits), 0, -width)]
+    out += repeat(0, count - len(out))
+    return out
 
 
 def _strip(coeffs):

@@ -315,6 +315,28 @@ def test_count_pass_runs_only_above_the_slot_bound(monkeypatch):
             assert shifts == [0, 8 * ((count_bits + 7) // 8)], n
 
 
+def test_count_pass_skipped_where_lists_are_sure(monkeypatch):
+    # a tree whose one-byte slots already span more than its bound runs on
+    # lists whatever i(T) is, so it never counts; stars have bound 0
+    shifts = []
+    packed = indpoly._packed
+    monkeypatch.setattr(indpoly, "_packed", lambda shift: shifts.append(shift) or packed(shift))
+    assert indpoly_tree(star(200)) == poly_pow(P(1, 1), 199) + P(0, 1)
+    assert root_split(star(200), 199).total == indpoly_tree(star(200))
+    assert shifts == []
+    # the same edge for other trees, at a bound moved down to 8 * 150
+    monkeypatch.setattr(indpoly, "_PACKED_MAX_BITS", 8 * 150)
+    rng = random.Random(150)
+    for n, counts in ((150, True), (151, False)):
+        tree = random_tree(n, rng.getrandbits(64))
+        shifts.clear()
+        poly = indpoly_tree(tree)
+        assert (0 in shifts) == counts, n
+        with monkeypatch.context() as mp:
+            mp.setattr(indpoly, "_PACKED_MAX_BITS", 0)
+            assert indpoly_tree(tree) == poly
+
+
 @each_representation
 def test_trees_on_each_side_of_the_slot_bound():
     bound = indpoly._SLOTS_FROM_N_MAX_VERTICES

@@ -2,6 +2,8 @@
 every path each kernel takes."""
 
 import random
+import sys
+import tracemalloc
 from itertools import zip_longest
 
 import pytest
@@ -105,6 +107,122 @@ def test_convolve_unbalanced_operands():
         b = random_coeffs(rng, long_, bits)
         assert convolve(a, b) == naive_convolve(a, b)
         assert convolve(b, a) == naive_convolve(a, b)
+
+
+def leaf_slot(a, b):
+    # the slot _convolve_nonneg hands its leaves
+    return max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()
+
+
+def slot_digits(slot):
+    return slot * 30103 // 100000 + 1
+
+
+def test_decimal_leaf_matches_naive():
+    rng = random.Random(9)
+    dense = random_coeffs(rng, 40, 700, signed=False)
+    sparse = [c if rng.random() < 0.2 else 0 for c in random_coeffs(rng, 60, 300, signed=False)]
+    cases = [
+        (dense, dense),  # a square
+        (dense[:9], random_coeffs(rng, 300, 50, signed=False)),  # lopsided
+        (dense + [0] * 7, dense[:20] + [0] * 5),  # zero top slots: a short digit string
+        (dense[:10] + [0] * 30, dense[:10] + [0] * 30),  # the high half all zero
+        ([0] * 30 + dense[:10], [0] * 30 + dense[:10]),  # the low half all zero
+        (sparse, sparse),  # zero runs in both halves, at the cut too
+        ([0] * 12, dense),  # an all-zero operand
+        ([0] * 12, [0] * 12),
+    ]
+    for a, b in cases:
+        want = naive_convolve(a, b)
+        assert intpoly._kronecker_decimal(a, b, leaf_slot(a, b)) == want
+    assert any(not c for c in naive_convolve(sparse, sparse))
+    # a top coefficient of exactly `width` digits, so the product's digit
+    # count is a multiple of the width: 10**30 in slots of 31 digits
+    assert slot_digits(100) == 31 and 10**31 > 2**100
+    a = [1] * 9 + [10**15]
+    want = naive_convolve(a, a)
+    assert len(str(want[-1])) == 31
+    assert intpoly._kronecker_decimal(a, a, 100) == want
+    b = [7] * 12 + [10**15]
+    assert intpoly._kronecker_decimal(a, b, 100) == naive_convolve(a, b)
+
+
+def test_small_decimal_leaves_match_naive(monkeypatch, paths_taken):
+    # every packed product goes Decimal, and products past 2**12 bits split
+    # Karatsuba-style first, so the small operands here take both paths
+    monkeypatch.setattr(intpoly, "BINARY_MAX_BITS", 0)
+    monkeypatch.setattr(intpoly, "LEAF_MAX_BITS", 1 << 12)
+    rng = random.Random(12)
+    a = random_coeffs(rng, 70, 40, signed=False)
+    cases = [
+        (a, a),
+        (a, random_coeffs(rng, 65, 90, signed=False)),
+        (a[:9], random_coeffs(rng, 200, 60, signed=False)),
+        (a + [0] * 30, a[:30] + [0] * 20),
+        ([c if rng.random() < 0.2 else 0 for c in a], a),
+        ([0] * 40, a),
+        (random_coeffs(rng, 50, 60), random_coeffs(rng, 45, 60)),  # signed
+    ]
+    for x, y in cases:
+        want = naive_convolve(x, y)
+        assert convolve(x, y) == want
+        assert convolve(y, x) == want
+    assert {"_karatsuba", "_kronecker_decimal"} <= paths_taken
+    assert "_kronecker_binary" not in paths_taken
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int/str digit limit"
+)
+
+
+@needs_digit_limit
+def test_decimal_slots_stay_under_the_digit_limit():
+    # the Decimal leaf converts each slot with plain int() and str(), so
+    # the widest slot it takes must fit CPython's default digit limit
+    width = slot_digits(intpoly.DECIMAL_MAX_SLOT_BITS)
+    assert 10**width > 2**intpoly.DECIMAL_MAX_SLOT_BITS
+    assert width <= sys.int_info.default_max_str_digits
+    # a leaf at that slot: 40 coefficients of 6,497 bits, 3,914 digits
+    rng = random.Random(13)
+    a = [rng.getrandbits(6497) | 1 << 6496 for _ in range(40)]
+    assert leaf_slot(a, a) == intpoly.DECIMAL_MAX_SLOT_BITS
+    assert intpoly._kronecker_decimal(a, a, leaf_slot(a, a)) == naive_convolve(a, a)
+
+
+@needs_digit_limit
+def test_decimal_leaf_under_a_lowered_digit_limit(paths_taken):
+    # PYTHONINTMAXSTRDIGITS can lower the limit to 640 digits; wider slots
+    # then multiply as ints
+    rng = random.Random(14)
+    a = [rng.getrandbits(2500) for _ in range(60)]
+    b = [rng.getrandbits(2500) for _ in range(61)]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert convolve(a, b) == naive_convolve(a, b)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert paths_taken == {"_kronecker_decimal", "_kronecker_binary"}
+
+
+def test_decimal_leaf_peak_memory():
+    # One square of 200 coefficients of 5,162 bits, reproduce's top-level
+    # width.  Its traced peak, measured 7.1x the packed operand, is the
+    # product and libmpdec's transform, as for the bare multiply.  Keeping
+    # the operands or the low half to the end measured 7.9x, the product
+    # 9.0x, and all of them with the product's digits held twice 12.7x.
+    rng = random.Random(200)
+    a = [rng.getrandbits(5162) | 1 << 5161 for _ in range(200)]
+    slot = leaf_slot(a, a)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        intpoly._kronecker_decimal(a, a, slot)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * (200 * slot / 8)
 
 
 def random_graph_masks(rng, n, p):
