@@ -97,70 +97,72 @@ def cmd_analyze(args):
         print("mode: [%d, %d]" % (report.mode_lo, report.mode_hi))
     print("tail_start: %d" % report.tail_start)
     print("tail_monotone: %s" % ("yes" if report.tail_monotone else "no"))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(report))
-            fh.write("\n")
+    _write_json(args.json, report_to_json(report))
     return EXIT_BREAKS if report.breaks else EXIT_OK
 
 
+def _write_json(path, text):
+    """Write text and a newline to path, if a path was given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")
+
+
+def _check_table(args, rows, line):
+    """Print `line` % row after PASS or FAIL for each row, then the summary
+    line; write {"checks": rows, "all_pass": ...} to the --json file if one
+    was given.  Returns the exit code."""
+    passed = sum(row["pass"] for row in rows)
+    for row in rows:
+        print("PASS" if row["pass"] else "FAIL", line % row)
+    print("%s: %d/%d checks passed" % (args.command, passed, len(rows)))
+    all_pass = passed == len(rows)
+    _write_json(args.json, json.dumps({"checks": rows, "all_pass": all_pass}))
+    return EXIT_OK if all_pass else EXIT_MISMATCH
+
+
 def _reproduce_checks():
-    """The fixed claim suite: (name, expected, actual) as strings."""
+    """The fixed claim suite: rows of name, expected and actual, as strings,
+    and whether the two agree."""
     checks = []
+
+    def check(name, expected, actual):
+        ok = expected == actual
+        checks.append({"name": name, "expected": expected, "actual": actual, "pass": ok})
+
     for t in range(1, 9):
         expected = [] if t <= 3 else [t * t + 2]
         actual = lc_breaks(indpoly_sst([t, t, 1]).coeffs)
-        checks.append(
-            ("Tmt1:%d,%d breaks" % (t, t), json.dumps(expected), json.dumps(actual))
-        )
+        check("Tmt1:%d,%d breaks" % (t, t), json.dumps(expected), json.dumps(actual))
     bad = []
     for t in range(2, 9):
         for m in range(2, 13):
             br = lc_breaks(indpoly_sst([m, t, 1]).coeffs)
             if any(k != m * t + 2 for k in br):
                 bad.append((m, t, br))
-    checks.append(
-        (
-            "Tmt1 grid t=2..8 m=2..12 breaks within {mt+2}",
-            "all within",
-            "all within" if not bad else "violations: %r" % bad,
-        )
+    check(
+        "Tmt1 grid t=2..8 m=2..12 breaks within {mt+2}",
+        "all within",
+        "all within" if not bad else "violations: %r" % bad,
     )
     deep = [(4, 9, 2), (5, 15, 3), (6, 17, 8), (7, 23, 16), (8, 27, 24)]
     for m, n_tail, want in deep:
         br = lc_breaks(indpoly_sst([2] * m + [1] * n_tail).coeffs)
-        checks.append(
-            ("SST:2^%d,1^%d break count" % (m, n_tail), str(want), str(len(br)))
-        )
+        check("SST:2^%d,1^%d break count" % (m, n_tail), str(want), str(len(br)))
     return checks
 
 
 def cmd_reproduce(args):
-    checks = _reproduce_checks()
-    rows = []
-    passed = 0
-    for name, expected, actual in checks:
-        ok = expected == actual
-        passed += ok
-        rows.append({"name": name, "expected": expected, "actual": actual, "pass": ok})
-        print(
-            "%s %s expected=%s actual=%s" % ("PASS" if ok else "FAIL", name, expected, actual)
-        )
-    print("reproduce: %d/%d checks passed" % (passed, len(checks)))
-    if args.json:
-        summary = {"checks": rows, "all_pass": passed == len(checks)}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(summary))
-            fh.write("\n")
-    return EXIT_OK if passed == len(checks) else EXIT_MISMATCH
+    return _check_table(args, _reproduce_checks(), "%(name)s expected=%(expected)s actual=%(actual)s")
 
 
 def _verify_checks(t_max, grid_max):
-    """(name, params, ok) triples for the verification suite."""
+    """Rows of name, params and pass for the verification suite."""
     out = []
 
     def check(name, params, ok):
-        out.append((name, params, bool(ok)))
+        out.append({"name": name, "params": params, "pass": bool(ok)})
 
     check("spider_closed_form_matches_engine", "t<=%d" % t_max, formulas.spider_matches_engine(t_max))
     check("spider_log_concavity_sweep", "t<=%d" % t_max, formulas.spider_lc_sweep(t_max))
@@ -207,39 +209,19 @@ def _verify_checks(t_max, grid_max):
 
 def cmd_verify(args):
     if args.t_max < 1 or args.grid_max < 1:
-        print("verify: bounds must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    results = _verify_checks(args.t_max, args.grid_max)
-    for name, params, ok in results:
-        print("%s %s %s" % ("PASS" if ok else "FAIL", name, params))
-    all_ok = all(ok for _, _, ok in results)
-    print("verify: %d/%d checks passed" % (sum(ok for _, _, ok in results), len(results)))
-    if args.json:
-        summary = {
-            "checks": [
-                {"name": n, "params": p, "pass": ok} for n, p, ok in results
-            ],
-            "all_pass": all_ok,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(summary))
-            fh.write("\n")
-    return EXIT_OK if all_ok else EXIT_MISMATCH
+        raise ValueError("bounds must be >= 1")
+    return _check_table(args, _verify_checks(args.t_max, args.grid_max), "%(name)s %(params)s")
 
 
 def cmd_search(args):
-    try:
-        written = search.run_search(
-            n_min=args.n_min,
-            n_max=args.n_max,
-            samples=args.samples,
-            seed=args.seed,
-            out_path=args.out,
-            threads=args.threads,
-        )
-    except ValueError as exc:
-        print("search: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    written = search.run_search(
+        n_min=args.n_min,
+        n_max=args.n_max,
+        samples=args.samples,
+        seed=args.seed,
+        out_path=args.out,
+        threads=args.threads,
+    )
     print("search: examined %d trees, wrote %d records to %s" % (args.samples, written, args.out))
     return EXIT_OK
 
@@ -247,11 +229,7 @@ def cmd_search(args):
 def cmd_oracle(args):
     tree = _load_tree(args)
     if tree.n > ORACLE_MAX_VERTICES:
-        print(
-            "oracle: tree has %d vertices, limit is %d" % (tree.n, ORACLE_MAX_VERTICES),
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ValueError("tree has %d vertices, limit is %d" % (tree.n, ORACLE_MAX_VERTICES))
     dp = indpoly_tree(tree)
     orc = indpoly_oracle(tree)
     print("dp     : %s" % " ".join(str(c) for c in dp.coeffs))

@@ -155,16 +155,16 @@ def without_root_mt2_closed(m: int, t: int) -> int:
     if m < 2 or t < 1:
         raise ValueError("need m >= 2 and t >= 1")
     total = comb(m, 2) * (1 << (m * t - 2 * t))
+    return total + sum(binoms << (free - ell) for _, ell, free, binoms in _mt2_cells(m, t))
+
+
+def _mt2_cells(m: int, t: int):
+    """The s >= 3 cells of the size-(mt+2) enumeration: for each (s, l),
+    yields s, l, free = mt - st and C(m,s) C(free,l) C(st,(s-2)-l)."""
     for s in range(3, m + 1):
         free = m * t - s * t  # independent edges under the m-s unchosen vertices
         for ell in range(0, min(s - 2, free) + 1):
-            total += (
-                comb(m, s)
-                * comb(free, ell)
-                * comb(s * t, (s - 2) - ell)
-                * (1 << (free - ell))
-            )
-    return total
+            yield s, ell, free, comb(m, s) * comb(free, ell) * comb(s * t, (s - 2) - ell)
 
 
 def without_root_mt3_lower(m: int, t: int) -> int:
@@ -264,33 +264,30 @@ def audit_term_ratios(m: int, t: int) -> RatioAudit:
     dominant = comb(m, 2) * (1 << (m * t - 2 * t))
     rows = []
     total = Fraction(0)
-    for s in range(3, m + 1):
-        free = m * t - s * t
-        for ell in range(0, min(s - 2, free) + 1):
-            binoms = comb(m, s) * comb(free, ell) * comb(s * t, (s - 2) - ell)
-            term = binoms * (1 << (free - ell))
-            ratio = Fraction(term, dominant)
-            plain = Fraction(binoms, 1 << ((s - 2) * t + ell))
-            steps_ok = (
-                comb(m, s) <= m**s
-                and comb(free, ell) <= (m * t) ** s
-                and comb(s * t, (s - 2) - ell) <= (s * t) ** s
-                and 3 * ((s - 2) * t + ell) >= s * t
+    for s, ell, free, binoms in _mt2_cells(m, t):
+        term = binoms * (1 << (free - ell))
+        ratio = Fraction(term, dominant)
+        plain = Fraction(binoms, 1 << ((s - 2) * t + ell))
+        steps_ok = (
+            comb(m, s) <= m**s
+            and comb(free, ell) <= (m * t) ** s
+            and comb(s * t, (s - 2) - ell) <= (s * t) ** s
+            and 3 * ((s - 2) * t + ell) >= s * t
+        )
+        final_ok = _leq_pow2_bound(plain, s, m, t)
+        bound = None if log2m is None else 5 * s * log2m - Fraction(s * t, 3)
+        rows.append(
+            RatioRow(
+                s=s,
+                ell=ell,
+                term=term,
+                ratio=ratio,
+                bound_log2=bound,
+                steps_ok=steps_ok,
+                final_ok=final_ok,
             )
-            final_ok = _leq_pow2_bound(plain, s, m, t)
-            bound = None if log2m is None else 5 * s * log2m - Fraction(s * t, 3)
-            rows.append(
-                RatioRow(
-                    s=s,
-                    ell=ell,
-                    term=term,
-                    ratio=ratio,
-                    bound_log2=bound,
-                    steps_ok=steps_ok,
-                    final_ok=final_ok,
-                )
-            )
-            total += ratio
+        )
+        total += ratio
     return RatioAudit(
         m=m,
         t=t,

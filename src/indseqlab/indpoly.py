@@ -1,7 +1,7 @@
 """Independence polynomials of trees and forests, exactly.
 
-The generic route is the post-order DP carrying per-vertex pairs
-(in, out) = (sets containing the vertex, sets avoiding it):
+The generic route is the DP carrying per-vertex pairs (in, out) =
+(sets containing the vertex, sets avoiding it), children before parents:
 
     in(v)  = x * prod over children c of out(c)
     out(v) = prod over children c of (in(c) + out(c))
@@ -47,7 +47,7 @@ import operator
 from dataclasses import dataclass
 
 from .intpoly import IntPolynomial, _binomial_row, _ladd, _lpow, _unpack_slots, convolve
-from .trees import RootedTree, post_order, tree_from_edges
+from .trees import RootedTree, _level_counts, tree_from_edges
 
 ORACLE_MAX_VERTICES = 22
 # the subset sweep keeps one bitset of 2**_SWEEP_LOW bits per set size
@@ -121,9 +121,10 @@ def _packed(shift):
     return 1, operator.add, shift.__rlshift__, math.prod, pow, ((1 << shift) + 1).__pow__
 
 
-def _evaluate(tree: RootedTree, order, arithmetic):
-    """(in(root), out(root)) by the post-order DP over `order`, computed
-    with `arithmetic`, one of the tables above.
+def _evaluate(tree: RootedTree, arithmetic):
+    """(in(root), out(root)) by the DP over the tree's breadth-first order
+    reversed, so each vertex after its children, computed with
+    `arithmetic`, one of the tables above.
 
     Leaves are never stored: a leaf child contributes out = 1 to in(v),
     which is skipped, and in + out = 1 + x to out(v), so L leaf children
@@ -135,7 +136,7 @@ def _evaluate(tree: RootedTree, order, arithmetic):
     ins = [None] * tree.n
     outs = [None] * tree.n
     rows = {}
-    for v in order:
+    for v in reversed(tree.order):
         kids = children[v]
         if not kids:
             continue
@@ -191,7 +192,7 @@ def _root_pair(tree: RootedTree):
     """((in(root), out(root)), coeffs): the root's pair as the DP holds it,
     packed ints or coefficient lists as the tree's width calls for (see
     the module docstring), and its decoder (see _represented)."""
-    dp = functools.partial(_evaluate, tree, post_order(tree))
+    dp = functools.partial(_evaluate, tree)
     bound = _STAR_PACKED_MAX_BITS if _is_star(tree) else _PACKED_MAX_BITS
     # i(T) < 2**n, so small trees need not count, nor trees too wide to run
     # packed even in one-byte slots
@@ -203,7 +204,7 @@ def _root_pair(tree: RootedTree):
 
 
 def indpoly_tree(tree: RootedTree) -> IntPolynomial:
-    """Independence polynomial of a rooted tree by the post-order DP."""
+    """Independence polynomial of a rooted tree by the tree DP."""
     (ins, outs), coeffs = _root_pair(tree)
     return IntPolynomial._raw(coeffs(ins, outs))
 
@@ -234,12 +235,7 @@ def indpoly_sst(child_counts) -> IntPolynomial:
     on one int at x = 2**(8w), unpacked once at the root, and any other on
     coefficient lists.  Agrees with indpoly_tree on the materialized tree.
     """
-    counts = list(child_counts)
-    if not counts:
-        raise ValueError("child-count list must be nonempty")
-    if any(c < 1 for c in counts):
-        raise ValueError("child counts must be >= 1, got %r" % (counts,))
-    dp = functools.partial(_levels, counts)
+    dp = functools.partial(_levels, _level_counts(child_counts))
     span = max(dp(_ON_DEGREES)) + 1  # alpha(T) + 1 coefficients
     values, coeffs = _represented(dp, sum(dp(_packed(0))), span, _SST_PACKED_MAX_BITS)
     return IntPolynomial._raw(coeffs(*values))

@@ -170,7 +170,7 @@ def run_search(
     so a script that runs several must guard its entry point with
     `if __name__ == "__main__":`.  With emit_all every sample is
     recorded, breaks or not; the command line never sets that, but tests
-    and benchmarks do.  Returns the number of records written.
+    do.  Returns the number of records written.
     """
     if n_min < 2:
         raise ValueError("n-min must be >= 2")

@@ -20,11 +20,12 @@ class RootedTree:
     """A rooted tree on vertices 0..n-1.
 
     ``parent[v]`` is the parent of v (-1 for the root); ``children[v]``
-    holds v's children in ascending vertex order.  Instances are immutable
-    and safe to share.
+    holds v's children in ascending vertex order; ``order`` lists every
+    vertex breadth-first from the root, so each after its parent.
+    Instances are immutable and safe to share.
     """
 
-    __slots__ = ("n", "root", "parent", "children")
+    __slots__ = ("n", "root", "parent", "children", "order")
 
     def __init__(self, parent):
         par = tuple(parent)
@@ -52,6 +53,7 @@ class RootedTree:
             order.extend(children[v])
         if len(order) != n:
             raise ValueError("parent array is cyclic or disconnected")
+        self.order = tuple(order)
 
     def edges(self):
         """(parent, child) pairs, one per non-root vertex."""
@@ -79,11 +81,8 @@ class RootedTree:
     def depths(self):
         """Distance from the root for every vertex."""
         d = [0] * self.n
-        order = [0]
-        for v in order:
-            for c in self.children[v]:
-                d[c] = d[v] + 1
-                order.append(c)
+        for v in self.order[1:]:
+            d[v] = d[self.parent[v]] + 1
         return d
 
     def __eq__(self, other):
@@ -109,8 +108,13 @@ def validate_tree(tree: RootedTree) -> None:
         raise ValueError("empty vertex set")
     if tree.root != 0 or tree.parent[0] != -1:
         raise ValueError("root must be vertex 0 with parent -1")
-    if len(tree.parent) != n or len(tree.children) != n:
+    if len(tree.parent) != n or len(tree.children) != n or len(tree.order) != n:
         raise ValueError("field lengths disagree with n")
+    if tree.order[0] != 0 or sorted(tree.order) != list(range(n)):
+        raise ValueError("order is not a permutation of the vertices, root first")
+    position = [0] * n
+    for i, v in enumerate(tree.order):
+        position[v] = i
     edge_count = 0
     for v in range(1, n):
         p = tree.parent[v]
@@ -118,6 +122,8 @@ def validate_tree(tree: RootedTree) -> None:
             raise ValueError("bad parent of %d: %d" % (v, p))
         if v not in tree.children[p]:
             raise ValueError("child lists disagree with parent array")
+        if position[v] < position[p]:
+            raise ValueError("vertex %d precedes its parent in order" % v)
         edge_count += 1
     if edge_count != n - 1:
         raise ValueError("expected %d edges, found %d" % (n - 1, edge_count))
@@ -252,20 +258,27 @@ def _check_params(spec):
         raise ValueError("unknown family %r" % fam)
 
 
+def _level_counts(child_counts):
+    """child_counts as a list; raises ValueError unless it is a nonempty
+    list of counts >= 1, the per-level child counts of a spherically
+    symmetric tree."""
+    counts = list(child_counts)
+    if not counts:
+        raise ValueError("child-count list must be nonempty")
+    if any(c < 1 for c in counts):
+        raise ValueError("child counts must be >= 1, got %r" % (counts,))
+    return counts
+
+
 def sst(child_counts) -> RootedTree:
     """Spherically symmetric tree: every vertex at depth j has child_counts[j]
     children; vertices at the final depth are leaves.
 
     Numbered breadth-first, so level j occupies a contiguous index block.
     """
-    counts = list(child_counts)
-    if not counts:
-        raise ValueError("child-count list must be nonempty")
-    if any(c < 1 for c in counts):
-        raise ValueError("child counts must be >= 1, got %r" % (counts,))
     parent = [-1]
     level = [0]
-    for c in counts:
+    for c in _level_counts(child_counts):
         nxt = []
         for v in level:
             for _ in range(c):
@@ -278,34 +291,22 @@ def sst(child_counts) -> RootedTree:
 def tmt1(m: int, t: int) -> RootedTree:
     """Three-level family: root with m children, each child with t children,
     each grandchild with one child.  1 + m + 2mt vertices."""
-    if m < 1 or t < 1:
-        raise ValueError("tmt1 needs m >= 1 and t >= 1")
-    return sst([m, t, 1])
+    return build_family(FamilySpec("Tmt1", (m, t)))
 
 
 def spider(t: int, leg_len: int = 2) -> RootedTree:
     """Spider: t legs, each a path of leg_len edges, sharing the root."""
-    if t < 1 or leg_len < 1:
-        raise ValueError("spider needs t >= 1 and leg_len >= 1")
-    return sst([t] + [1] * (leg_len - 1))
+    return build_family(FamilySpec("Spider", (t, leg_len)))
 
 
 def path(n: int) -> RootedTree:
     """Path on n vertices rooted at one end."""
-    if n < 1:
-        raise ValueError("path needs n >= 1")
-    if n == 1:
-        return RootedTree([-1])
-    return sst([1] * (n - 1))
+    return build_family(FamilySpec("Path", (n,)))
 
 
 def star(n: int) -> RootedTree:
     """Star on n vertices: hub plus n-1 leaves."""
-    if n < 1:
-        raise ValueError("star needs n >= 1")
-    if n == 1:
-        return RootedTree([-1])
-    return sst([n - 1])
+    return build_family(FamilySpec("Star", (n,)))
 
 
 def caterpillar(pendant_counts) -> RootedTree:
@@ -482,21 +483,12 @@ def edge_list_text(tree: RootedTree) -> str:
 # -- independence number ------------------------------------------------------
 
 
-def post_order(tree: RootedTree):
-    """Vertices with every child before its parent (iterative; safe on paths)."""
-    order = [tree.root]
-    for v in order:
-        order.extend(tree.children[v])
-    order.reverse()
-    return order
-
-
 def independence_number(tree: RootedTree) -> int:
     """Size of the largest independent set, by the two-state tree DP
     (best size with / without the vertex, combined over children)."""
     take = [0] * tree.n
     skip = [0] * tree.n
-    for v in post_order(tree):
+    for v in reversed(tree.order):
         t_v = 1
         s_v = 0
         for c in tree.children[v]:

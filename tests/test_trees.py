@@ -1,14 +1,20 @@
 """Tree construction, parsing, random generation, independence number."""
 
+import collections
+import copy
 import hashlib
 import heapq
 import itertools
 import json
+import pickle
 import random
 
 import pytest
 
+from indseqlab import indpoly
+from indseqlab.indpoly import indpoly_oracle, indpoly_tree, root_split
 from indseqlab.rng import SplitMix64
+from indseqlab.seqcheck import analyze
 from indseqlab.trees import (
     FamilySpec,
     RootedTree,
@@ -56,22 +62,23 @@ def test_sst_vertex_counts():
     assert sst([2, 3]).n == 1 + 2 + 6
 
 
-def test_sst_matches_independent_generator():
-    # independently written breadth-first construction: level offsets are
-    # computed arithmetically, parents by integer division
-    def sst_by_offsets(counts):
-        widths = [1]
-        for c in counts:
-            widths.append(widths[-1] * c)
-        offsets = [0]
-        for w in widths:
-            offsets.append(offsets[-1] + w)
-        parent = [-1] * offsets[-1]
-        for lvl, c in enumerate(counts):
-            for j in range(widths[lvl + 1]):
-                parent[offsets[lvl + 1] + j] = offsets[lvl] + j // c
-        return parent
+def sst_by_offsets(counts):
+    """Parent array of sst(counts), written independently: level offsets
+    are computed arithmetically, parents by integer division."""
+    widths = [1]
+    for c in counts:
+        widths.append(widths[-1] * c)
+    offsets = [0]
+    for w in widths:
+        offsets.append(offsets[-1] + w)
+    parent = [-1] * offsets[-1]
+    for lvl, c in enumerate(counts):
+        for j in range(widths[lvl + 1]):
+            parent[offsets[lvl + 1] + j] = offsets[lvl] + j // c
+    return parent
 
+
+def test_sst_matches_independent_generator():
     specs = []
     for depth in range(1, 6):
         for counts in itertools.product([1, 2, 3], repeat=depth):
@@ -90,6 +97,24 @@ def test_small_families():
     cat = caterpillar([2, 0, 1])
     assert cat.n == 3 + 3
     validate_tree(cat)
+
+
+@pytest.mark.parametrize(
+    "build,args",
+    [(tmt1, (0, 3)), (tmt1, (3, 0)), (spider, (0,)), (spider, (3, 0)), (path, (0,)),
+     (star, (0,)), (caterpillar, ([],)), (sst, ([2, 0],))],
+)
+def test_constructors_reject_bad_input(build, args):
+    # spider(3, 0) has legs of no length: an error, not a star
+    with pytest.raises(ValueError):
+        build(*args)
+
+
+def test_constructor_errors_name_the_spec():
+    with pytest.raises(ValueError, match=r"^Tmt1:0,3: m and t must be >= 1$"):
+        tmt1(0, 3)
+    with pytest.raises(ValueError, match=r"^Spider:3,0: leg length must be >= 1$"):
+        spider(3, 0)
 
 
 def test_family_rejects_bad_parameters():
@@ -280,29 +305,118 @@ def test_random_tree_spread():
     assert len(trees) > 30
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["Tmt1:3,2", "Tmt1:1,1", "SST:2,3,1", "SST:1", "Spider:4", "Spider:2,5",
-     "Spider:3,1", "Path:2", "Path:7", "Star:2", "Star:6", "Path:1", "Star:1",
-     "Cat:0,2,0,3", "Cat:1", "Rand:15,7", "Rand:1,3"],
-)
+# spec -> (per-level child counts, or None for a family that is not
+# spherically symmetric, and the vertex count), written out by hand
+SPEC_SHAPES = {
+    "Tmt1:3,2": ([3, 2, 1], 1 + 3 + 2 * 3 * 2),
+    "Tmt1:1,1": ([1, 1, 1], 1 + 1 + 2 * 1 * 1),
+    "SST:2,3,1": ([2, 3, 1], 1 + 2 + 6 + 6),
+    "SST:1": ([1], 2),
+    "Spider:4": ([4, 1], 1 + 4 * 2),
+    "Spider:2,5": ([2, 1, 1, 1, 1], 1 + 2 * 5),
+    "Spider:3,1": ([3], 4),
+    "Path:2": ([1], 2),
+    "Path:7": ([1] * 6, 7),
+    "Star:2": ([1], 2),
+    "Star:6": ([5], 6),
+    "Path:1": (None, 1),
+    "Star:1": (None, 1),
+    "Cat:0,2,0,3": (None, 4 + 5),
+    "Cat:1": (None, 2),
+    "Rand:15,7": (None, 15),
+    "Rand:1,3": (None, 1),
+}
+
+
+@pytest.mark.parametrize("text", list(SPEC_SHAPES))
 def test_family_spec_sst_mapping(text):
     spec = parse_family(text)
-    counts = spec.sst_counts()
+    levels, n = SPEC_SHAPES[text]
     tree = build_family(spec)
-    # build_family goes through sst_counts; each family's own constructor
-    # does not, so the two agree only if the map is right
+    assert spec.sst_counts() == levels
+    assert tree.n == n
+    if levels is None:
+        assert spec.sst_vertex_count() is None
+        want = {"Cat": lambda *ps: caterpillar(ps), "Rand": random_tree}.get(spec.family)
+        assert tree == (want(*spec.params) if want else RootedTree([-1]))
+    else:
+        # the named constructors build through sst_counts as well, so the
+        # hand-written levels and an independent generator are the reference
+        assert spec.sst_vertex_count() == n
+        assert list(tree.parent) == sst_by_offsets(levels)
     named = {"Tmt1": tmt1, "SST": lambda *ps: sst(ps), "Spider": spider, "Path": path,
              "Star": star, "Cat": lambda *ps: caterpillar(ps), "Rand": random_tree}
-    assert tree == named[spec.family](*spec.params)
-    if spec.family in ("Rand", "Cat") or text in ("Path:1", "Star:1"):
-        assert counts is None and spec.sst_vertex_count() is None
-    else:
-        assert spec.sst_vertex_count() == tree.n
-        assert sst(counts) == tree
+    assert named[spec.family](*spec.params) == tree
 
 
 def test_validate_tree_on_all_families():
     for spec in ["Tmt1:3,2", "SST:2,2,2", "Spider:4", "Spider:2,5",
                  "Cat:0,2,0,3", "Path:7", "Star:6", "Rand:15,7"]:
         validate_tree(build_family(parse_family(spec)))
+
+
+def bfs_order(parent):
+    """Breadth-first order from the root, children in ascending vertex
+    order, computed from the parent array alone with a queue."""
+    kids = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            kids[p].append(v)
+    queue, order = collections.deque([0]), []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        queue.extend(kids[v])
+    return tuple(order)
+
+
+def test_order_is_breadth_first():
+    rng = random.Random(77)
+    trees = [sst([2, 3, 1]), sst([1] * 9), caterpillar([2, 0, 3, 1]), caterpillar([0]),
+             tree_from_edges(6, [(3, 1), (0, 3), (5, 0), (2, 5), (4, 3)]),
+             parse_edge_list("2 0\n2 1\n0 3\n3 4\n1 5"), parse_edge_list("")]
+    trees += [random_tree(rng.randint(1, 60), rng.getrandbits(64)) for _ in range(40)]
+    for tree in trees:
+        assert tree.order == bfs_order(tree.parent)
+        validate_tree(tree)
+
+
+def test_root_split_walks_the_rerooted_order(monkeypatch):
+    # root_split relabels v as the root through tree_from_edges; the DP
+    # then walks that tree's own order
+    seen = []
+    root_pair = indpoly._root_pair
+    monkeypatch.setattr(indpoly, "_root_pair", lambda tree: seen.append(tree) or root_pair(tree))
+    tree = random_tree(20, 5)
+    for v in (0, 7, 19):
+        split = root_split(tree, v)
+        rerooted = seen[-1]
+        assert rerooted.order == bfs_order(rerooted.parent)
+        assert len(rerooted.children[0]) == len(tree.neighbors(v))
+        validate_tree(rerooted)
+        assert split.total == indpoly_oracle(tree)
+
+
+def test_validate_tree_checks_order():
+    tree = tmt1(3, 2)
+    for bad, msg in [(tree.order[::-1], "permutation"),
+                     (tree.order[:1] + tree.order[2:] + tree.order[1:2], "precedes its parent"),
+                     (tree.order[:-1] + tree.order[-2:-1], "permutation"),
+                     (tree.order[:-1], "lengths")]:
+        broken = copy.copy(tree)
+        broken.order = bad
+        with pytest.raises(ValueError, match=msg):
+            validate_tree(broken)
+    validate_tree(copy.copy(tree))
+
+
+def test_pickle_round_trip():
+    # returned objects can be sent to worker processes
+    tree = random_tree(40, 3)
+    back = pickle.loads(pickle.dumps(tree))
+    assert back == tree and back.children == tree.children and back.order == tree.order
+    validate_tree(back)
+    poly = indpoly_tree(tree)
+    assert pickle.loads(pickle.dumps(poly)) == poly
+    report = analyze(tree)
+    assert pickle.loads(pickle.dumps(report)) == report
