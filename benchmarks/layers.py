@@ -77,8 +77,8 @@ TREE_SHAPES = (
     ("Spider", lambda n: [spider((n - 1) // 2)]),
     ("Star", lambda n: [star(n)]),
 )
-# (column, _SLOTS_FROM_N_MAX_VERTICES, _PACKED_MAX_BITS and
-# _STAR_PACKED_MAX_BITS); None keeps the module's values
+# (column, _SLOTS_FROM_N_MAX_VERTICES, _PACKED_MAX_BITS); None keeps the
+# module's values
 TREE_MODES = (
     ("n_slots", 1 << 62, 1 << 62),
     ("count_slots", 0, 1 << 62),
@@ -160,7 +160,7 @@ def tree_dp_table(repeat):
     """One row per shape and size: best seconds per tree in each mode of
     TREE_MODES, and the ratios n_slots/count_slots and the better packed
     mode over lists."""
-    names = ("_SLOTS_FROM_N_MAX_VERTICES", "_PACKED_MAX_BITS", "_STAR_PACKED_MAX_BITS")
+    names = ("_SLOTS_FROM_N_MAX_VERTICES", "_PACKED_MAX_BITS")
     saved = [getattr(indpoly, name) for name in names]
     rows = []
     try:
@@ -171,8 +171,7 @@ def tree_dp_table(repeat):
                 best = {column: float("inf") for column, _, _ in TREE_MODES}
                 # the modes take turns, so a slow phase of the host hits all alike
                 for _ in range(repeat):
-                    for column, slots_bound, packed_bound in TREE_MODES:
-                        values = (slots_bound, packed_bound, packed_bound)
+                    for column, *values in TREE_MODES:
                         for name, value, default in zip(names, values, saved):
                             setattr(indpoly, name, default if value is None else value)
                         best[column] = min(best[column], best_of(1, time_trees, trees))

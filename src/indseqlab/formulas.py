@@ -263,7 +263,7 @@ def audit_term_ratios(m: int, t: int) -> RatioAudit:
     log2m = Fraction(m.bit_length() - 1) if m & (m - 1) == 0 else None
     dominant = comb(m, 2) * (1 << (m * t - 2 * t))
     rows = []
-    total = Fraction(0)
+    total = 0
     for s, ell, free, binoms in _mt2_cells(m, t):
         term = binoms * (1 << (free - ell))
         ratio = Fraction(term, dominant)
@@ -287,13 +287,13 @@ def audit_term_ratios(m: int, t: int) -> RatioAudit:
                 final_ok=final_ok,
             )
         )
-        total += ratio
+        total += term
     return RatioAudit(
         m=m,
         t=t,
         rows=tuple(rows),
         max_ratio=max((r.ratio for r in rows), default=Fraction(0)),
-        total_ratio=total,
+        total_ratio=Fraction(total, dominant),
         all_steps_ok=all(r.steps_ok for r in rows),
         all_final_ok=all(r.final_ok for r in rows),
         t_le_m=t <= m,

@@ -23,10 +23,8 @@ degree times 8w bits however small its own coefficients are, and the
 root's products run at CPython's Karatsuba speed; so a tree whose width
 bound 8wn exceeds _PACKED_MAX_BITS, the measured crossover, runs the same
 DP on coefficient lists instead, whose products `intpoly.convolve` packs
-one at a time with slots fitted to the operands.  So does a star, whose
-DP has no product to gain from packing (_STAR_PACKED_MAX_BITS).  A tree
-that runs on lists even in one-byte slots, any star among them, needs no
-width and skips the count.
+one at a time with slots fitted to the operands.  A tree that runs on
+lists even in one-byte slots needs no width and skips the count.
 
 Spherically symmetric trees get a per-level fast path that never
 materializes the tree.  It follows the same rule: the level recursion at
@@ -55,14 +53,8 @@ _SWEEP_LOW = 16
 # A tree runs the DP packed while 8 * w * n, a bound on its packed
 # polynomial's width in bits, is at most this.  Measured (BENCH_5.json),
 # spiders and complete binary trees break even between 2**16 and 2**17.5,
-# random trees and caterpillars near 2**18, paths past it; so up to here
-# no shape measured is slower packed, except stars.
+# random trees and caterpillars near 2**18, paths past it.
 _PACKED_MAX_BITS = 1 << 16
-# The same bound for stars, one vertex adjacent to all others.  Their DP is
-# one binomial row with no product, so packed it only adds packing and
-# unpacking: measured (benchmarks/layers.py, BENCH_7.json "layers"), stars
-# of 26..256 vertices run 1.1-7.7x slower packed, so none is.
-_STAR_PACKED_MAX_BITS = 0
 # Trees on at most this many vertices take w = ceil(n/8) byte slots rather
 # than counting i(T) first.  Measured (benchmarks/layers.py, BENCH_7.json
 # "layers"), slots from n take 0.58-0.95x the time of counting for every
@@ -166,13 +158,6 @@ def _unpack(value, w):
     return _unpack_slots(value, w, -(-value.bit_length() // (8 * w)))
 
 
-def _is_star(tree: RootedTree):
-    """Whether one vertex of the tree is adjacent to all the others: the
-    root, or the root's only child."""
-    kids = tree.children[tree.root]
-    return len(kids) == tree.n - 1 or len(kids) == 1 and len(tree.children[kids[0]]) == tree.n - 2
-
-
 def _represented(dp, count, span, bound):
     """(values, coeffs): the values dp(arithmetic) computes, on packed ints
     or on coefficient lists, and coeffs(*values), the coefficient list of
@@ -193,14 +178,13 @@ def _root_pair(tree: RootedTree):
     packed ints or coefficient lists as the tree's width calls for (see
     the module docstring), and its decoder (see _represented)."""
     dp = functools.partial(_evaluate, tree)
-    bound = _STAR_PACKED_MAX_BITS if _is_star(tree) else _PACKED_MAX_BITS
     # i(T) < 2**n, so small trees need not count, nor trees too wide to run
     # packed even in one-byte slots
-    if tree.n <= _SLOTS_FROM_N_MAX_VERTICES or 8 * tree.n > bound:
+    if tree.n <= _SLOTS_FROM_N_MAX_VERTICES or 8 * tree.n > _PACKED_MAX_BITS:
         count = (1 << tree.n) - 1
     else:
         count = sum(dp(_packed(0)))
-    return _represented(dp, count, tree.n, bound)
+    return _represented(dp, count, tree.n, _PACKED_MAX_BITS)
 
 
 def indpoly_tree(tree: RootedTree) -> IntPolynomial:

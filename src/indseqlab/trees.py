@@ -22,7 +22,8 @@ class RootedTree:
     ``parent[v]`` is the parent of v (-1 for the root); ``children[v]``
     holds v's children in ascending vertex order; ``order`` lists every
     vertex breadth-first from the root, so each after its parent.
-    Instances are immutable and safe to share.
+    Instances are immutable and safe to share: assigning or deleting an
+    attribute raises AttributeError.
     """
 
     __slots__ = ("n", "root", "parent", "children", "order")
@@ -42,10 +43,7 @@ class RootedTree:
             if p == v:
                 raise ValueError("vertex %d is its own parent" % v)
             kids[p].append(v)
-        self.n = n
-        self.root = 0
-        self.parent = par
-        self.children = children = tuple(map(tuple, kids))
+        children = tuple(map(tuple, kids))
         # reachability from the root rules out parent cycles; a vertex has
         # one parent, so none is listed twice
         order = [0]
@@ -53,7 +51,23 @@ class RootedTree:
             order.extend(children[v])
         if len(order) != n:
             raise ValueError("parent array is cyclic or disconnected")
-        self.order = tuple(order)
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "root", 0)
+        init(self, "parent", par)
+        init(self, "children", children)
+        init(self, "order", tuple(order))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RootedTree is immutable: cannot set %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("RootedTree is immutable: cannot delete %r" % name)
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the parent array, which
+        # __setattr__ would refuse to restore slot by slot
+        return RootedTree, (self.parent,)
 
     def edges(self):
         """(parent, child) pairs, one per non-root vertex."""

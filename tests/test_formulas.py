@@ -240,6 +240,12 @@ def test_audit_dominant_term_matches_closed_form():
         assert total.denominator == 1
 
 
+def test_audit_total_ratio_sums_the_rows():
+    for m, t in [(3, 2), (16, 16), (32, 80)]:
+        audit = formulas.audit_term_ratios(m, t)
+        assert audit.total_ratio == sum(r.ratio for r in audit.rows)
+
+
 def test_generic_dp_agrees_with_closed_forms():
     tree = tmt1(5, 4)
     p = indpoly_tree(tree)

@@ -43,7 +43,7 @@ def each_representation(test):
     def run():
         for bound in (1 << 62, 0):
             with pytest.MonkeyPatch.context() as mp:
-                for name in ("_PACKED_MAX_BITS", "_STAR_PACKED_MAX_BITS", "_SST_PACKED_MAX_BITS"):
+                for name in ("_PACKED_MAX_BITS", "_SST_PACKED_MAX_BITS"):
                     mp.setattr(indpoly, name, bound)
                 test()
 
@@ -317,14 +317,11 @@ def test_count_pass_runs_only_above_the_slot_bound(monkeypatch):
 
 def test_count_pass_skipped_where_lists_are_sure(monkeypatch):
     # a tree whose one-byte slots already span more than its bound runs on
-    # lists whatever i(T) is, so it never counts; stars have bound 0
+    # lists whatever i(T) is, so it never counts; here the bound is moved
+    # down to 8 * 150
     shifts = []
     packed = indpoly._packed
     monkeypatch.setattr(indpoly, "_packed", lambda shift: shifts.append(shift) or packed(shift))
-    assert indpoly_tree(star(200)) == poly_pow(P(1, 1), 199) + P(0, 1)
-    assert root_split(star(200), 199).total == indpoly_tree(star(200))
-    assert shifts == []
-    # the same edge for other trees, at a bound moved down to 8 * 150
     monkeypatch.setattr(indpoly, "_PACKED_MAX_BITS", 8 * 150)
     rng = random.Random(150)
     for n, counts in ((150, True), (151, False)):
@@ -349,7 +346,6 @@ def test_trees_on_each_side_of_the_slot_bound():
             assert tree.n == n
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(indpoly, "_PACKED_MAX_BITS", 0)
-                mp.setattr(indpoly, "_STAR_PACKED_MAX_BITS", 0)
                 on_lists = indpoly_tree(tree)
             assert want is None or on_lists == want
             assert indpoly_tree(tree) == on_lists
@@ -362,9 +358,9 @@ def test_trees_on_each_side_of_the_slot_bound():
 
 @each_representation
 def test_wide_stars():
-    # stars of up to 256 vertices ran packed before they ran on lists;
-    # Star:257 was the first past _PACKED_MAX_BITS
-    for n in (200, 256, 257):
+    # split at the hub (0) and at a leaf (n - 1); at the shipped bound
+    # Star:256 is the widest star run packed and Star:257 the first on lists
+    for n in (1, 2, 3, 40, 200, 256, 257):
         want = poly_pow(P(1, 1), n - 1) + P(0, 1)
         tree = star(n)
         assert indpoly_tree(tree) == want
@@ -372,19 +368,21 @@ def test_wide_stars():
         assert root_split(tree, n - 1).total == want
 
 
-def test_stars_run_on_lists():
-    # one vertex adjacent to all others, rooted there or at a leaf; packed,
-    # the DP would only pack and unpack the binomial row
+def test_stars_follow_the_width_rule(monkeypatch):
+    # a star is packed while 8 w n <= _PACKED_MAX_BITS, like any tree: 8 * 32
+    # * 256 is the bound itself, 8 * 33 * 257 is past it
     calls = []
     unpack = indpoly._unpack
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(indpoly, "_unpack", lambda value, w: calls.append(w) or unpack(value, w))
-        for n in (1, 2, 3, 40, 200):
-            assert root_split(star(n), 0).total == indpoly_tree(star(n))
-            assert root_split(star(n), n - 1).total == indpoly_tree(star(n))
-        assert calls == []
-        indpoly_tree(spider(20))
-        assert calls
+    monkeypatch.setattr(indpoly, "_unpack", lambda value, w: calls.append(w) or unpack(value, w))
+    for n, unpacked in ((256, [32]), (257, [])):
+        want = poly_pow(P(1, 1), n - 1) + P(0, 1)
+        calls.clear()
+        assert indpoly_tree(star(n)) == want
+        assert calls == unpacked, n
+        for v in (0, n - 1):
+            calls.clear()
+            assert root_split(star(n), v).total == want
+            assert calls == unpacked * 2, (n, v)  # without and with the root
 
 
 def test_trees_on_each_side_of_the_packed_bound():

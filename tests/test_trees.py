@@ -404,10 +404,24 @@ def test_validate_tree_checks_order():
                      (tree.order[:-1] + tree.order[-2:-1], "permutation"),
                      (tree.order[:-1], "lengths")]:
         broken = copy.copy(tree)
-        broken.order = bad
+        object.__setattr__(broken, "order", bad)
         with pytest.raises(ValueError, match=msg):
             validate_tree(broken)
     validate_tree(copy.copy(tree))
+
+
+def test_trees_are_immutable():
+    tree = tmt1(3, 2)
+    before = (tree.n, tree.root, tree.parent, tree.children, tree.order)
+    for name in ("n", "root", "parent", "children", "order"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(tree, name, getattr(tree, name))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(tree, name)
+    assert (tree.n, tree.root, tree.parent, tree.children, tree.order) == before
+    clone = copy.copy(tree)
+    assert clone == tree and clone.order == tree.order and clone.children == tree.children
+    validate_tree(clone)
 
 
 def test_pickle_round_trip():
