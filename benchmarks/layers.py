@@ -11,7 +11,10 @@ the first representation named is faster.  The last two run at each
 candidate value of `intpoly.LEAF_MAX_BITS`.
 
 - `indpoly_sst` on packed ints against coefficient lists, for spherically
-  symmetric trees on both sides of `indpoly._SST_PACKED_MAX_BITS`.
+  symmetric trees on both sides of `indpoly._SST_PACKED_MAX_BITS`.  Each
+  row's `width_bits` is 8·w·n, the width the rule compares with that
+  bound: n vertices in w-byte slots, w from n up to
+  `indpoly._SLOTS_FROM_N_MAX_VERTICES` vertices and from i(T) past it.
 - `indpoly_tree` on Rand, Path, Cat, Spider and Star trees of n = 26..256
   vertices: packed with w = ceil(n/8) byte slots, packed with slots from
   the count pass at x = 1, and on lists; plus the rule as shipped.  It is
@@ -48,7 +51,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from indseqlab import cli, indpoly, intpoly  # noqa: E402
 from indseqlab.rng import derive_seed  # noqa: E402
-from indseqlab.trees import caterpillar, path, random_tree, spider, star  # noqa: E402
+from indseqlab.trees import caterpillar, path, random_tree, spider, sst, star  # noqa: E402
 
 # (label, per-level child counts), ordered by packed width
 SST_CASES = (
@@ -132,14 +135,17 @@ def best_of(repeat, fn, *args):
 
 
 def sst_table(repeat):
-    """One row per case: packed width, best int and list seconds, ratio."""
+    """One row per case: width 8·w·n, best int and list seconds, ratio."""
     saved = indpoly._SST_PACKED_MAX_BITS
     rows = []
     try:
         for label, counts in SST_CASES:
-            coeffs = indpoly.indpoly_sst(counts).coeffs
-            w = (sum(coeffs).bit_length() + 7) >> 3
-            row = {"tree": label, "width_bits": 8 * w * len(coeffs)}
+            n = sst(counts).n
+            if n <= indpoly._SLOTS_FROM_N_MAX_VERTICES:
+                count = (1 << n) - 1
+            else:
+                count = sum(indpoly.indpoly_sst(counts).coeffs)
+            row = {"tree": label, "width_bits": 8 * ((count.bit_length() + 7) >> 3) * n}
             for name, bound in REPRESENTATIONS:
                 indpoly._SST_PACKED_MAX_BITS = bound
                 row[name + "_s"] = best_of(repeat, indpoly.indpoly_sst, counts)

@@ -226,10 +226,17 @@ def cmd_search(args):
     return EXIT_OK
 
 
+def _check_oracle_size(n):
+    if n > ORACLE_MAX_VERTICES:
+        raise ValueError("tree has %d vertices, limit is %d" % (n, ORACLE_MAX_VERTICES))
+
+
 def cmd_oracle(args):
+    if args.edges is None:
+        # a spherically symmetric spec is sized from its levels, before it is built
+        _check_oracle_size(parse_family(args.spec).sst_vertex_count() or 0)
     tree = _load_tree(args)
-    if tree.n > ORACLE_MAX_VERTICES:
-        raise ValueError("tree has %d vertices, limit is %d" % (tree.n, ORACLE_MAX_VERTICES))
+    _check_oracle_size(tree.n)
     dp = indpoly_tree(tree)
     orc = indpoly_oracle(tree)
     print("dp     : %s" % " ".join(str(c) for c in dp.coeffs))

@@ -6,34 +6,30 @@ The generic route is the DP carrying per-vertex pairs (in, out) =
     in(v)  = x * prod over children c of out(c)
     out(v) = prod over children c of (in(c) + out(c))
 
-with the tree's polynomial being in(root) + out(root).
+with the tree's polynomial being in(root) + out(root).  Spherically
+symmetric trees get a per-level fast path, indpoly_sst, that never
+materializes the tree.
 
-The DP runs on plain ints.  Every coefficient it ever holds counts the
-independent sets of some subforest of the tree T, so none exceeds
-i(T) = I(T; 1).  Slots of w bytes with 2**(8w) > i(T) therefore never
-carry, and the DP evaluated at x = 2**(8w) holds each polynomial packed
-one coefficient per slot (Kronecker substitution over the whole tree);
-the root's pair is unpacked once.  A tree on n vertices has
-i(T) <= 2**(n-1) + 1 < 2**n (the star attains it), so w = ceil(n/8) is
-safe without counting; trees on at most _SLOTS_FROM_N_MAX_VERTICES
-vertices take that width.  Wider slots cost more on larger trees, so those
-take w = ceil(bits(i(T)) / 8) from one pass of the same DP at x = 1,
-which gives i(T) exactly.  Packed, a subtree's polynomial spans its
-degree times 8w bits however small its own coefficients are, and the
-root's products run at CPython's Karatsuba speed; so a tree whose width
-bound 8wn exceeds _PACKED_MAX_BITS, the measured crossover, runs the same
-DP on coefficient lists instead, whose products `intpoly.convolve` packs
-one at a time with slots fitted to the operands.  A tree that runs on
-lists even in one-byte slots needs no width and skips the count.
-
-Spherically symmetric trees get a per-level fast path that never
-materializes the tree.  It follows the same rule: the level recursion at
-x = 1 gives i(T), on degrees alpha(T), and a tree whose packed polynomial
-spans 8w(alpha + 1) <= _SST_PACKED_MAX_BITS bits runs on one int at
-x = 2**(8w); wider trees run on coefficient lists.  For both DPs one
-helper, _represented, picks w and the representation.  A subset-sweep oracle
-(shared code with nothing else) provides an independent cross-check up to
-22 vertices.
+Both DPs run on plain ints by one width rule, _represented.  Every
+coefficient a DP ever holds counts the independent sets of some subforest
+of the tree T, so none exceeds i(T) = I(T; 1).  Slots of w bytes with
+2**(8w) > i(T) therefore never carry, and the DP evaluated at x = 2**(8w)
+holds each polynomial packed one coefficient per slot (Kronecker
+substitution over the whole tree); the root's pair is unpacked once.  A
+tree on n vertices has i(T) <= 2**(n-1) + 1 < 2**n (the star attains it),
+so w = ceil(n/8) is safe without counting; trees on at most
+_SLOTS_FROM_N_MAX_VERTICES vertices take that width.  Wider slots cost
+more on larger trees, so those take w = ceil(bits(i(T)) / 8) from one pass
+of the same DP at x = 1, which gives i(T) exactly.  Packed, a subtree's
+polynomial spans its degree times 8w bits however small its own
+coefficients are, and the root's products run at CPython's Karatsuba
+speed; so a tree whose width 8wn exceeds the DP's bound, the measured
+crossover (_PACKED_MAX_BITS for the tree DP, _SST_PACKED_MAX_BITS for the
+fast path), runs the same DP on coefficient lists instead, whose products
+`intpoly.convolve` packs one at a time with slots fitted to the operands.
+A tree that runs on lists even in one-byte slots needs no width and skips
+the count.  A subset-sweep oracle (shared code with nothing else) provides
+an independent cross-check up to 22 vertices.
 """
 
 from __future__ import annotations
@@ -62,12 +58,13 @@ _PACKED_MAX_BITS = 1 << 16
 # trees lose (up to 1.11x), and past 160 most shapes do (up to 1.41x).  A
 # multiple of 8, so a star at the bound fills its slots exactly.
 _SLOTS_FROM_N_MAX_VERTICES = 112
-# indpoly_sst runs packed while 8 * w * (alpha + 1), its packed polynomial's
-# width in bits, is at most this.  Measured (benchmarks/layers.py,
-# BENCH_6.json), trees below 2**15 bits run 2-5x faster packed, the two
-# representations break even from about 2**17 to 2**18.5, and trees past
-# 2**19 run 1.4x (T(2^6 1^17)) to 5x (T(2^7 1^23)) slower packed.
-_SST_PACKED_MAX_BITS = 1 << 18
+# indpoly_sst runs packed while 8 * w * n is at most this.  Measured
+# (benchmarks/layers.py, BENCH_6.json) on 8 * w * (alpha + 1), which is
+# about half of 8 * w * n on every shape timed: trees below 2**15 bits of
+# that run 2-5x faster packed, the two representations break even from
+# about 2**17 to 2**18.5, and trees past 2**19 run 1.4x (T(2^6 1^17)) to
+# 5x (T(2^7 1^23)) slower packed.
+_SST_PACKED_MAX_BITS = 1 << 19
 
 
 # raw coefficient-list helpers; IntPolynomial wraps only the final results
@@ -101,10 +98,8 @@ def _lshift(p):
 
 # The DP's arithmetic in one representation of polynomials, as (one, add,
 # times_x, product of a list, c-th power, L -> (1 + x)^L): on coefficient
-# lists, on packed ints (_packed) and on degrees (max-plus: times x adds 1,
-# a product sums, the c-th power multiplies by c, a sum takes the larger).
+# lists here, and on packed ints by _packed.
 _ON_LISTS = ([1], _ladd, _lshift, _lproduct, _lpow, _binomial_row)
-_ON_DEGREES = (0, max, (1).__add__, sum, operator.mul, int)
 
 
 def _packed(shift):
@@ -158,33 +153,28 @@ def _unpack(value, w):
     return _unpack_slots(value, w, -(-value.bit_length() // (8 * w)))
 
 
-def _represented(dp, count, span, bound):
-    """(values, coeffs): the values dp(arithmetic) computes, on packed ints
-    or on coefficient lists, and coeffs(*values), the coefficient list of
-    their sum.
+def _represented(dp, n, bound):
+    """(values, coeffs): the values dp(arithmetic) computes for a tree on n
+    vertices, and coeffs(*values), the coefficient list of their sum.
 
-    count is at least i(T) and fixes the slot width w =
-    ceil(bits(count) / 8); the DP runs packed while the polynomial it
-    packs, `span` slots of w bytes, spans at most `bound` bits.
+    The one width rule of both DPs (see the module docstring): w-byte
+    slots from n up to _SLOTS_FROM_N_MAX_VERTICES vertices, else from a
+    count pass at x = 1; packed ints while 8wn <= bound, else coefficient
+    lists, with no count pass when one-byte slots already span more.
     """
-    w = (count.bit_length() + 7) >> 3
-    if 8 * w * span > bound:
-        return dp(_ON_LISTS), lambda *values: functools.reduce(_ladd, values)
-    return dp(_packed(8 * w)), lambda *values: _unpack(sum(values), w)
+    if 8 * n <= bound:
+        count = (1 << n) - 1 if n <= _SLOTS_FROM_N_MAX_VERTICES else sum(dp(_packed(0)))
+        w = (count.bit_length() + 7) >> 3
+        if 8 * w * n <= bound:
+            return dp(_packed(8 * w)), lambda *values: _unpack(sum(values), w)
+    return dp(_ON_LISTS), lambda *values: functools.reduce(_ladd, values)
 
 
 def _root_pair(tree: RootedTree):
     """((in(root), out(root)), coeffs): the root's pair as the DP holds it,
-    packed ints or coefficient lists as the tree's width calls for (see
-    the module docstring), and its decoder (see _represented)."""
-    dp = functools.partial(_evaluate, tree)
-    # i(T) < 2**n, so small trees need not count, nor trees too wide to run
-    # packed even in one-byte slots
-    if tree.n <= _SLOTS_FROM_N_MAX_VERTICES or 8 * tree.n > _PACKED_MAX_BITS:
-        count = (1 << tree.n) - 1
-    else:
-        count = sum(dp(_packed(0)))
-    return _represented(dp, count, tree.n, _PACKED_MAX_BITS)
+    packed ints or coefficient lists by the width rule, and its decoder
+    (see _represented)."""
+    return _represented(functools.partial(_evaluate, tree), tree.n, _PACKED_MAX_BITS)
 
 
 def indpoly_tree(tree: RootedTree) -> IntPolynomial:
@@ -212,16 +202,12 @@ def indpoly_sst(child_counts) -> IntPolynomial:
     per level suffices: at the leaves in = x, out = 1; one level up with c
     children below, in = x * out_below^c and out = (in_below + out_below)^c.
     Every in, out, in + out and power of them is the polynomial of a
-    subforest of T, so, as in the tree DP, w-byte slots with
-    w = ceil(bits(i(T)) / 8) never carry.  The recursion at x = 1 gives
-    i(T) and the same recursion on degrees gives alpha(T); a tree whose
-    packed polynomial spans 8w(alpha + 1) <= _SST_PACKED_MAX_BITS bits runs
-    on one int at x = 2**(8w), unpacked once at the root, and any other on
-    coefficient lists.  Agrees with indpoly_tree on the materialized tree.
+    subforest of T, so the tree DP's width rule holds here too, with n
+    the vertex count and _SST_PACKED_MAX_BITS the bound (see the module
+    docstring).  Agrees with indpoly_tree on the materialized tree.
     """
-    dp = functools.partial(_levels, _level_counts(child_counts))
-    span = max(dp(_ON_DEGREES)) + 1  # alpha(T) + 1 coefficients
-    values, coeffs = _represented(dp, sum(dp(_packed(0))), span, _SST_PACKED_MAX_BITS)
+    counts, n = _level_counts(child_counts)
+    values, coeffs = _represented(functools.partial(_levels, counts), n, _SST_PACKED_MAX_BITS)
     return IntPolynomial._raw(coeffs(*values))
 
 

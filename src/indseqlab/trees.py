@@ -197,13 +197,7 @@ class FamilySpec:
         """Vertex count of a spherically symmetric family, computed from
         its level counts without building it; None like sst_counts."""
         counts = self.sst_counts()
-        if counts is None:
-            return None
-        n = width = 1
-        for c in counts:
-            width *= c
-            n += width
-        return n
+        return None if counts is None else _level_counts(counts)[1]
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -273,15 +267,19 @@ def _check_params(spec):
 
 
 def _level_counts(child_counts):
-    """child_counts as a list; raises ValueError unless it is a nonempty
-    list of counts >= 1, the per-level child counts of a spherically
-    symmetric tree."""
+    """(counts, n): child_counts as a list and the vertex count of the
+    spherically symmetric tree with those per-level child counts; raises
+    ValueError unless it is a nonempty list of counts >= 1."""
     counts = list(child_counts)
     if not counts:
         raise ValueError("child-count list must be nonempty")
     if any(c < 1 for c in counts):
         raise ValueError("child counts must be >= 1, got %r" % (counts,))
-    return counts
+    n = width = 1
+    for c in counts:
+        width *= c
+        n += width
+    return counts, n
 
 
 def sst(child_counts) -> RootedTree:
@@ -292,7 +290,7 @@ def sst(child_counts) -> RootedTree:
     """
     parent = [-1]
     level = [0]
-    for c in _level_counts(child_counts):
+    for c in _level_counts(child_counts)[0]:
         nxt = []
         for v in level:
             for _ in range(c):

@@ -104,10 +104,13 @@ def test_sst_matches_generic_dp_exhaustive():
 
 
 def sst_packed_width(counts):
-    """8 w (alpha + 1), the width indpoly_sst compares with
-    _SST_PACKED_MAX_BITS."""
-    coeffs = indpoly_sst(counts).coeffs
-    return 8 * ((sum(coeffs).bit_length() + 7) // 8) * len(coeffs)
+    """8 w n, the width indpoly_sst compares with _SST_PACKED_MAX_BITS: w
+    from n up to the slot bound, from i(T) past it."""
+    from indseqlab.trees import sst
+
+    n = sst(counts).n
+    count = (1 << n) - 1 if n <= indpoly._SLOTS_FROM_N_MAX_VERTICES else sum(indpoly_sst(counts).coeffs)
+    return 8 * ((count.bit_length() + 7) // 8) * n
 
 
 def test_sst_on_each_side_of_the_packed_bound():
@@ -120,8 +123,12 @@ def test_sst_on_each_side_of_the_packed_bound():
     bound = indpoly._SST_PACKED_MAX_BITS
     split = sum(sst_packed_width(counts) <= bound for counts in cases)
     assert 3 <= split <= len(cases) - 3
+    # verify's widest packed call and reproduce's narrowest call on lists
+    sides = {(300, 1): True, (2,) * 6 + (1,) * 17: False}
+    for counts, packed in sides.items():
+        assert (sst_packed_width(counts) <= bound) == packed, counts
     unpack = indpoly._unpack
-    for counts in cases[split - 3 : split + 3]:  # the nearest on each side
+    for counts in cases[split - 3 : split + 3] + list(sides):
         want = indpoly_tree(sst(counts))
         calls = []
         with pytest.MonkeyPatch.context() as mp:
@@ -304,11 +311,14 @@ def test_count_pass_runs_only_above_the_slot_bound(monkeypatch):
     packed = indpoly._packed
     monkeypatch.setattr(indpoly, "_packed", lambda shift: shifts.append(shift) or packed(shift))
     rng = random.Random(112)
-    for n in (9, 40, bound - 1, bound, bound + 1, bound + 9):
-        tree = random_tree(n, rng.getrandbits(64))
+    sizes = (9, 40, bound - 1, bound, bound + 1, bound + 9)
+    cases = [(n, functools.partial(indpoly_tree, random_tree(n, rng.getrandbits(64)))) for n in sizes]
+    # the fast path follows the same rule: spiders of 111 and 113 vertices
+    cases += [(2 * t + 1, functools.partial(indpoly_sst, [t, 1])) for t in (55, 56)]
+    assert bound in (111, 112)
+    for n, poly_of in cases:
         shifts.clear()
-        poly = indpoly_tree(tree)
-        count_bits = sum(poly.coeffs).bit_length()
+        count_bits = sum(poly_of().coeffs).bit_length()
         if n <= bound:
             assert shifts == [8 * ((n + 7) // 8)], n
         else:
