@@ -51,7 +51,7 @@ def _load_sequence(args):
         spec = parse_family(args.spec)
         counts = spec.sst_counts()
         if counts is not None:
-            return spec.sst_vertex_count(), indpoly_sst(counts).coeffs
+            return spec.vertex_count(), indpoly_sst(counts).coeffs
     tree = _load_tree(args)
     return tree.n, indpoly_tree(tree).coeffs
 
@@ -233,8 +233,8 @@ def _check_oracle_size(n):
 
 def cmd_oracle(args):
     if args.edges is None:
-        # a spherically symmetric spec is sized from its levels, before it is built
-        _check_oracle_size(parse_family(args.spec).sst_vertex_count() or 0)
+        # a spec is sized from its parameters, before it is built
+        _check_oracle_size(parse_family(args.spec).vertex_count())
     tree = _load_tree(args)
     _check_oracle_size(tree.n)
     dp = indpoly_tree(tree)

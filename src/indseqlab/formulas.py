@@ -7,7 +7,8 @@ live in m disjoint spiders with t legs of length 2.  Everything here is
 exact.  The sweeps over t build the binomial row C(t, 0..t) once per t, in
 the call, by the exact recurrence C(t, k+1) = C(t, k) (t-k) / (k+1), and
 read their binomials from it; single cells and the term-ratio audit use
-math.comb; rationals are fractions.Fraction.
+math.comb.  Every bound is an integer comparison; fractions.Fraction
+appears only in the ratios the audit reports.
 """
 
 from __future__ import annotations
@@ -155,16 +156,17 @@ def without_root_mt2_closed(m: int, t: int) -> int:
     if m < 2 or t < 1:
         raise ValueError("need m >= 2 and t >= 1")
     total = comb(m, 2) * (1 << (m * t - 2 * t))
-    return total + sum(binoms << (free - ell) for _, ell, free, binoms in _mt2_cells(m, t))
+    return total + sum((a * b * c) << (free - ell) for _, ell, free, a, b, c in _mt2_cells(m, t))
 
 
 def _mt2_cells(m: int, t: int):
     """The s >= 3 cells of the size-(mt+2) enumeration: for each (s, l),
-    yields s, l, free = mt - st and C(m,s) C(free,l) C(st,(s-2)-l)."""
+    yields s, l, free = mt - st and the three binomials C(m,s), C(free,l)
+    and C(st,(s-2)-l) whose product times 2^{free-l} is the cell's count."""
     for s in range(3, m + 1):
         free = m * t - s * t  # independent edges under the m-s unchosen vertices
         for ell in range(0, min(s - 2, free) + 1):
-            yield s, ell, free, comb(m, s) * comb(free, ell) * comb(s * t, (s - 2) - ell)
+            yield s, ell, free, comb(m, s), comb(free, ell), comb(s * t, (s - 2) - ell)
 
 
 def without_root_mt3_lower(m: int, t: int) -> int:
@@ -208,6 +210,8 @@ class RatioRow:
                needs logarithms)
     steps_ok   all four intermediate bounds hold for this cell
     final_ok   the cell's plain ratio (no C(m,2)) is at most 2^bound_log2
+    Both verdicts are integer comparisons; ratio and bound_log2 are the
+    only Fractions, built for the report.
     """
 
     s: int
@@ -234,11 +238,6 @@ class RatioAudit:
     regime_ok: bool  # m <= 2^{t/16}, checked exactly as m^16 <= 2^t
 
 
-def _leq_pow2_bound(value: Fraction, s: int, m: int, t: int) -> bool:
-    # value <= 2^{5 s log2(m) - s t / 3}  <=>  value^3 * 2^{s t} <= m^{15 s}
-    return value**3 * (1 << (s * t)) <= Fraction(m) ** (15 * s)
-
-
 def audit_term_ratios(m: int, t: int) -> RatioAudit:
     """Audit every (s, l) term of the size-(mt+2) enumeration against the
     bound chain that shows the C(m,2) 2^{mt-2t} term dominates.
@@ -250,50 +249,44 @@ def audit_term_ratios(m: int, t: int) -> RatioAudit:
         C(st, (s-2)-l) <= (st)^s
         (s-2) t + l >= s t / 3       (uses s >= 3)
 
-    and the final bound on the plain ratio
-    C(m,s) C(mt-st,l) C(st,(s-2)-l) / 2^{(s-2)t+l} <= 2^{5 s log2(m) - st/3},
-    checked exactly by cubing (no logarithms, no floats).  The summary
-    records whether the dominance hypotheses t <= m and m <= 2^{t/16} hold;
-    the per-row bounds are checked regardless.
+    and the final bound on the plain ratio, with e = (s-2) t + l,
+    C(m,s) C(mt-st,l) C(st,(s-2)-l) / 2^e <= 2^{5 s log2(m) - st/3},
+    cubed and cross-multiplied to one integer comparison (no logarithms,
+    no floats, no Fractions).  Each row's ratio is built from the small
+    binomials as binoms / (C(m,2) 2^e).  The summary records whether the
+    dominance hypotheses t <= m and m <= 2^{t/16} hold; the per-row bounds
+    are checked regardless.
     """
     if m < 3:
         raise ValueError("need m >= 3")
     if t < 2:
         raise ValueError("need t >= 2")
     log2m = Fraction(m.bit_length() - 1) if m & (m - 1) == 0 else None
-    dominant = comb(m, 2) * (1 << (m * t - 2 * t))
+    pairs = comb(m, 2)
     rows = []
-    total = 0
-    for s, ell, free, binoms in _mt2_cells(m, t):
-        term = binoms * (1 << (free - ell))
-        ratio = Fraction(term, dominant)
-        plain = Fraction(binoms, 1 << ((s - 2) * t + ell))
+    for s, ell, free, c_m, c_free, c_st in _mt2_cells(m, t):
+        binoms = c_m * c_free * c_st
+        e = (s - 2) * t + ell  # term / dominant = binoms / (C(m,2) 2^e)
         steps_ok = (
-            comb(m, s) <= m**s
-            and comb(free, ell) <= (m * t) ** s
-            and comb(s * t, (s - 2) - ell) <= (s * t) ** s
-            and 3 * ((s - 2) * t + ell) >= s * t
+            c_m <= m**s and c_free <= (m * t) ** s and c_st <= (s * t) ** s and 3 * e >= s * t
         )
-        final_ok = _leq_pow2_bound(plain, s, m, t)
-        bound = None if log2m is None else 5 * s * log2m - Fraction(s * t, 3)
         rows.append(
             RatioRow(
                 s=s,
                 ell=ell,
-                term=term,
-                ratio=ratio,
-                bound_log2=bound,
+                term=binoms << (free - ell),
+                ratio=Fraction(binoms, pairs << e),
+                bound_log2=None if log2m is None else 5 * s * log2m - Fraction(s * t, 3),
                 steps_ok=steps_ok,
-                final_ok=final_ok,
+                final_ok=binoms**3 << (s * t) <= m ** (15 * s) << (3 * e),
             )
         )
-        total += term
     return RatioAudit(
         m=m,
         t=t,
         rows=tuple(rows),
         max_ratio=max((r.ratio for r in rows), default=Fraction(0)),
-        total_ratio=Fraction(total, dominant),
+        total_ratio=Fraction(sum(r.term for r in rows), pairs << (m * t - 2 * t)),
         all_steps_ok=all(r.steps_ok for r in rows),
         all_final_ok=all(r.final_ok for r in rows),
         t_le_m=t <= m,

@@ -193,11 +193,14 @@ class FamilySpec:
             return [ps[0] - 1]
         return None
 
-    def sst_vertex_count(self):
-        """Vertex count of a spherically symmetric family, computed from
-        its level counts without building it; None like sst_counts."""
+    def vertex_count(self):
+        """Vertex count from the parameters, without building the tree: from
+        the level counts when spherically symmetric, spine plus pendants for
+        Cat, and n for Rand:n,seed, Path:1 and Star:1."""
         counts = self.sst_counts()
-        return None if counts is None else _level_counts(counts)[1]
+        if counts is not None:
+            return _level_counts(counts)[1]
+        return len(self.params) + sum(self.params) if self.family == "Cat" else self.params[0]
 
 
 def parse_family(text: str) -> FamilySpec:

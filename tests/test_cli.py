@@ -142,14 +142,15 @@ def test_oracle_match(capsys):
 
 
 def test_oracle_budget(capsys, monkeypatch):
-    # a spherically symmetric spec is refused from its levels, never built:
-    # SST:10,...,10 would have 11.1M vertices
+    # every spec is refused from its parameters, never built: SST:10,...,10
+    # would have 11.1M vertices, Cat:200000 is one spine vertex and its pendants
     built = []
     monkeypatch.setattr(cli, "build_family", lambda spec: built.append(spec))
     code, _, err = run_cli(capsys, "oracle", "Tmt1:4,4")
     assert code == 2
     assert "37 vertices" in err
-    for spec, n in (("Path:2000000", 2000000), ("SST:" + ",".join(["10"] * 7), 11111111)):
+    for spec, n in (("Path:2000000", 2000000), ("SST:" + ",".join(["10"] * 7), 11111111),
+                    ("Rand:200000,1", 200000), ("Cat:200000", 200001)):
         code, out, err = run_cli(capsys, "oracle", spec)
         assert (code, out) == (2, "")
         assert err.endswith("tree has %d vertices, limit is 22\n" % n)

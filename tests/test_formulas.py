@@ -1,6 +1,7 @@
 """Closed forms and inequality audits against the polynomial engine."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -67,8 +68,6 @@ def test_binomial_gap_identity():
 
 
 def test_binomial_rows_match_math_comb():
-    from math import comb
-
     from indseqlab.intpoly import _binomial_row
 
     for n in range(0, 303):
@@ -232,8 +231,6 @@ def test_audit_dominant_term_matches_closed_form():
     # the closed-form count equals dominant * (1 + total_ratio)
     for m, t in [(4, 3), (6, 4), (8, 5)]:
         audit = formulas.audit_term_ratios(m, t)
-        from math import comb
-
         dominant = comb(m, 2) * (1 << (m * t - 2 * t))
         total = dominant * (1 + audit.total_ratio)
         assert total == formulas.without_root_mt2_closed(m, t)
@@ -244,6 +241,49 @@ def test_audit_total_ratio_sums_the_rows():
     for m, t in [(3, 2), (16, 16), (32, 80)]:
         audit = formulas.audit_term_ratios(m, t)
         assert audit.total_ratio == sum(r.ratio for r in audit.rows)
+
+
+def test_audit_final_bound_is_tight():
+    # m = 3 has the one row s = 3, l = 0 with binoms = 3t and e = t, so the
+    # final bound (3t)^3 2^{3t} <= 3^45 2^{3t} holds exactly while t <= 3^14
+    for t, holds in ((3**14, True), (3**14 + 1, False)):
+        audit = formulas.audit_term_ratios(3, t)
+        assert [(r.s, r.ell) for r in audit.rows] == [(3, 0)]
+        assert audit.all_steps_ok
+        assert audit.all_final_ok is audit.rows[0].final_ok is holds
+
+
+def test_audit_rows_match_the_fraction_reference():
+    # each row against the bounds written out with Fractions and fresh
+    # binomials, m powers of two or not
+    for m, t in [(3, 2), (5, 3), (6, 5), (12, 7), (16, 16)]:
+        audit = formulas.audit_term_ratios(m, t)
+        cells = [(s, ell) for s in range(3, m + 1) for ell in range(min(s - 2, (m - s) * t) + 1)]
+        assert [(r.s, r.ell) for r in audit.rows] == cells
+        for row in audit.rows:
+            s, ell = row.s, row.ell
+            free = m * t - s * t
+            binoms = comb(m, s) * comb(free, ell) * comb(s * t, (s - 2) - ell)
+            term = binoms * 2 ** (free - ell)
+            assert row.term == term
+            assert row.ratio == Fraction(term, comb(m, 2) << (m * t - 2 * t))
+            plain = Fraction(binoms, 2 ** ((s - 2) * t + ell))
+            assert row.final_ok == (plain**3 * 2 ** (s * t) <= Fraction(m) ** (15 * s))
+            assert row.steps_ok == (
+                comb(m, s) <= m**s
+                and comb(free, ell) <= (m * t) ** s
+                and comb(s * t, (s - 2) - ell) <= (s * t) ** s
+                and 3 * ((s - 2) * t + ell) >= s * t
+            )
+
+
+def test_audit_in_the_papers_full_regime():
+    # (128, 112) is the smallest power-of-two pair with t <= m <= 2^{t/16}
+    audit = formulas.audit_term_ratios(128, 112)
+    assert len(audit.rows) == 7988
+    assert audit.t_le_m and audit.regime_ok
+    assert all(r.steps_ok and r.final_ok for r in audit.rows)
+    assert audit.max_ratio < Fraction(1, 32)
 
 
 def test_generic_dp_agrees_with_closed_forms():

@@ -335,14 +335,13 @@ def test_family_spec_sst_mapping(text):
     tree = build_family(spec)
     assert spec.sst_counts() == levels
     assert tree.n == n
+    assert spec.vertex_count() == n
     if levels is None:
-        assert spec.sst_vertex_count() is None
         want = {"Cat": lambda *ps: caterpillar(ps), "Rand": random_tree}.get(spec.family)
         assert tree == (want(*spec.params) if want else RootedTree([-1]))
     else:
         # the named constructors build through sst_counts as well, so the
         # hand-written levels and an independent generator are the reference
-        assert spec.sst_vertex_count() == n
         assert list(tree.parent) == sst_by_offsets(levels)
     named = {"Tmt1": tmt1, "SST": lambda *ps: sst(ps), "Spider": spider, "Path": path,
              "Star": star, "Cat": lambda *ps: caterpillar(ps), "Rand": random_tree}
