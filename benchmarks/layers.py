@@ -5,10 +5,11 @@ Run from the repository root:
 
     python3 benchmarks/layers.py [--repeat 5]
 
-It regenerates four tables, each case timed best-of-N.  The first two
+It regenerates five tables, each case timed best-of-N.  The first two
 force the module's bounds to each representation; a ratio below 1 means
-the first representation named is faster.  The last two run at each
-candidate value of `intpoly.LEAF_MAX_BITS`.
+the first representation named is faster.  The third swaps how powers
+are taken; the last two run at each candidate value of
+`intpoly.LEAF_MAX_BITS`.
 
 - `indpoly_sst` on packed ints against coefficient lists, for spherically
   symmetric trees on both sides of `indpoly._SST_PACKED_MAX_BITS`.  Each
@@ -19,6 +20,10 @@ candidate value of `intpoly.LEAF_MAX_BITS`.
   vertices: packed with w = ceil(n/8) byte slots, packed with slots from
   the count pass at x = 1, and on lists; plus the rule as shipped.  It is
   the measurement behind `indpoly._SLOTS_FROM_N_MAX_VERTICES`.
+- `indpoly_sst` on spiders and stars, whose powers have bases of degree at
+  most 1, with those powers from the binomial row (`intpoly._linear_power`,
+  as shipped) against `pow` on packed ints and repeated squaring on lists.
+  Spider:404 is the widest spider run packed, Spider:405 runs on lists.
 - One square of 5,162-bit coefficients (reproduce's top-level width) at
   packed sizes 2^20..2^23 bits, under each candidate leaf cap: best
   seconds and the traced (`tracemalloc`) peak of one call.
@@ -68,6 +73,10 @@ SST_CASES = (
     ("T(2^7 1^23)", [2] * 7 + [1] * 23),
 )
 REPRESENTATIONS = (("int", 1 << 62), ("list", 0))
+# (label, per-level child counts) whose powers all have bases of degree <= 1
+SST_POWER_CASES = tuple(("spider t=%d" % t, [t, 1]) for t in (55, 150, 300, 404, 405)) + tuple(
+    ("star t=%d" % t, [t]) for t in (111, 255, 700, 1000)
+)
 
 TREE_SIZES = (26, 32, 40, 48, 64, 80, 96, 112, 120, 128, 136, 144, 160, 192, 224, 256)
 # random trees timed per size, reported per tree
@@ -134,18 +143,23 @@ def best_of(repeat, fn, *args):
     return best
 
 
+def sst_width_bits(counts):
+    """8·w·n, the width indpoly_sst compares with its packed bound."""
+    n = sst(counts).n
+    if n <= indpoly._SLOTS_FROM_N_MAX_VERTICES:
+        count = (1 << n) - 1
+    else:
+        count = sum(indpoly.indpoly_sst(counts).coeffs)
+    return 8 * ((count.bit_length() + 7) >> 3) * n
+
+
 def sst_table(repeat):
     """One row per case: width 8·w·n, best int and list seconds, ratio."""
     saved = indpoly._SST_PACKED_MAX_BITS
     rows = []
     try:
         for label, counts in SST_CASES:
-            n = sst(counts).n
-            if n <= indpoly._SLOTS_FROM_N_MAX_VERTICES:
-                count = (1 << n) - 1
-            else:
-                count = sum(indpoly.indpoly_sst(counts).coeffs)
-            row = {"tree": label, "width_bits": 8 * ((count.bit_length() + 7) >> 3) * n}
+            row = {"tree": label, "width_bits": sst_width_bits(counts)}
             for name, bound in REPRESENTATIONS:
                 indpoly._SST_PACKED_MAX_BITS = bound
                 row[name + "_s"] = best_of(repeat, indpoly.indpoly_sst, counts)
@@ -153,6 +167,53 @@ def sst_table(repeat):
             rows.append(row)
     finally:
         indpoly._SST_PACKED_MAX_BITS = saved
+    return rows
+
+
+def squaring_power(u, e):
+    """Coefficient list u**e for e >= 1 by repeated squaring, the way
+    `intpoly._lpow` takes every base that is not 2 coefficients long."""
+    result = None
+    while e:
+        if e & 1:
+            result = u if result is None else intpoly.convolve(result, u)
+        e >>= 1
+        if e:
+            u = intpoly.convolve(u, u)
+    return result
+
+
+def sst_power_table(repeat):
+    """One row per case: width 8·w·n, whether it runs packed, best seconds
+    with degree-<=1 powers from the binomial row (as shipped) and by pow or
+    repeated squaring, and the ratio."""
+    packed, on_lists = indpoly._packed, indpoly._ON_LISTS
+
+    def packed_by_pow(shift):
+        table = packed(shift)
+        return table[:4] + (pow,) + table[5:]
+
+    arithmetic = {
+        "row": (packed, on_lists),
+        "pow": (packed_by_pow, on_lists[:4] + (squaring_power,) + on_lists[5:]),
+    }
+    rows = []
+    try:
+        for label, counts in SST_POWER_CASES:
+            width = sst_width_bits(counts)
+            row = {"tree": label, "width_bits": width, "packed": width <= indpoly._SST_PACKED_MAX_BITS}
+            best = dict.fromkeys(arithmetic, float("inf"))
+            # the two take turns, so a slow phase of the host hits both alike
+            for _ in range(repeat):
+                for column, (packed_table, list_table) in arithmetic.items():
+                    indpoly._packed, indpoly._ON_LISTS = packed_table, list_table
+                    best[column] = min(best[column], best_of(1, indpoly.indpoly_sst, counts))
+            for column, seconds in best.items():
+                row[column + "_s"] = seconds
+            row["row_over_pow"] = row["row_s"] / row["pow_s"]
+            rows.append(row)
+    finally:
+        indpoly._packed, indpoly._ON_LISTS = packed, on_lists
     return rows
 
 
@@ -285,6 +346,10 @@ def main(argv=None):
         "sst_ints_vs_lists": {
             "bound_bits": indpoly._SST_PACKED_MAX_BITS,
             "rows": sst_table(args.repeat),
+        },
+        "sst_powers": {
+            "bound_bits": indpoly._SST_PACKED_MAX_BITS,
+            "rows": sst_power_table(args.repeat),
         },
         "tree_dp": {
             "slots_from_n_max_vertices": indpoly._SLOTS_FROM_N_MAX_VERTICES,

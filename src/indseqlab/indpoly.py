@@ -40,7 +40,16 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .intpoly import IntPolynomial, _binomial_row, _ladd, _lpow, _unpack_slots, convolve
+from .intpoly import (
+    IntPolynomial,
+    _binomial_row,
+    _ladd,
+    _linear_power,
+    _lpow,
+    _pack_slots,
+    _unpack_slots,
+    convolve,
+)
 from .trees import RootedTree, _level_counts, tree_from_edges
 
 ORACLE_MAX_VERTICES = 22
@@ -104,8 +113,21 @@ _ON_LISTS = ([1], _ladd, _lshift, _lproduct, _lpow, _binomial_row)
 
 def _packed(shift):
     """The DP's arithmetic on ints standing for polynomials evaluated at
-    x = 2**shift, so that times x is a shift; shift 0 counts the sets."""
-    return 1, operator.add, shift.__rlshift__, math.prod, pow, ((1 << shift) + 1).__pow__
+    x = 2**shift, so that times x is a shift; shift 0 counts the sets.
+
+    A power of a base of degree at most 1, one below 2**(2 * shift), is
+    packed from its binomial row; to_bytes raises if a coefficient
+    outgrows its slot.  Other bases, and every base at shift 0, use pow.
+    """
+    low, width = (1 << shift) - 1, shift >> 3
+    linear = 1 << 2 * shift  # the bases a + bx, packed, are those below this
+
+    def power(u, e):
+        if shift and u < linear:
+            return _pack_slots(_linear_power(u & low, u >> shift, e), width)
+        return pow(u, e)
+
+    return 1, operator.add, shift.__rlshift__, math.prod, power, ((1 << shift) + 1).__pow__
 
 
 def _evaluate(tree: RootedTree, arithmetic):

@@ -342,17 +342,34 @@ def mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     return IntPolynomial._raw(convolve(p.coeffs, q.coeffs))
 
 
-def _binomial_row(n):
-    """Coefficients of (1 + x)^n, C(n, 0) .. C(n, n), by the exact
-    recurrence C(n, k+1) = C(n, k) (n-k) / (k+1)."""
-    row = [1]
-    for k in range(n):
-        row.append(row[-1] * (n - k) // (k + 1))
+def _linear_power(a, b, e):
+    """Coefficients of (a + bx)^e for e >= 0, lowest first.
+
+    Each c(k) = C(e, k) a^(e-k) b^k comes from the one before by the exact
+    recurrence c(k+1) = c(k) (e-k) b / ((k+1) a): e steps of one product
+    and one exact quotient in place of squaring polynomials.  A constant
+    base (b = 0) gives the single coefficient a^e.
+    """
+    if not b:
+        return [a**e]
+    if not a:
+        return [0] * e + [b**e]
+    row = [a**e]
+    for k in range(e):
+        row.append(row[-1] * ((e - k) * b) // ((k + 1) * a))
     return row
 
 
+def _binomial_row(n):
+    """Coefficients of (1 + x)^n, C(n, 0) .. C(n, n)."""
+    return _linear_power(1, 1, n)
+
+
 def _lpow(u, e):
-    """Coefficient list u**e for e >= 1, by repeated squaring."""
+    """Coefficient list u**e for e >= 1: from the binomial row for a
+    2-coefficient u, otherwise by repeated squaring."""
+    if len(u) == 2:
+        return _linear_power(u[0], u[1], e)
     while not e & 1:
         u = convolve(u, u)
         e >>= 1

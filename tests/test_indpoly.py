@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from indseqlab import indpoly
+from indseqlab import formulas, indpoly
 from indseqlab.indpoly import (
     independent_set_counts,
     indpoly_forest,
@@ -140,6 +140,51 @@ def test_sst_on_each_side_of_the_packed_bound():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(indpoly, "_SST_PACKED_MAX_BITS", forced)
                 assert indpoly_sst(counts) == want, counts
+
+
+def test_packed_power_matches_pow(monkeypatch):
+    # a base below 2^(2 shift), of degree <= 1, is packed from its binomial
+    # row and others go to pow; both give pow's value while every
+    # coefficient fits its slot, and a row that outgrows its slots raises
+    rows = []
+    linear_power = indpoly._linear_power
+    monkeypatch.setattr(indpoly, "_linear_power", lambda *abe: rows.append(abe) or linear_power(*abe))
+    bases = ([0], [1], [5], [0, 2], [1, 1], [1, 2], [3, 7], [1, 1, 1], [2, 0, 3], [1, 3, 3, 1])
+    for shift in (8, 64, 480):
+        power = indpoly._packed(shift)[4]
+        for coeffs in bases:
+            u = sum(c << (k * shift) for k, c in enumerate(coeffs))
+            linear = len(coeffs) <= 2
+            a, b = (coeffs + [0])[:2]
+            for e in range(10):
+                fits = max(poly_pow(IntPolynomial(coeffs), e).coeffs) < 1 << shift
+                rows.clear()
+                if linear and not fits:
+                    with pytest.raises(OverflowError):
+                        power(u, e)
+                else:
+                    assert power(u, e) == pow(u, e), (shift, coeffs, e)
+                assert rows == ([(a, b, e)] if linear else []), (shift, coeffs, e)
+    # the count pass at x = 1 always takes pow
+    rows.clear()
+    power = indpoly._packed(0)[4]
+    assert all(power(u, e) == pow(u, e) for u in (0, 1, 3) for e in (0, 1, 40)) and not rows
+
+
+def test_spiders_and_stars_across_the_representation_edges(monkeypatch):
+    # spiders of 111 and 113 vertices straddle the slots-from-n bound, and
+    # Spider:404 (packed) and Spider:405 (lists) the packed bound; star(256)
+    # is the tree DP's widest packed star, star(257) and star(301) run there
+    # on lists, and every one of these stars is packed in indpoly_sst
+    unpacked = []
+    unpack = indpoly._unpack
+    monkeypatch.setattr(indpoly, "_unpack", lambda value, w: unpacked.append(w) or unpack(value, w))
+    for t in (1, 55, 56, 300, 404, 405):
+        unpacked.clear()
+        assert indpoly_sst([t, 1]) == formulas.spider_sequence(t), t
+        assert bool(unpacked) == (t <= 404), t
+    for t in (255, 256, 300):
+        assert indpoly_sst([t]) == indpoly_tree(star(t + 1)), t
 
 
 def test_sst_rejects_bad_counts():

@@ -1,10 +1,22 @@
 """Polynomial arithmetic: examples with known values plus randomized laws."""
 
 import random
+from math import comb
 
 import pytest
 
-from indseqlab.intpoly import ONE, X, ZERO, IntPolynomial, add, coeff, mul, poly_pow
+from indseqlab.intpoly import (
+    ONE,
+    X,
+    ZERO,
+    IntPolynomial,
+    _linear_power,
+    add,
+    coeff,
+    convolve,
+    mul,
+    poly_pow,
+)
 
 
 def P(*cs):
@@ -58,6 +70,20 @@ def test_pow_examples():
     assert X**3 == P(0, 0, 0, 1)
     with pytest.raises(ValueError):
         poly_pow(ONE, -1)
+
+
+def test_linear_power_matches_binomial_sum_and_repeated_convolve():
+    # (a + bx)^e against the sum of C(e, k) a^(e-k) b^k x^k and against e
+    # convolutions, zeros and negatives included; a constant base (b = 0)
+    # gives the single coefficient a^e, not a row padded with zeros
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            acc = [1]
+            for e in range(41):
+                want = [comb(e, k) * a ** (e - k) * b**k for k in range(e + 1)]
+                assert acc == want, (a, b, e)
+                assert _linear_power(a, b, e) == (want if b else want[:1]), (a, b, e)
+                acc = convolve(acc, [a, b])
 
 
 def test_coeff_examples():
