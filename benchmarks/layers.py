@@ -5,11 +5,11 @@ Run from the repository root:
 
     python3 benchmarks/layers.py [--repeat 5]
 
-It regenerates five tables, each case timed best-of-N.  The first two
+It regenerates six tables, each case timed best-of-N.  The first two
 force the module's bounds to each representation; a ratio below 1 means
 the first representation named is faster.  The third swaps how powers
-are taken; the last two run at each candidate value of
-`intpoly.LEAF_MAX_BITS`.
+are taken; the next two run at each candidate value of
+`intpoly.LEAF_MAX_BITS`, and the last times `convolve` as shipped.
 
 - `indpoly_sst` on packed ints against coefficient lists, for spherically
   symmetric trees on both sides of `indpoly._SST_PACKED_MAX_BITS`.  Each
@@ -25,12 +25,17 @@ are taken; the last two run at each candidate value of
   as shipped) against `pow` on packed ints and repeated squaring on lists.
   Spider:404 is the widest spider run packed, Spider:405 runs on lists.
 - One square of 5,162-bit coefficients (reproduce's top-level width) at
-  packed sizes 2^20..2^23 bits, under each candidate leaf cap: best
-  seconds and the traced (`tracemalloc`) peak of one call.
+  packed sizes 2^20..2^23 bits, under each candidate leaf cap, with the
+  products between the cap and twice the cap evaluated at +-X (as
+  shipped) and split Karatsuba-style instead: best seconds and the traced
+  (`tracemalloc`) peak of one call for each split.
 - T(2^8 1^27), Tmt1:60,60 and the `reproduce` command under each candidate
   leaf cap, each in a fresh process: best seconds and the process's peak
   RSS.  With the square table, it is the measurement behind
   `intpoly.LEAF_MAX_BITS`.
+- `convolve` on two operands of 16..4,096 coefficients of 64, 1,024 and
+  5,162 bits: best seconds, and the kernel paths the product enters, in
+  the order first entered.
 
 Prints one JSON object with the environment, the git revision, N and the
 rows.
@@ -111,6 +116,12 @@ CAP_JOBS = {
     "Tmt1:60,60": lambda: indpoly.indpoly_sst([60, 60, 1]),
     "reproduce": lambda: cli.main(["reproduce"]),
 }
+
+# the convolution grid: coefficient counts and bits of both operands
+GRID_COUNTS = (16, 64, 256, 1024, 4096)
+GRID_BITS = (64, 1024, 5162)
+# the kernel's multiplication paths, spied on by name
+KERNEL_PATHS = ("_schoolbook", "_kronecker_binary", "_kronecker_decimal", "_kronecker_two_point", "_karatsuba")
 
 
 def cpu_model():
@@ -253,12 +264,32 @@ def tree_dp_table(repeat):
     return rows
 
 
+def traced_peak_mb(fn, *args):
+    """The traced (`tracemalloc`) peak of one call in MB, above what was
+    allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def karatsuba_split(a, b, slot):
+    """Stands in for `intpoly._kronecker_two_point`: every product past the
+    leaf cap splits Karatsuba-style, as before the two-point path."""
+    return intpoly._karatsuba(a, b)
+
+
 def square_table(repeat):
-    """One row per packed size and leaf cap: best seconds of one square and
-    its traced peak in MB."""
+    """One row per packed size and leaf cap: for each split of the products
+    between the cap and twice it, best seconds of one square and its traced
+    peak in MB, and the ratio of the two times."""
     bits = SQUARE_COEFF_BITS
     rng = random.Random(bits)
-    saved = intpoly.LEAF_MAX_BITS
+    saved = intpoly.LEAF_MAX_BITS, intpoly._kronecker_two_point
+    forced = {"karatsuba": karatsuba_split, "two_point": saved[1]}
     rows = []
     try:
         for size in SQUARE_SIZES:
@@ -267,21 +298,21 @@ def square_table(repeat):
             a = [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(count)]
             for cap in LEAF_CAPS:
                 intpoly.LEAF_MAX_BITS = cap
-                tracemalloc.start()
-                base = tracemalloc.get_traced_memory()[0]
-                intpoly.convolve(a, a)
-                peak = tracemalloc.get_traced_memory()[1] - base
-                tracemalloc.stop()
-                rows.append(
-                    {
-                        "packed_bits": count * (2 * bits + count.bit_length()),
-                        "leaf_cap_bits": cap,
-                        "s": best_of(repeat, intpoly.convolve, a, a),
-                        "traced_peak_mb": peak / 1e6,
-                    }
-                )
+                row = {"packed_bits": count * (2 * bits + count.bit_length()), "leaf_cap_bits": cap}
+                best = dict.fromkeys(forced, float("inf"))
+                # the splits take turns, so a slow phase of the host hits both alike
+                for _ in range(repeat):
+                    for split, kernel in forced.items():
+                        intpoly._kronecker_two_point = kernel
+                        best[split] = min(best[split], best_of(1, intpoly.convolve, a, a))
+                for split, kernel in forced.items():
+                    intpoly._kronecker_two_point = kernel
+                    row[split + "_s"] = best[split]
+                    row[split + "_peak_mb"] = traced_peak_mb(intpoly.convolve, a, a)
+                row["two_point_over_karatsuba"] = row["two_point_s"] / row["karatsuba_s"]
+                rows.append(row)
     finally:
-        intpoly.LEAF_MAX_BITS = saved
+        intpoly.LEAF_MAX_BITS, intpoly._kronecker_two_point = saved
     return rows
 
 
@@ -317,6 +348,50 @@ def cap_table(repeat):
             argv += ["--cap-job", label, str(cap)]
             out = subprocess.run(argv, capture_output=True, text=True, check=True)
             rows.append(json.loads(out.stdout))
+    return rows
+
+
+def paths_entered(fn, *args):
+    """The kernel paths of KERNEL_PATHS one call enters, in the order first
+    entered."""
+    saved = {name: getattr(intpoly, name) for name in KERNEL_PATHS}
+    entered = []
+
+    def spy(name, inner):
+        def path(*args):
+            if name not in entered:
+                entered.append(name)
+            return inner(*args)
+
+        return path
+
+    try:
+        for name, inner in saved.items():
+            setattr(intpoly, name, spy(name, inner))
+        fn(*args)
+    finally:
+        for name, inner in saved.items():
+            setattr(intpoly, name, inner)
+    return entered
+
+
+def convolution_grid(repeat):
+    """One row per coefficient count and bits: best seconds of `convolve` on
+    two distinct operands of that shape, as shipped, and the paths it
+    enters."""
+    rows = []
+    for bits in GRID_BITS:
+        rng = random.Random(bits)
+        for count in GRID_COUNTS:
+            a, b = ([rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(count)] for _ in range(2))
+            rows.append(
+                {
+                    "count": count,
+                    "bits": bits,
+                    "s": best_of(repeat, intpoly.convolve, a, b),
+                    "paths": paths_entered(intpoly.convolve, a, b),
+                }
+            )
     return rows
 
 
@@ -364,6 +439,10 @@ def main(argv=None):
         "leaf_cap_jobs": {
             "leaf_max_bits": intpoly.LEAF_MAX_BITS,
             "rows": cap_table(args.repeat),
+        },
+        "convolution_grid": {
+            "leaf_max_bits": intpoly.LEAF_MAX_BITS,
+            "rows": convolution_grid(args.repeat),
         },
     }
     json.dump(report, sys.stdout, indent=1)

@@ -14,10 +14,18 @@ multiplied, and the product is cut back into slots.  A slot is wide
 enough that no product coefficient carries into the next one.  Small
 packings multiply as CPython ints; large ones as `decimal.Decimal`,
 whose libmpdec backend multiplies huge operands by a number-theoretic
-transform.  Operands past a fixed size (LEAF_MAX_BITS) split
-Karatsuba-style first, which bounds the transform's working memory.  A
-Decimal leaf drops each of its buffers once the next one exists and turns
-the product into digits in two halves, so its peak memory is the product
+transform.  A fixed size, LEAF_MAX_BITS, bounds the transform's working
+memory, and three rules cover the Decimal range:
+
+- up to LEAF_MAX_BITS, one point: the operands are packed at 10**D, for
+  slots of D digits, and multiplied once;
+- up to twice that, two points: each operand is packed at +X and -X,
+  X = 10**ceil(D/2), each half the size, and the two products of half-size
+  operands give the even and the odd product coefficients;
+- past twice that, the operands split Karatsuba-style first.
+
+Each Decimal product drops its buffers once the next one exists and turns
+its result into digits in two halves, so its peak memory is the product
 and the transform, and no more.
 """
 
@@ -36,11 +44,12 @@ BINARY_MAX_BITS = 1 << 18
 # (about 14,000 bits), and unpacking through Decimal instead costs more
 # than the transform saves.
 DECIMAL_MAX_SLOT_BITS = 13_000
-# Packed operands past this many bits split Karatsuba-style; this caps the
-# transform buffers libmpdec allocates for one product.  Measured
-# (benchmarks/layers.py, BENCH_9.json "layers"), 2**22 runs reproduce,
+# Packed operands past this many bits are evaluated at two points, and past
+# twice it split Karatsuba-style; this caps the transform buffers libmpdec
+# allocates for one product.  Measured with one-point leaves and Karatsuba
+# (benchmarks/layers.py, BENCH_9.json "layers"), 2**22 ran reproduce,
 # T(2^8 1^27) and Tmt1:60,60 26-29% faster than 2**21 for 5% more peak
-# RSS; 2**23 is another 23-28% faster for 11% more again.
+# RSS; 2**23 was another 23-28% faster for 11% more again.
 LEAF_MAX_BITS = 1 << 22
 
 # Exact products only: any rounding raises instead of losing digits.  A
@@ -136,6 +145,8 @@ def _convolve_nonneg(a, b):
     slot = max(a).bit_length() + max(b).bit_length() + min(na, nb).bit_length()
     packed = slot * max(na, nb)
     if packed > LEAF_MAX_BITS:
+        if packed <= 2 * LEAF_MAX_BITS and slot <= DECIMAL_MAX_SLOT_BITS:
+            return _kronecker_two_point(a, b, slot)
         return _karatsuba(a, b)
     if packed > BINARY_MAX_BITS and slot <= DECIMAL_MAX_SLOT_BITS:
         return _kronecker_decimal(a, b, slot)
@@ -186,45 +197,98 @@ def _kronecker_binary(a, b, slot):
     return _unpack_slots(x * y, width, len(a) + len(b) - 1)
 
 
+def _decimal_width(slot):
+    """Decimal digits per slot of `slot` bits: 10**width > 2**slot."""
+    return slot * 30103 // 100000 + 1
+
+
+def _digit_limit_below(width):
+    # Slots of up to DECIMAL_MAX_SLOT_BITS bits fit int() and str() under the
+    # default digit limit.  A limit lowered below the slot sends the product
+    # to ints (0 is no limit, and Pythons before 3.10.7 have none).
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    return 0 < limit < width
+
+
+def _decimal_pack(coeffs, width, exponent=0):
+    """The Decimal holding nonnegative coefficients, lowest first, one per
+    width-digit slot, times 10**exponent."""
+    # one format call writes the digit string, with no list of pieces
+    return Decimal(("%%0%dd" % width * len(coeffs) + "E%d" % exponent) % tuple(reversed(coeffs)))
+
+
 def _kronecker_decimal(a, b, slot):
     # Digit strings, not ints, cross between the two number types: int <->
     # Decimal conversion of a packed operand takes time quadratic in its size.
     # Each buffer is dropped once the next one exists, so the leaf's peak
     # memory is the product and libmpdec's transform.
-    width = slot * 30103 // 100000 + 1  # decimal digits; 10**width > 2**slot
-    # Slots of up to DECIMAL_MAX_SLOT_BITS bits fit int() and str() under the
-    # default digit limit.  A limit lowered below the slot sends the product
-    # to ints (0 is no limit, and Pythons before 3.10.7 have none).
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if 0 < limit < width:
+    width = _decimal_width(slot)
+    if _digit_limit_below(width):
         return _kronecker_binary(a, b, slot)
-    pad = "%%0%dd" % width
-
-    def pack(u):
-        # one format call writes the digit string, with no list of pieces
-        return Decimal((pad * len(u)) % tuple(reversed(u)))
-
-    x = pack(a)
-    y = x if b is a else pack(b)
-    product = _EXACT.multiply(x, y)
+    x = _decimal_pack(a, width)
+    y = x if b is a else _decimal_pack(b, width)
+    product = [_EXACT.multiply(x, y)]  # boxed for _decimal_slots
     del x, y
-    # str() holds two copies of a Decimal's digits at once, so the product
-    # goes to digits in two halves, split at a slot boundary; shift() keeps
-    # as many low digits as its context's precision
+    return _decimal_slots(product, width, len(a) + len(b) - 1)
+
+
+def _kronecker_two_point(a, b, slot):
+    # Two-point Kronecker substitution (Harvey 2009): with the leaf's slot
+    # of D digits, d = ceil(D/2) and X = 10**d, an operand a(x) = E(x^2) +
+    # x O(x^2) gives a(+-X) = E(X^2) +- X O(X^2), each about half the
+    # leaf's packing.  With U = a(X) b(X) and V = a(-X) b(-X),
+    # (U - V)/2 = X C_odd(X^2) and U - (U - V)/2 = C_even(X^2), where the
+    # product c = C_even(x^2) + x C_odd(x^2) has every coefficient below
+    # 10**D <= X^2: two half-size multiplies where Karatsuba takes three.
+    d = (_decimal_width(slot) + 1) >> 1
+    width = 2 * d
+    if _digit_limit_below(width):
+        return _kronecker_binary(a, b, slot)
+
+    def at_plus_minus_x(coeffs):
+        even = _decimal_pack(coeffs[0::2], width)
+        odd = _decimal_pack(coeffs[1::2], width, d)
+        return _EXACT.add(even, odd), _EXACT.subtract(even, odd)
+
+    ap, am = at_plus_minus_x(a)
+    bp, bm = (ap, am) if b is a else at_plus_minus_x(b)
+    u = _EXACT.multiply(ap, bp)
+    del ap, bp
+    v = _EXACT.multiply(am, bm)
+    del am, bm
+    odd = [_EXACT.divide(_EXACT.subtract(u, v), 2)]  # X C_odd(X^2)
+    even = [_EXACT.subtract(u, odd[0])]  # (U + V)/2 = C_even(X^2)
+    del u, v
     n = len(a) + len(b) - 1
-    half = n >> 1
-    high = product.shift(-half * width, _EXACT)
-    low = product.shift(0, decimal.Context(prec=half * width))
-    del product
-    out = _decimal_slots(low, width, half)
+    out = [0] * n
+    out[0::2] = _decimal_slots(even, width, (n + 1) >> 1)
+    out[1::2] = _decimal_slots(odd, width, n >> 1, d)
+    return out
+
+
+def _decimal_slots(box, width, count, skip=0):
+    """The `count` slots of `width` digits above the lowest `skip` digits of
+    a nonnegative integral Decimal, lowest first.
+
+    `box` is a one-item list holding the Decimal; it is taken out, so that
+    it is dropped as soon as it is split.  str() holds two copies of a
+    Decimal's digits at once, so the value goes to digits in two halves,
+    split at a slot boundary; shift() keeps as many low digits as its
+    context's precision.
+    """
+    value = box.pop()
+    half = count >> 1
+    high = value.shift(-(skip + half * width), _EXACT)
+    low = value.shift(-skip, decimal.Context(prec=skip + half * width))
+    del value
+    out = _digit_slots(str(low), width, half)
     del low
-    return out + _decimal_slots(high, width, n - half)
+    return out + _digit_slots(str(high), width, count - half)
 
 
-def _decimal_slots(value, width, count):
-    """The lowest `count` slots of `width` digits of a nonnegative integral
-    Decimal, lowest first."""
-    digits = str(value)
+def _digit_slots(digits, width, count):
+    """The lowest `count` slots of `width` digits of a digit string, lowest
+    first."""
     # no leading zeros: only the top slot may be short, and those above are 0
     out = [int(digits[max(i - width, 0) : i]) for i in range(len(digits), 0, -width)]
     out += repeat(0, count - len(out))

@@ -50,7 +50,7 @@ def test_py_convolve_empty_and_singleton():
 def paths_taken(monkeypatch):
     """Names of the multiplication paths the kernel entered."""
     taken = set()
-    for name in ("_schoolbook", "_kronecker_binary", "_kronecker_decimal", "_karatsuba"):
+    for name in ("_schoolbook", "_kronecker_binary", "_kronecker_decimal", "_kronecker_two_point", "_karatsuba"):
         inner = getattr(intpoly, name)
 
         def spy(*args, _inner=inner, _name=name):
@@ -62,14 +62,17 @@ def paths_taken(monkeypatch):
 
 
 # (paths entered, coefficient count, coefficient bits, leaf cap).  Binary
-# packs up to 2^18 bits per operand and decimal up to the leaf cap; past
-# the cap the product splits Karatsuba-style down to packed leaves.
+# packs up to 2^18 bits per operand and decimal up to the leaf cap; up to
+# twice the cap the product is evaluated at +-X, and past that it splits
+# Karatsuba-style first.  300 x 303 coefficients of 1,000 bits pack into
+# 608,727 bits.
 PATH_SIZES = [
     ({"_schoolbook"}, intpoly.SCHOOLBOOK_MAX, 300, None),
     ({"_kronecker_binary"}, 60, 64, None),
     ({"_kronecker_binary"}, 30, 9000, None),  # slots too wide for decimal
     ({"_kronecker_decimal"}, 300, 1000, None),
-    ({"_karatsuba", "_kronecker_decimal"}, 300, 1000, 1 << 19),
+    ({"_kronecker_two_point"}, 300, 1000, 1 << 19),
+    ({"_karatsuba", "_kronecker_two_point"}, 300, 1000, 1 << 18),
 ]
 
 
@@ -147,9 +150,42 @@ def test_decimal_leaf_matches_naive():
     assert intpoly._kronecker_decimal(a, b, 100) == naive_convolve(a, b)
 
 
+def test_two_point_matches_naive():
+    rng = random.Random(15)
+    dense = random_coeffs(rng, 41, 700, signed=False)
+    cases = [
+        (dense, dense),  # a square of odd length
+        (dense[:40], dense[:40]),  # a square of even length
+        (dense, dense[:40]),  # odd against even
+        (dense[:40], random_coeffs(rng, 35, 500, signed=False)),  # even against odd
+        ([0] + dense[1:], [0] + dense[1:]),  # zero first coefficients
+        (dense[:-1] + [0], dense[:30] + [0]),  # zero last coefficients
+        ([0] + dense[1:-1] + [0], [0] + dense[1:-1] + [0]),
+        (dense[:9], random_coeffs(rng, 300, 50, signed=False)),  # 9 against 300
+        (random_coeffs(rng, 300, 50, signed=False), dense[:9]),
+        ([1] * 30, random_coeffs(rng, 31, 3000, signed=False)),  # 1 against 3,000 bits
+        ([rng.getrandbits(3000) for _ in range(30)], [1, 0] * 15),
+        ([(1 << 700) - 1] * 41, [(1 << 700) - 1] * 41),  # the largest coefficients the slot allows
+        ([0] * 12, dense),  # an all-zero operand
+    ]
+    for a, b in cases:
+        want = naive_convolve(a, b)
+        assert intpoly._kronecker_two_point(a, b, leaf_slot(a, b)) == want
+    # slots of an even and an odd digit count, so that 2d is D and D + 1
+    widths = {slot_digits(leaf_slot(a, b)) % 2 for a, b in cases}
+    assert widths == {0, 1}
+    # a top coefficient of exactly D digits, as in the leaf's test: 10**30
+    # in slots of D = 31 digits, so 2d = 32
+    a = [1] * 9 + [10**15]
+    assert intpoly._kronecker_two_point(a, a, 100) == naive_convolve(a, a)
+    b = [7] * 12 + [10**15]
+    assert intpoly._kronecker_two_point(a, b, 100) == naive_convolve(a, b)
+
+
 def test_small_decimal_leaves_match_naive(monkeypatch, paths_taken):
-    # every packed product goes Decimal, and products past 2**12 bits split
-    # Karatsuba-style first, so the small operands here take both paths
+    # every packed product goes Decimal; products past 2**12 bits are
+    # evaluated at +-X, and past 2**13 split Karatsuba-style first, so the
+    # small operands here take all three paths
     monkeypatch.setattr(intpoly, "BINARY_MAX_BITS", 0)
     monkeypatch.setattr(intpoly, "LEAF_MAX_BITS", 1 << 12)
     rng = random.Random(12)
@@ -167,7 +203,7 @@ def test_small_decimal_leaves_match_naive(monkeypatch, paths_taken):
         want = naive_convolve(x, y)
         assert convolve(x, y) == want
         assert convolve(y, x) == want
-    assert {"_karatsuba", "_kronecker_decimal"} <= paths_taken
+    assert {"_karatsuba", "_kronecker_decimal", "_kronecker_two_point"} <= paths_taken
     assert "_kronecker_binary" not in paths_taken
 
 
@@ -206,6 +242,28 @@ def test_decimal_leaf_under_a_lowered_digit_limit(paths_taken):
     assert paths_taken == {"_kronecker_decimal", "_kronecker_binary"}
 
 
+@needs_digit_limit
+@pytest.mark.parametrize("limit", [640, 1507])
+def test_two_point_under_a_lowered_digit_limit(monkeypatch, paths_taken, limit):
+    # 61 slots of 5,006 bits pack into 305,366 bits, between a lowered
+    # cap of 2^18 and twice it.  The slot has D = 1,507 digits, so the
+    # two-point slots have 2d = 1,508: past a limit of 640 digits, and past
+    # one of exactly D, which a one-point leaf would still take.  The
+    # product then multiplies as ints, as the leaf does.
+    monkeypatch.setattr(intpoly, "LEAF_MAX_BITS", 1 << 18)
+    rng = random.Random(16)
+    a = [rng.getrandbits(2500) | 1 << 2499 for _ in range(60)]
+    b = [rng.getrandbits(2500) | 1 << 2499 for _ in range(61)]
+    assert slot_digits(leaf_slot(a, b)) == 1507
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert convolve(a, b) == naive_convolve(a, b)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert paths_taken == {"_kronecker_two_point", "_kronecker_binary"}
+
+
 def test_decimal_leaf_peak_memory():
     # One square of 200 coefficients of 5,162 bits, reproduce's top-level
     # width.  Its traced peak, measured 7.1x the packed operand, is the
@@ -223,6 +281,24 @@ def test_decimal_leaf_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 7.5 * (200 * slot / 8)
+
+
+def test_two_point_peak_memory():
+    # One square of 420 coefficients of 5,162 bits, just past the leaf cap,
+    # so convolve evaluates it at +-X.  Its traced peak, measured 6.3x the
+    # packed operand, stays under the one-point leaf's bound.
+    rng = random.Random(420)
+    a = [rng.getrandbits(5162) | 1 << 5161 for _ in range(420)]
+    slot = leaf_slot(a, a)
+    assert intpoly.LEAF_MAX_BITS < 420 * slot <= 2 * intpoly.LEAF_MAX_BITS
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        intpoly._kronecker_two_point(a, a, slot)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * (420 * slot / 8)
 
 
 def random_graph_masks(rng, n, p):

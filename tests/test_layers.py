@@ -1,11 +1,12 @@
 """Smoke test of benchmarks/layers.py, which forces indpoly's bounds and
-arithmetic tables by name: its SST, SST-power and tree-DP tables run on
-one small case each."""
+arithmetic tables and intpoly's leaf cap and paths by name: its SST,
+SST-power, tree-DP, leaf-square and convolution-grid tables run on one
+small case each."""
 
 import importlib.util
 import os
 
-from indseqlab import indpoly
+from indseqlab import indpoly, intpoly
 
 SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks", "layers.py")
 
@@ -20,8 +21,16 @@ def test_layer_tables_run(monkeypatch):
     monkeypatch.setattr(layers, "TREE_SHAPES", [s for s in layers.TREE_SHAPES if s[0] == "Star"])
     monkeypatch.setattr(layers, "TREE_SIZES", (26,))
     monkeypatch.setattr(layers, "TREE_CALLS", 1)
+    # one square of 101 coefficients, 1,043,431 packed bits, between a cap
+    # of 2^19 and twice it, so that the two splits differ
+    monkeypatch.setattr(layers, "SQUARE_SIZES", (1 << 20,))
+    monkeypatch.setattr(layers, "LEAF_CAPS", (1 << 19,))
+    monkeypatch.setattr(layers, "GRID_COUNTS", (64,))
+    monkeypatch.setattr(layers, "GRID_BITS", (64,))
     names = ("_SST_PACKED_MAX_BITS", "_SLOTS_FROM_N_MAX_VERTICES", "_PACKED_MAX_BITS", "_packed", "_ON_LISTS")
     bounds = [getattr(indpoly, name) for name in names]
+    kernel_names = ("LEAF_MAX_BITS",) + layers.KERNEL_PATHS
+    kernel = [getattr(intpoly, name) for name in kernel_names]
     (row,) = layers.sst_table(1)
     assert row["tree"] == layers.SST_CASES[0][0] and row["int_s"] > 0 and row["list_s"] > 0
     (row,) = layers.sst_power_table(1)
@@ -29,5 +38,11 @@ def test_layer_tables_run(monkeypatch):
     (row,) = layers.tree_dp_table(1)
     assert row["tree"] == "Star" and row["n"] == 26
     assert all(row[column + "_s"] > 0 for column, *_ in layers.TREE_MODES)
-    # the tables put back the bounds and arithmetic they force
+    (row,) = layers.square_table(1)
+    assert row["packed_bits"] == 1043431 and row["leaf_cap_bits"] == 1 << 19
+    assert all(row[split + "_s"] > 0 and row[split + "_peak_mb"] > 0 for split in ("karatsuba", "two_point"))
+    (row,) = layers.convolution_grid(1)
+    assert (row["count"], row["bits"], row["paths"]) == (64, 64, ["_kronecker_binary"]) and row["s"] > 0
+    # the tables put back the bounds, arithmetic and paths they force
     assert [getattr(indpoly, name) for name in names] == bounds
+    assert [getattr(intpoly, name) for name in kernel_names] == kernel
