@@ -5,25 +5,19 @@ Run from the repository root:
 
     python3 benchmarks/layers.py [--repeat 5]
 
-It regenerates six tables, each case timed best-of-N.  The first two
-force the module's bounds to each representation; a ratio below 1 means
-the first representation named is faster.  The third swaps how powers
-are taken; the next two run at each candidate value of
+It regenerates five tables, each case timed best-of-N.  The first forces
+the module's bounds to each representation; a ratio below 1 means the
+first representation named is faster.  The second swaps how powers are
+taken; the next two run at each candidate value of
 `intpoly.LEAF_MAX_BITS`, and the last times `convolve` as shipped.
 
-- `indpoly_sst` on packed ints against coefficient lists, for spherically
-  symmetric trees on both sides of `indpoly._SST_PACKED_MAX_BITS`.  Each
-  row's `width_bits` is 8·w·n, the width the rule compares with that
-  bound: n vertices in w-byte slots, w from n up to
-  `indpoly._SLOTS_FROM_N_MAX_VERTICES` vertices and from i(T) past it.
 - `indpoly_tree` on Rand, Path, Cat, Spider and Star trees of n = 26..256
   vertices: packed with w = ceil(n/8) byte slots, packed with slots from
   the count pass at x = 1, and on lists; plus the rule as shipped.  It is
   the measurement behind `indpoly._SLOTS_FROM_N_MAX_VERTICES`.
 - `indpoly_sst` on spiders and stars, whose powers have bases of degree at
   most 1, with those powers from the binomial row (`intpoly._linear_power`,
-  as shipped) against `pow` on packed ints and repeated squaring on lists.
-  Spider:404 is the widest spider run packed, Spider:405 runs on lists.
+  as shipped) against repeated squaring, both on coefficient lists.
 - One square of 5,162-bit coefficients (reproduce's top-level width) at
   packed sizes 2^20..2^23 bits, under each candidate leaf cap, with the
   products between the cap and twice the cap evaluated at +-X (as
@@ -61,23 +55,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from indseqlab import cli, indpoly, intpoly  # noqa: E402
 from indseqlab.rng import derive_seed  # noqa: E402
-from indseqlab.trees import caterpillar, path, random_tree, spider, sst, star  # noqa: E402
+from indseqlab.trees import caterpillar, path, random_tree, spider, star  # noqa: E402
 
-# (label, per-level child counts), ordered by packed width
-SST_CASES = (
-    ("spider t=50", [50, 1]),
-    ("T(2^4 1^9)", [2] * 4 + [1] * 9),
-    ("[12,8,1]", [12, 8, 1]),
-    ("T(2^5 1^15)", [2] * 5 + [1] * 15),
-    ("spider t=300", [300, 1]),
-    ("spider t=400", [400, 1]),
-    ("[20,20,1]", [20, 20, 1]),
-    ("path of 1000", [1] * 999),
-    ("T(2^6 1^17)", [2] * 6 + [1] * 17),
-    ("[30,30,1]", [30, 30, 1]),
-    ("T(2^7 1^23)", [2] * 7 + [1] * 23),
-)
-REPRESENTATIONS = (("int", 1 << 62), ("list", 0))
 # (label, per-level child counts) whose powers all have bases of degree <= 1
 SST_POWER_CASES = tuple(("spider t=%d" % t, [t, 1]) for t in (55, 150, 300, 404, 405)) + tuple(
     ("star t=%d" % t, [t]) for t in (111, 255, 700, 1000)
@@ -154,33 +133,6 @@ def best_of(repeat, fn, *args):
     return best
 
 
-def sst_width_bits(counts):
-    """8·w·n, the width indpoly_sst compares with its packed bound."""
-    n = sst(counts).n
-    if n <= indpoly._SLOTS_FROM_N_MAX_VERTICES:
-        count = (1 << n) - 1
-    else:
-        count = sum(indpoly.indpoly_sst(counts).coeffs)
-    return 8 * ((count.bit_length() + 7) >> 3) * n
-
-
-def sst_table(repeat):
-    """One row per case: width 8·w·n, best int and list seconds, ratio."""
-    saved = indpoly._SST_PACKED_MAX_BITS
-    rows = []
-    try:
-        for label, counts in SST_CASES:
-            row = {"tree": label, "width_bits": sst_width_bits(counts)}
-            for name, bound in REPRESENTATIONS:
-                indpoly._SST_PACKED_MAX_BITS = bound
-                row[name + "_s"] = best_of(repeat, indpoly.indpoly_sst, counts)
-            row["int_over_list"] = row["int_s"] / row["list_s"]
-            rows.append(row)
-    finally:
-        indpoly._SST_PACKED_MAX_BITS = saved
-    return rows
-
-
 def squaring_power(u, e):
     """Coefficient list u**e for e >= 1 by repeated squaring, the way
     `intpoly._lpow` takes every base that is not 2 coefficients long."""
@@ -195,36 +147,26 @@ def squaring_power(u, e):
 
 
 def sst_power_table(repeat):
-    """One row per case: width 8·w·n, whether it runs packed, best seconds
-    with degree-<=1 powers from the binomial row (as shipped) and by pow or
-    repeated squaring, and the ratio."""
-    packed, on_lists = indpoly._packed, indpoly._ON_LISTS
-
-    def packed_by_pow(shift):
-        table = packed(shift)
-        return table[:4] + (pow,) + table[5:]
-
-    arithmetic = {
-        "row": (packed, on_lists),
-        "pow": (packed_by_pow, on_lists[:4] + (squaring_power,) + on_lists[5:]),
-    }
+    """One row per case: best seconds with degree-<=1 powers from the
+    binomial row (as shipped) and by repeated squaring, and the ratio."""
+    lpow = indpoly._lpow
+    powers = {"row": lpow, "squaring": squaring_power}
     rows = []
     try:
         for label, counts in SST_POWER_CASES:
-            width = sst_width_bits(counts)
-            row = {"tree": label, "width_bits": width, "packed": width <= indpoly._SST_PACKED_MAX_BITS}
-            best = dict.fromkeys(arithmetic, float("inf"))
+            row = {"tree": label}
+            best = dict.fromkeys(powers, float("inf"))
             # the two take turns, so a slow phase of the host hits both alike
             for _ in range(repeat):
-                for column, (packed_table, list_table) in arithmetic.items():
-                    indpoly._packed, indpoly._ON_LISTS = packed_table, list_table
+                for column, power in powers.items():
+                    indpoly._lpow = power
                     best[column] = min(best[column], best_of(1, indpoly.indpoly_sst, counts))
             for column, seconds in best.items():
                 row[column + "_s"] = seconds
-            row["row_over_pow"] = row["row_s"] / row["pow_s"]
+            row["row_over_squaring"] = row["row_s"] / row["squaring_s"]
             rows.append(row)
     finally:
-        indpoly._packed, indpoly._ON_LISTS = packed, on_lists
+        indpoly._lpow = lpow
     return rows
 
 
@@ -418,14 +360,7 @@ def main(argv=None):
             "cpus": os.cpu_count(),
         },
         "repeat": args.repeat,
-        "sst_ints_vs_lists": {
-            "bound_bits": indpoly._SST_PACKED_MAX_BITS,
-            "rows": sst_table(args.repeat),
-        },
-        "sst_powers": {
-            "bound_bits": indpoly._SST_PACKED_MAX_BITS,
-            "rows": sst_power_table(args.repeat),
-        },
+        "sst_powers": {"rows": sst_power_table(args.repeat)},
         "tree_dp": {
             "slots_from_n_max_vertices": indpoly._SLOTS_FROM_N_MAX_VERTICES,
             "packed_max_bits": indpoly._PACKED_MAX_BITS,

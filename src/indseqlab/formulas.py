@@ -13,12 +13,12 @@ appears only in the ratios the audit reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 
 from .indpoly import indpoly_sst
-from .intpoly import IntPolynomial, _binomial_row, poly_pow
+from .intpoly import IntPolynomial, _binomial_row, int_to_str, poly_pow
 from .seqcheck import lc_breaks
 
 
@@ -198,6 +198,20 @@ def break_sufficient(m: int, t: int) -> bool:
 # -- term-ratio audit for the dominance argument ------------------------------
 
 
+def _audit_repr(self):
+    """The dataclass repr, with ints and Fractions of any size written
+    through int_to_str: repr() refuses ints past the int/str digit limit,
+    and the terms and ratios of a paper-scale audit pass it."""
+
+    def shown(value):
+        if isinstance(value, Fraction):
+            return "Fraction(%s, %s)" % (int_to_str(value.numerator), int_to_str(value.denominator))
+        return int_to_str(value) if isinstance(value, int) else repr(value)
+
+    values = ("%s=%s" % (f.name, shown(getattr(self, f.name))) for f in fields(self))
+    return "%s(%s)" % (type(self).__qualname__, ", ".join(values))
+
+
 @dataclass(frozen=True)
 class RatioRow:
     """One (s, l) term of the size-(mt+2) enumeration, compared against the
@@ -222,6 +236,8 @@ class RatioRow:
     steps_ok: bool
     final_ok: bool
 
+    __repr__ = _audit_repr
+
 
 @dataclass(frozen=True)
 class RatioAudit:
@@ -236,6 +252,8 @@ class RatioAudit:
     all_final_ok: bool
     t_le_m: bool
     regime_ok: bool  # m <= 2^{t/16}, checked exactly as m^16 <= 2^t
+
+    __repr__ = _audit_repr
 
 
 def audit_term_ratios(m: int, t: int) -> RatioAudit:

@@ -8,28 +8,27 @@ The generic route is the DP carrying per-vertex pairs (in, out) =
 
 with the tree's polynomial being in(root) + out(root).  Spherically
 symmetric trees get a per-level fast path, indpoly_sst, that never
-materializes the tree.
+materializes the tree and runs on coefficient lists.
 
-Both DPs run on plain ints by one width rule, _represented.  Every
-coefficient a DP ever holds counts the independent sets of some subforest
-of the tree T, so none exceeds i(T) = I(T; 1).  Slots of w bytes with
-2**(8w) > i(T) therefore never carry, and the DP evaluated at x = 2**(8w)
-holds each polynomial packed one coefficient per slot (Kronecker
-substitution over the whole tree); the root's pair is unpacked once.  A
-tree on n vertices has i(T) <= 2**(n-1) + 1 < 2**n (the star attains it),
-so w = ceil(n/8) is safe without counting; trees on at most
+The tree DP runs on plain ints by one width rule, in _root_pair.  Every
+coefficient the DP ever holds counts the independent sets of some
+subforest of the tree T, so none exceeds i(T) = I(T; 1).  Slots of w bytes
+with 2**(8w) > i(T) therefore never carry, and the DP evaluated at
+x = 2**(8w) holds each polynomial packed one coefficient per slot
+(Kronecker substitution over the whole tree); the root's pair is unpacked
+once.  A tree on n vertices has i(T) <= 2**(n-1) + 1 < 2**n (the star
+attains it), so w = ceil(n/8) is safe without counting; trees on at most
 _SLOTS_FROM_N_MAX_VERTICES vertices take that width.  Wider slots cost
 more on larger trees, so those take w = ceil(bits(i(T)) / 8) from one pass
 of the same DP at x = 1, which gives i(T) exactly.  Packed, a subtree's
 polynomial spans its degree times 8w bits however small its own
 coefficients are, and the root's products run at CPython's Karatsuba
-speed; so a tree whose width 8wn exceeds the DP's bound, the measured
-crossover (_PACKED_MAX_BITS for the tree DP, _SST_PACKED_MAX_BITS for the
-fast path), runs the same DP on coefficient lists instead, whose products
-`intpoly.convolve` packs one at a time with slots fitted to the operands.
-A tree that runs on lists even in one-byte slots needs no width and skips
-the count.  A subset-sweep oracle (shared code with nothing else) provides
-an independent cross-check up to 22 vertices.
+speed; so a tree whose width 8wn exceeds the measured crossover
+_PACKED_MAX_BITS runs the same DP on coefficient lists instead, whose
+products `intpoly.convolve` packs one at a time with slots fitted to the
+operands.  A tree that runs on lists even in one-byte slots needs no width
+and skips the count.  A subset-sweep oracle (shared code with nothing
+else) provides an independent cross-check up to 22 vertices.
 """
 
 from __future__ import annotations
@@ -44,9 +43,7 @@ from .intpoly import (
     IntPolynomial,
     _binomial_row,
     _ladd,
-    _linear_power,
     _lpow,
-    _pack_slots,
     _unpack_slots,
     convolve,
 )
@@ -67,13 +64,6 @@ _PACKED_MAX_BITS = 1 << 16
 # trees lose (up to 1.11x), and past 160 most shapes do (up to 1.41x).  A
 # multiple of 8, so a star at the bound fills its slots exactly.
 _SLOTS_FROM_N_MAX_VERTICES = 112
-# indpoly_sst runs packed while 8 * w * n is at most this.  Measured
-# (benchmarks/layers.py, BENCH_6.json) on 8 * w * (alpha + 1), which is
-# about half of 8 * w * n on every shape timed: trees below 2**15 bits of
-# that run 2-5x faster packed, the two representations break even from
-# about 2**17 to 2**18.5, and trees past 2**19 run 1.4x (T(2^6 1^17)) to
-# 5x (T(2^7 1^23)) slower packed.
-_SST_PACKED_MAX_BITS = 1 << 19
 
 
 # raw coefficient-list helpers; IntPolynomial wraps only the final results
@@ -105,29 +95,16 @@ def _lshift(p):
     return [0] + p
 
 
-# The DP's arithmetic in one representation of polynomials, as (one, add,
-# times_x, product of a list, c-th power, L -> (1 + x)^L): on coefficient
-# lists here, and on packed ints by _packed.
-_ON_LISTS = ([1], _ladd, _lshift, _lproduct, _lpow, _binomial_row)
+# The tree DP's arithmetic in one representation of polynomials, as (one,
+# add, times_x, product of a list, L -> (1 + x)^L): on coefficient lists
+# here, and on packed ints by _packed.
+_ON_LISTS = ([1], _ladd, _lshift, _lproduct, _binomial_row)
 
 
 def _packed(shift):
-    """The DP's arithmetic on ints standing for polynomials evaluated at
-    x = 2**shift, so that times x is a shift; shift 0 counts the sets.
-
-    A power of a base of degree at most 1, one below 2**(2 * shift), is
-    packed from its binomial row; to_bytes raises if a coefficient
-    outgrows its slot.  Other bases, and every base at shift 0, use pow.
-    """
-    low, width = (1 << shift) - 1, shift >> 3
-    linear = 1 << 2 * shift  # the bases a + bx, packed, are those below this
-
-    def power(u, e):
-        if shift and u < linear:
-            return _pack_slots(_linear_power(u & low, u >> shift, e), width)
-        return pow(u, e)
-
-    return 1, operator.add, shift.__rlshift__, math.prod, power, ((1 << shift) + 1).__pow__
+    """The tree DP's arithmetic on ints standing for polynomials evaluated
+    at x = 2**shift, so that times x is a shift; shift 0 counts the sets."""
+    return 1, operator.add, shift.__rlshift__, math.prod, ((1 << shift) + 1).__pow__
 
 
 def _evaluate(tree: RootedTree, arithmetic):
@@ -140,7 +117,7 @@ def _evaluate(tree: RootedTree, arithmetic):
     fold into one (1 + x)^L factor, kept per distinct L.  Child values are
     dropped once their parent holds them.
     """
-    one, add, times_x, prod, _, binomial = arithmetic
+    one, add, times_x, prod, binomial = arithmetic
     children = tree.children
     ins = [None] * tree.n
     outs = [None] * tree.n
@@ -175,28 +152,22 @@ def _unpack(value, w):
     return _unpack_slots(value, w, -(-value.bit_length() // (8 * w)))
 
 
-def _represented(dp, n, bound):
-    """(values, coeffs): the values dp(arithmetic) computes for a tree on n
-    vertices, and coeffs(*values), the coefficient list of their sum.
-
-    The one width rule of both DPs (see the module docstring): w-byte
-    slots from n up to _SLOTS_FROM_N_MAX_VERTICES vertices, else from a
-    count pass at x = 1; packed ints while 8wn <= bound, else coefficient
-    lists, with no count pass when one-byte slots already span more.
-    """
-    if 8 * n <= bound:
-        count = (1 << n) - 1 if n <= _SLOTS_FROM_N_MAX_VERTICES else sum(dp(_packed(0)))
-        w = (count.bit_length() + 7) >> 3
-        if 8 * w * n <= bound:
-            return dp(_packed(8 * w)), lambda *values: _unpack(sum(values), w)
-    return dp(_ON_LISTS), lambda *values: functools.reduce(_ladd, values)
-
-
 def _root_pair(tree: RootedTree):
     """((in(root), out(root)), coeffs): the root's pair as the DP holds it,
-    packed ints or coefficient lists by the width rule, and its decoder
-    (see _represented)."""
-    return _represented(functools.partial(_evaluate, tree), tree.n, _PACKED_MAX_BITS)
+    and coeffs(*values), the coefficient list of their sum.
+
+    The width rule (see the module docstring): w-byte slots from n up to
+    _SLOTS_FROM_N_MAX_VERTICES vertices, else from a count pass at x = 1;
+    packed ints while 8wn <= _PACKED_MAX_BITS, else coefficient lists, with
+    no count pass when one-byte slots already span more.
+    """
+    n = tree.n
+    if 8 * n <= _PACKED_MAX_BITS:
+        count = (1 << n) - 1 if n <= _SLOTS_FROM_N_MAX_VERTICES else sum(_evaluate(tree, _packed(0)))
+        w = (count.bit_length() + 7) >> 3
+        if 8 * w * n <= _PACKED_MAX_BITS:
+            return _evaluate(tree, _packed(8 * w)), lambda *values: _unpack(sum(values), w)
+    return _evaluate(tree, _ON_LISTS), lambda *values: functools.reduce(_ladd, values)
 
 
 def indpoly_tree(tree: RootedTree) -> IntPolynomial:
@@ -205,14 +176,13 @@ def indpoly_tree(tree: RootedTree) -> IntPolynomial:
     return IntPolynomial._raw(coeffs(ins, outs))
 
 
-def _levels(counts, arithmetic):
+def _levels(counts):
     """(in, out) at the root of the spherically symmetric tree with the
-    given per-level child counts, computed with `arithmetic`."""
-    one, add, times_x, _, power, _ = arithmetic
-    inp, outp = times_x(one), one
+    given per-level child counts, as coefficient lists."""
+    inp, outp = [0, 1], [1]
     for c in reversed(counts):
         # the larger out first, while the smaller new in does not exist yet
-        outp, inp = power(add(inp, outp), c), times_x(power(outp, c))
+        outp, inp = _lpow(_ladd(inp, outp), c), _lshift(_lpow(outp, c))
     return inp, outp
 
 
@@ -223,14 +193,12 @@ def indpoly_sst(child_counts) -> IntPolynomial:
     All subtrees hanging at one depth are identical, so one (in, out) pair
     per level suffices: at the leaves in = x, out = 1; one level up with c
     children below, in = x * out_below^c and out = (in_below + out_below)^c.
-    Every in, out, in + out and power of them is the polynomial of a
-    subforest of T, so the tree DP's width rule holds here too, with n
-    the vertex count and _SST_PACKED_MAX_BITS the bound (see the module
-    docstring).  Agrees with indpoly_tree on the materialized tree.
+    The pass runs on coefficient lists, so each product's slots fit its
+    operands (`intpoly.convolve`), and a power of a base of degree at most
+    1 comes from its binomial row (`intpoly._lpow`).  Agrees with
+    indpoly_tree on the materialized tree.
     """
-    counts, n = _level_counts(child_counts)
-    values, coeffs = _represented(functools.partial(_levels, counts), n, _SST_PACKED_MAX_BITS)
-    return IntPolynomial._raw(coeffs(*values))
+    return IntPolynomial._raw(_ladd(*_levels(_level_counts(child_counts)[0])))
 
 
 def indpoly_forest(trees) -> IntPolynomial:

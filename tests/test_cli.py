@@ -6,8 +6,11 @@ cli.main; a couple of subprocess calls check the installed entry point
 behaves the same.
 """
 
+import glob
 import hashlib
 import json
+import os
+import shutil
 import subprocess
 import sys
 
@@ -15,6 +18,10 @@ import pytest
 
 from indseqlab import cli
 from indseqlab.seqcheck import report_from_json
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# SHA-256 of `verify`'s default stdout
+VERIFY_SHA256 = "631f111e96a7653e930a8c15e8ab1bebef41ca38d65e3f3193aa885238cb0219"
 
 
 def run_cli(capsys, *argv):
@@ -215,7 +222,7 @@ def test_internal_failure_exit_code(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "command, code, digest",
     [
-        ("verify", 0, "631f111e96a7653e930a8c15e8ab1bebef41ca38d65e3f3193aa885238cb0219"),
+        ("verify", 0, VERIFY_SHA256),
         ("reproduce", 1, "c0288e4058871d14b7e32d7f1ac24850faa0eca53d2964041bf5f33ebb246fe3"),
     ],
 )
@@ -224,6 +231,41 @@ def test_suite_output_pinned(capsys, command, code, digest):
     # the packed level recursion; reproduce exits 1 on its one known FAIL row
     got, out, _ = run_cli(capsys, command)
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def other_interpreters():
+    """{sys.version: path} of every Python >= 3.10 found that starts, other
+    than this one: pyenv's installs, and python3.1x on PATH (a pyenv shim
+    for a version that is not selected exits nonzero, and is dropped)."""
+    candidates = sorted(glob.glob(os.path.expanduser("~/.pyenv/versions/3.*/bin/python")))
+    candidates += filter(None, (shutil.which("python3.%d" % minor) for minor in range(10, 20)))
+    probe = "import sys; assert sys.version_info >= (3, 10); print(sys.version)"
+    found = {}
+    for exe in candidates:
+        try:
+            proc = subprocess.run([exe, "-c", probe], capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        version = proc.stdout.strip()
+        if proc.returncode == 0 and version != sys.version:
+            found.setdefault(version, exe)
+    return found
+
+
+def test_verify_pinned_on_every_other_python(tmp_path):
+    # the same bytes under every supported interpreter; reproduce is left
+    # out for its cost, about 2 s per interpreter
+    found = other_interpreters()
+    if not found:
+        pytest.skip("no other Python >= 3.10 starts: none in ~/.pyenv/versions, no python3.1x on PATH")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    got = {}
+    for version, exe in found.items():
+        proc = subprocess.run(
+            [exe, "-m", "indseqlab.cli", "verify"], capture_output=True, cwd=tmp_path, env=env, timeout=600
+        )
+        got[version] = (proc.returncode, hashlib.sha256(proc.stdout).hexdigest())
+    assert got == dict.fromkeys(found, (0, VERIFY_SHA256))
 
 
 def test_cli_without_command_fails(capsys):

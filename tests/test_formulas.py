@@ -1,5 +1,6 @@
 """Closed forms and inequality audits against the polynomial engine."""
 
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -284,6 +285,21 @@ def test_audit_in_the_papers_full_regime():
     assert audit.t_le_m and audit.regime_ok
     assert all(r.steps_ok and r.final_ok for r in audit.rows)
     assert audit.max_ratio < Fraction(1, 32)
+
+
+def test_audit_repr_past_the_int_str_digit_limit():
+    # the terms of (32, 80) reach about 720 digits, past a lowered limit of
+    # 640 at which repr() of such an int raises; the audit's repr does not
+    audit = formulas.audit_term_ratios(32, 80)
+    want = repr(audit)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError):
+            repr(max(r.term for r in audit.rows))
+        assert repr(audit) == want
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_generic_dp_agrees_with_closed_forms():

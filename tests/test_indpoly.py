@@ -35,16 +35,14 @@ def P(*cs):
 
 
 def each_representation(test):
-    """Run the test twice: with every tree's DP and every level recursion
-    forced onto packed ints, then onto coefficient lists, whatever their
-    width."""
+    """Run the test twice: with every tree's DP forced onto packed ints, then
+    onto coefficient lists, whatever its width."""
 
     @functools.wraps(test)
     def run():
         for bound in (1 << 62, 0):
             with pytest.MonkeyPatch.context() as mp:
-                for name in ("_PACKED_MAX_BITS", "_SST_PACKED_MAX_BITS"):
-                    mp.setattr(indpoly, name, bound)
+                mp.setattr(indpoly, "_PACKED_MAX_BITS", bound)
                 test()
 
     return run
@@ -103,88 +101,31 @@ def test_sst_matches_generic_dp_exhaustive():
             assert indpoly_sst(counts) == indpoly_tree(sst(counts))
 
 
-def sst_packed_width(counts):
-    """8 w n, the width indpoly_sst compares with _SST_PACKED_MAX_BITS: w
-    from n up to the slot bound, from i(T) past it."""
-    from indseqlab.trees import sst
-
-    n = sst(counts).n
-    count = (1 << n) - 1 if n <= indpoly._SLOTS_FROM_N_MAX_VERTICES else sum(indpoly_sst(counts).coeffs)
-    return 8 * ((count.bit_length() + 7) // 8) * n
-
-
-def test_sst_on_each_side_of_the_packed_bound():
+def test_sst_matches_tree_dp_on_wide_shapes():
+    # spiders, [m, m, 1] trees and paths of 601 to 1,215 vertices: among
+    # them verify's widest spider, [300, 1], and reproduce's T(2^6 1^17)
     from indseqlab.trees import sst
 
     cases = [[t, 1] for t in range(380, 460, 10)]
     cases += [[m, m, 1] for m in (18, 19, 20, 21)]
     cases += [[1] * n for n in range(700, 1000, 60)]
-    cases.sort(key=sst_packed_width)
-    bound = indpoly._SST_PACKED_MAX_BITS
-    split = sum(sst_packed_width(counts) <= bound for counts in cases)
-    assert 3 <= split <= len(cases) - 3
-    # verify's widest packed call and reproduce's narrowest call on lists
-    sides = {(300, 1): True, (2,) * 6 + (1,) * 17: False}
-    for counts, packed in sides.items():
-        assert (sst_packed_width(counts) <= bound) == packed, counts
-    unpack = indpoly._unpack
-    for counts in cases[split - 3 : split + 3] + list(sides):
-        want = indpoly_tree(sst(counts))
-        calls = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(indpoly, "_unpack", lambda value, w: calls.append(w) or unpack(value, w))
-            assert indpoly_sst(counts) == want
-        # packed (one unpack at the root) exactly when within the bound
-        assert bool(calls) == (sst_packed_width(counts) <= bound), counts
-        for forced in (0, 1 << 62):  # both representations agree
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(indpoly, "_SST_PACKED_MAX_BITS", forced)
-                assert indpoly_sst(counts) == want, counts
+    cases += [[300, 1], [2] * 6 + [1] * 17]
+    for counts in cases:
+        assert indpoly_sst(counts) == indpoly_tree(sst(counts)), counts
 
 
-def test_packed_power_matches_pow(monkeypatch):
-    # a base below 2^(2 shift), of degree <= 1, is packed from its binomial
-    # row and others go to pow; both give pow's value while every
-    # coefficient fits its slot, and a row that outgrows its slots raises
-    rows = []
-    linear_power = indpoly._linear_power
-    monkeypatch.setattr(indpoly, "_linear_power", lambda *abe: rows.append(abe) or linear_power(*abe))
-    bases = ([0], [1], [5], [0, 2], [1, 1], [1, 2], [3, 7], [1, 1, 1], [2, 0, 3], [1, 3, 3, 1])
-    for shift in (8, 64, 480):
-        power = indpoly._packed(shift)[4]
-        for coeffs in bases:
-            u = sum(c << (k * shift) for k, c in enumerate(coeffs))
-            linear = len(coeffs) <= 2
-            a, b = (coeffs + [0])[:2]
-            for e in range(10):
-                fits = max(poly_pow(IntPolynomial(coeffs), e).coeffs) < 1 << shift
-                rows.clear()
-                if linear and not fits:
-                    with pytest.raises(OverflowError):
-                        power(u, e)
-                else:
-                    assert power(u, e) == pow(u, e), (shift, coeffs, e)
-                assert rows == ([(a, b, e)] if linear else []), (shift, coeffs, e)
-    # the count pass at x = 1 always takes pow
-    rows.clear()
-    power = indpoly._packed(0)[4]
-    assert all(power(u, e) == pow(u, e) for u in (0, 1, 3) for e in (0, 1, 40)) and not rows
-
-
-def test_spiders_and_stars_across_the_representation_edges(monkeypatch):
+def test_sst_spiders_and_stars_match_their_references(monkeypatch):
     # spiders of 111 and 113 vertices straddle the slots-from-n bound, and
-    # Spider:404 (packed) and Spider:405 (lists) the packed bound; star(256)
-    # is the tree DP's widest packed star, star(257) and star(301) run there
-    # on lists, and every one of these stars is packed in indpoly_sst
-    unpacked = []
-    unpack = indpoly._unpack
-    monkeypatch.setattr(indpoly, "_unpack", lambda value, w: unpacked.append(w) or unpack(value, w))
-    for t in (1, 55, 56, 300, 404, 405):
-        unpacked.clear()
-        assert indpoly_sst([t, 1]) == formulas.spider_sequence(t), t
-        assert bool(unpacked) == (t <= 404), t
-    for t in (255, 256, 300):
-        assert indpoly_sst([t]) == indpoly_tree(star(t + 1)), t
+    # star(256) is the tree DP's widest packed star, star(257) and star(301)
+    # run there on lists; indpoly_sst never packs a polynomial
+    cases = [([t, 1], formulas.spider_sequence(t)) for t in (1, 55, 56, 300, 404, 405)]
+    cases += [([t], indpoly_tree(star(t + 1))) for t in (255, 256, 300)]
+    packs = []
+    for name in ("_packed", "_unpack"):
+        monkeypatch.setattr(indpoly, name, lambda *args, name=name: packs.append(name))
+    for counts, want in cases:
+        assert indpoly_sst(counts) == want, counts
+    assert packs == []
 
 
 def test_sst_rejects_bad_counts():
@@ -357,13 +298,10 @@ def test_count_pass_runs_only_above_the_slot_bound(monkeypatch):
     monkeypatch.setattr(indpoly, "_packed", lambda shift: shifts.append(shift) or packed(shift))
     rng = random.Random(112)
     sizes = (9, 40, bound - 1, bound, bound + 1, bound + 9)
-    cases = [(n, functools.partial(indpoly_tree, random_tree(n, rng.getrandbits(64)))) for n in sizes]
-    # the fast path follows the same rule: spiders of 111 and 113 vertices
-    cases += [(2 * t + 1, functools.partial(indpoly_sst, [t, 1])) for t in (55, 56)]
-    assert bound in (111, 112)
-    for n, poly_of in cases:
+    for n in sizes:
+        tree = random_tree(n, rng.getrandbits(64))
         shifts.clear()
-        count_bits = sum(poly_of().coeffs).bit_length()
+        count_bits = sum(indpoly_tree(tree).coeffs).bit_length()
         if n <= bound:
             assert shifts == [8 * ((n + 7) // 8)], n
         else:

@@ -1,7 +1,7 @@
 """Smoke test of benchmarks/layers.py, which forces indpoly's bounds and
-arithmetic tables and intpoly's leaf cap and paths by name: its SST,
-SST-power, tree-DP, leaf-square and convolution-grid tables run on one
-small case each."""
+power function and intpoly's leaf cap and paths by name: its SST-power,
+tree-DP, leaf-square and convolution-grid tables run on one small case
+each."""
 
 import importlib.util
 import os
@@ -16,7 +16,6 @@ def test_layer_tables_run(monkeypatch):
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     assert layers.indpoly is indpoly
-    monkeypatch.setattr(layers, "SST_CASES", layers.SST_CASES[:1])
     monkeypatch.setattr(layers, "SST_POWER_CASES", layers.SST_POWER_CASES[:1])
     monkeypatch.setattr(layers, "TREE_SHAPES", [s for s in layers.TREE_SHAPES if s[0] == "Star"])
     monkeypatch.setattr(layers, "TREE_SIZES", (26,))
@@ -27,14 +26,12 @@ def test_layer_tables_run(monkeypatch):
     monkeypatch.setattr(layers, "LEAF_CAPS", (1 << 19,))
     monkeypatch.setattr(layers, "GRID_COUNTS", (64,))
     monkeypatch.setattr(layers, "GRID_BITS", (64,))
-    names = ("_SST_PACKED_MAX_BITS", "_SLOTS_FROM_N_MAX_VERTICES", "_PACKED_MAX_BITS", "_packed", "_ON_LISTS")
+    names = ("_SLOTS_FROM_N_MAX_VERTICES", "_PACKED_MAX_BITS", "_lpow")
     bounds = [getattr(indpoly, name) for name in names]
     kernel_names = ("LEAF_MAX_BITS",) + layers.KERNEL_PATHS
     kernel = [getattr(intpoly, name) for name in kernel_names]
-    (row,) = layers.sst_table(1)
-    assert row["tree"] == layers.SST_CASES[0][0] and row["int_s"] > 0 and row["list_s"] > 0
     (row,) = layers.sst_power_table(1)
-    assert row["tree"] == layers.SST_POWER_CASES[0][0] and row["row_s"] > 0 and row["pow_s"] > 0
+    assert row["tree"] == layers.SST_POWER_CASES[0][0] and row["row_s"] > 0 and row["squaring_s"] > 0
     (row,) = layers.tree_dp_table(1)
     assert row["tree"] == "Star" and row["n"] == 26
     assert all(row[column + "_s"] > 0 for column, *_ in layers.TREE_MODES)
