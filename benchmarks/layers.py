@@ -5,11 +5,12 @@ Run from the repository root:
 
     python3 benchmarks/layers.py [--repeat 5]
 
-It regenerates five tables, each case timed best-of-N.  The first forces
+It regenerates six tables, each case timed best-of-N.  The first forces
 the module's bounds to each representation; a ratio below 1 means the
 first representation named is faster.  The second swaps how powers are
 taken; the next two run at each candidate value of
-`intpoly.LEAF_MAX_BITS`, and the last times `convolve` as shipped.
+`intpoly.LEAF_MAX_BITS`, the fifth times `convolve` as shipped, and the
+last times two routes through one search sample.
 
 - `indpoly_tree` on Rand, Path, Cat, Spider and Star trees of n = 26..256
   vertices: packed with w = ceil(n/8) byte slots, packed with slots from
@@ -30,6 +31,10 @@ taken; the next two run at each candidate value of
 - `convolve` on two operands of 16..4,096 coefficients of 64, 1,024 and
   5,162 bits: best seconds, and the kernel paths the product enters, in
   the order first entered.
+- One search sample at each n = 26..40, in microseconds per tree: built
+  as a `RootedTree` by `search.sample_tree` and examined by
+  `seqcheck.analyze`, against `search.examine_sample` as shipped, which
+  runs the DP on the Pruefer decoding itself.
 
 Prints one JSON object with the environment, the git revision, N and the
 rows.
@@ -53,8 +58,9 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from indseqlab import cli, indpoly, intpoly  # noqa: E402
+from indseqlab import cli, indpoly, intpoly, search  # noqa: E402
 from indseqlab.rng import derive_seed  # noqa: E402
+from indseqlab.seqcheck import analyze  # noqa: E402
 from indseqlab.trees import caterpillar, path, random_tree, spider, star  # noqa: E402
 
 # (label, per-level child counts) whose powers all have bases of degree <= 1
@@ -101,6 +107,10 @@ GRID_COUNTS = (16, 64, 256, 1024, 4096)
 GRID_BITS = (64, 1024, 5162)
 # the kernel's multiplication paths, spied on by name
 KERNEL_PATHS = ("_schoolbook", "_kronecker_binary", "_kronecker_decimal", "_kronecker_two_point", "_karatsuba")
+
+# the search-sample table: vertex counts, and samples timed per count
+SEARCH_SIZES = tuple(range(26, 41))
+SEARCH_SAMPLES = 200
 
 
 def cpu_model():
@@ -337,6 +347,35 @@ def convolution_grid(repeat):
     return rows
 
 
+def rooted_route(n):
+    for index in range(SEARCH_SAMPLES):
+        analyze(search.sample_tree(1, index, n, n))
+
+
+def decoded_route(n):
+    for index in range(SEARCH_SAMPLES):
+        search.examine_sample(1, index, n, n)
+
+
+def search_sample_table(repeat):
+    """One row per vertex count: best microseconds per sample through a
+    RootedTree and analyze, and through examine_sample, and the ratio."""
+    routes = {"rooted": rooted_route, "decoded": decoded_route}
+    rows = []
+    for n in SEARCH_SIZES:
+        best = dict.fromkeys(routes, float("inf"))
+        # the routes take turns, so a slow phase of the host hits both alike
+        for _ in range(repeat):
+            for column, route in routes.items():
+                best[column] = min(best[column], best_of(1, route, n))
+        row = {"n": n}
+        for column, seconds in best.items():
+            row[column + "_us"] = seconds / SEARCH_SAMPLES * 1e6
+        row["decoded_over_rooted"] = row["decoded_us"] / row["rooted_us"]
+        rows.append(row)
+    return rows
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5, help="best of this many timings per cell")
@@ -379,6 +418,7 @@ def main(argv=None):
             "leaf_max_bits": intpoly.LEAF_MAX_BITS,
             "rows": convolution_grid(args.repeat),
         },
+        "search_sample": {"samples": SEARCH_SAMPLES, "rows": search_sample_table(args.repeat)},
     }
     json.dump(report, sys.stdout, indent=1)
     sys.stdout.write("\n")

@@ -212,6 +212,24 @@ def _audit_repr(self):
     return "%s(%s)" % (type(self).__qualname__, ", ".join(values))
 
 
+def _audit_reduce(self):
+    """Pickle each Fraction as its (numerator, denominator) ints: Python
+    3.10 pickles a Fraction through str(), which refuses a paper-scale
+    audit's ratios past the int/str digit limit."""
+    values = [getattr(self, f.name) for f in fields(self)]
+    fractions = tuple(i for i, value in enumerate(values) if isinstance(value, Fraction))
+    for i in fractions:
+        values[i] = values[i].numerator, values[i].denominator
+    return _audit_rebuild, (type(self), tuple(values), fractions)
+
+
+def _audit_rebuild(cls, values, fractions):
+    values = list(values)
+    for i in fractions:
+        values[i] = Fraction(*values[i])
+    return cls(*values)
+
+
 @dataclass(frozen=True)
 class RatioRow:
     """One (s, l) term of the size-(mt+2) enumeration, compared against the
@@ -237,6 +255,7 @@ class RatioRow:
     final_ok: bool
 
     __repr__ = _audit_repr
+    __reduce__ = _audit_reduce
 
 
 @dataclass(frozen=True)
@@ -254,6 +273,7 @@ class RatioAudit:
     regime_ok: bool  # m <= 2^{t/16}, checked exactly as m^16 <= 2^t
 
     __repr__ = _audit_repr
+    __reduce__ = _audit_reduce
 
 
 def audit_term_ratios(m: int, t: int) -> RatioAudit:

@@ -6,7 +6,9 @@ The generic route is the DP carrying per-vertex pairs (in, out) =
     in(v)  = x * prod over children c of out(c)
     out(v) = prod over children c of (in(c) + out(c))
 
-with the tree's polynomial being in(root) + out(root).  Spherically
+with the tree's polynomial being in(root) + out(root).  The DP reads only a
+parent array and an order listing every vertex after its children, so a
+Pruefer decoding feeds it as it comes, rooted at n-1.  Spherically
 symmetric trees get a per-level fast path, indpoly_sst, that never
 materializes the tree and runs on coefficient lists.
 
@@ -107,44 +109,50 @@ def _packed(shift):
     return 1, operator.add, shift.__rlshift__, math.prod, ((1 << shift) + 1).__pow__
 
 
-def _evaluate(tree: RootedTree, arithmetic):
-    """(in(root), out(root)) by the DP over the tree's breadth-first order
-    reversed, so each vertex after its children, computed with
+def _evaluate(parent, order, arithmetic):
+    """(in(root), out(root)) by the DP over `order`, which lists each vertex
+    after its children and the root (parent -1) last, computed with
     `arithmetic`, one of the tables above.
 
-    Leaves are never stored: a leaf child contributes out = 1 to in(v),
-    which is skipped, and in + out = 1 + x to out(v), so L leaf children
-    fold into one (1 + x)^L factor, kept per distinct L.  Child values are
-    dropped once their parent holds them.
+    Each finished vertex pushes out and in + out into its parent and is
+    dropped.  Leaves are never stored: a leaf contributes out = 1 to its
+    parent's in, which is skipped, and in + out = 1 + x to its out, so L
+    leaf children fold into one (1 + x)^L factor, kept per distinct L.
     """
     one, add, times_x, prod, binomial = arithmetic
-    children = tree.children
-    ins = [None] * tree.n
-    outs = [None] * tree.n
+    n = len(parent)
+    leaves = [0] * n
+    child_outs = [None] * n
+    totals = [None] * n
     rows = {}
-    for v in reversed(tree.order):
-        kids = children[v]
-        if not kids:
-            continue
-        child_outs = []
-        totals = []
-        for c in kids:
-            if children[c]:
-                o = outs[c]
-                child_outs.append(o)
-                totals.append(add(ins[c], o))
-                ins[c] = outs[c] = None
-        leaves = len(kids) - len(child_outs)
-        if leaves:
-            row = rows.get(leaves)
+    for v in order:
+        outs = child_outs[v]
+        count = leaves[v]
+        p = parent[v]
+        if outs is None:
+            if not count:
+                if p < 0:
+                    return times_x(one), one
+                leaves[p] += 1
+                continue
+            outs, total = [], []
+        else:
+            total = totals[v]
+            child_outs[v] = totals[v] = None
+        if count:
+            row = rows.get(count)
             if row is None:
-                row = rows[leaves] = binomial(leaves)
-            totals.append(row)
-        ins[v] = times_x(prod(child_outs))
-        outs[v] = prod(totals)
-    if not children[tree.root]:
-        return times_x(one), one
-    return ins[tree.root], outs[tree.root]
+                row = rows[count] = binomial(count)
+            total.append(row)
+        in_v = times_x(prod(outs))
+        out_v = prod(total)
+        if p < 0:
+            return in_v, out_v
+        if child_outs[p] is None:
+            child_outs[p], totals[p] = [out_v], [add(in_v, out_v)]
+        else:
+            child_outs[p].append(out_v)
+            totals[p].append(add(in_v, out_v))
 
 
 def _unpack(value, w):
@@ -152,27 +160,28 @@ def _unpack(value, w):
     return _unpack_slots(value, w, -(-value.bit_length() // (8 * w)))
 
 
-def _root_pair(tree: RootedTree):
-    """((in(root), out(root)), coeffs): the root's pair as the DP holds it,
-    and coeffs(*values), the coefficient list of their sum.
+def _root_pair(parent, order):
+    """((in(root), out(root)), coeffs): the root's pair as the DP over
+    (parent, order) holds it (see _evaluate), and coeffs(*values), the
+    coefficient list of their sum.
 
     The width rule (see the module docstring): w-byte slots from n up to
     _SLOTS_FROM_N_MAX_VERTICES vertices, else from a count pass at x = 1;
     packed ints while 8wn <= _PACKED_MAX_BITS, else coefficient lists, with
     no count pass when one-byte slots already span more.
     """
-    n = tree.n
+    n = len(parent)
     if 8 * n <= _PACKED_MAX_BITS:
-        count = (1 << n) - 1 if n <= _SLOTS_FROM_N_MAX_VERTICES else sum(_evaluate(tree, _packed(0)))
+        count = (1 << n) - 1 if n <= _SLOTS_FROM_N_MAX_VERTICES else sum(_evaluate(parent, order, _packed(0)))
         w = (count.bit_length() + 7) >> 3
         if 8 * w * n <= _PACKED_MAX_BITS:
-            return _evaluate(tree, _packed(8 * w)), lambda *values: _unpack(sum(values), w)
-    return _evaluate(tree, _ON_LISTS), lambda *values: functools.reduce(_ladd, values)
+            return _evaluate(parent, order, _packed(8 * w)), lambda *values: _unpack(sum(values), w)
+    return _evaluate(parent, order, _ON_LISTS), lambda *values: functools.reduce(_ladd, values)
 
 
 def indpoly_tree(tree: RootedTree) -> IntPolynomial:
     """Independence polynomial of a rooted tree by the tree DP."""
-    (ins, outs), coeffs = _root_pair(tree)
+    (ins, outs), coeffs = _root_pair(tree.parent, tree.order[::-1])
     return IntPolynomial._raw(coeffs(ins, outs))
 
 
@@ -236,7 +245,7 @@ def root_split(tree: RootedTree, v: int) -> RootSplit:
         return 0 if u == v else v if u == 0 else u
 
     rerooted = tree_from_edges(tree.n, [(swap(p), swap(c)) for p, c in tree.edges()])
-    (with_r, without), coeffs = _root_pair(rerooted)
+    (with_r, without), coeffs = _root_pair(rerooted.parent, rerooted.order[::-1])
     return RootSplit(
         without_root=IntPolynomial._raw(coeffs(without)),
         with_root=IntPolynomial._raw(coeffs(with_r)),

@@ -6,6 +6,13 @@ derive_seed(master, 2*index), and the tree itself is
 random_tree(n, derive_seed(master, 2*index + 1)).  A persisted record
 therefore replays from its own fields alone.
 
+A sample is examined straight off its Pruefer decoding (examine_sample):
+decoding removes leaves children first, with the tree rooted at n-1, so
+its parent array and removal order feed the tree DP and the alpha check
+as they come, with no RootedTree and no reroot to vertex 0.  The breaks
+are those of the coefficient list; the edge list is written only for a
+recorded sample, and it is the same text as that of the replayed tree.
+
 The sample indices are cut into contiguous ranges of CHUNK indices.  With
 more than one worker and more than one chunk, the parent spawns one fewer
 worker process and examines ranges itself while they start and run; it
@@ -20,9 +27,10 @@ import os
 from collections import deque
 from dataclasses import dataclass, fields
 
+from .indpoly import _root_pair
 from .rng import SplitMix64, derive_seed
-from .seqcheck import analyze
-from .trees import RootedTree, edge_list_text, random_tree
+from .seqcheck import lc_breaks
+from .trees import RootedTree, _edge_text, _independence_number, _random_decoded, random_tree
 
 # sample indices per task a worker examines
 CHUNK = 256
@@ -58,11 +66,15 @@ def tree_seed_for(master: int, index: int) -> int:
     return derive_seed(master, 2 * index + 1)
 
 
+def _sample_n(master, index, n_min, n_max):
+    """The vertex count of the sample at `index`."""
+    rng = SplitMix64(derive_seed(master, 2 * index))
+    return n_min + rng.randbelow(n_max - n_min + 1)
+
+
 def sample_tree(master: int, index: int, n_min: int, n_max: int) -> RootedTree:
     """The tree examined at `index` in a run keyed by `master`."""
-    rng = SplitMix64(derive_seed(master, 2 * index))
-    n = n_min + rng.randbelow(n_max - n_min + 1)
-    return random_tree(n, tree_seed_for(master, index))
+    return random_tree(_sample_n(master, index, n_min, n_max), tree_seed_for(master, index))
 
 
 def replay_record(rec: SearchRecord) -> RootedTree:
@@ -70,21 +82,40 @@ def replay_record(rec: SearchRecord) -> RootedTree:
     return random_tree(rec.n, tree_seed_for(rec.seed, rec.sample_index))
 
 
+def examine_sample(master: int, index: int, n_min: int, n_max: int):
+    """(parent, breaks, alpha) of the tree sample_tree(master, index,
+    n_min, n_max): its parent array rooted at n-1, as the Pruefer decoding
+    gives it, and the breaks and alpha that analyze reports for it.
+
+    The DP runs on the decoding in its removal order, with no RootedTree
+    and no reroot, since the polynomial does not depend on the root.  As in
+    analyze, a polynomial degree other than alpha raises RuntimeError.
+    """
+    n = _sample_n(master, index, n_min, n_max)
+    parent, order = _random_decoded(n, tree_seed_for(master, index))
+    (ins, outs), coeffs = _root_pair(parent, order)
+    cs = coeffs(ins, outs)
+    alpha = len(cs) - 1
+    if alpha != _independence_number(parent, order):
+        raise RuntimeError("independence polynomial degree disagrees with alpha")
+    return parent, tuple(lc_breaks(cs)), alpha
+
+
 def _examine(seed, lo, hi, n_min, n_max, emit_all):
     """JSONL lines, without newlines, of the samples lo..hi-1 that are
-    recorded: those with breaks, or all of them with emit_all."""
+    recorded: those with breaks, or all of them with emit_all.  Only a
+    recorded sample's edge list is written out."""
     for index in range(lo, hi):
-        tree = sample_tree(seed, index, n_min, n_max)
-        report = analyze(tree)
-        if report.breaks or emit_all:
+        parent, breaks, alpha = examine_sample(seed, index, n_min, n_max)
+        if breaks or emit_all:
             yield record_to_json(
                 SearchRecord(
                     seed=seed,
                     sample_index=index,
-                    n=tree.n,
-                    edge_list=edge_list_text(tree),
-                    breaks=report.breaks,
-                    alpha=report.alpha,
+                    n=len(parent),
+                    edge_list=_edge_text(parent),
+                    breaks=breaks,
+                    alpha=alpha,
                 )
             )
 

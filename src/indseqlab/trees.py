@@ -348,32 +348,26 @@ def caterpillar(pendant_counts) -> RootedTree:
 # -- random trees via Pruefer sequences --------------------------------------
 
 
-def prufer_decode(sequence, n: int):
-    """Decode a Pruefer sequence (length n-2, entries in 0..n-1) to the
-    n-1 edges of its labeled tree, smallest-leaf-first.
+def _decoded(sequence, n: int):
+    """(parent, order) of the labeled tree on n >= 2 vertices whose Pruefer
+    sequence is `sequence` (length n-2, entries in 0..n-1, unchecked).
 
-    This is the standard bijection: every labeled tree on n >= 2 vertices
-    corresponds to exactly one sequence.  Each edge is (leaf, neighbour)
-    in removal order, the last one (leaf, n-1), so the neighbour is the
-    leaf's parent with the tree rooted at n-1.  Linear time: the smallest
-    leaf is tracked by a pointer that only moves up, except when removing
-    a leaf turns a smaller vertex into a leaf, which is then next.
+    parent[v] is v's parent with the tree rooted at n-1 (-1 for n-1), and
+    order lists the vertices as decoding removes them, smallest leaf
+    first, then n-1: each vertex after its children, the root last.
+    Linear time: the smallest leaf is tracked by a pointer that only moves
+    up, except when removing a leaf turns a smaller vertex into a leaf,
+    which is then next.
     """
-    seq = list(sequence)
-    if n < 2:
-        raise ValueError("Pruefer decoding needs n >= 2")
-    if len(seq) != n - 2:
-        raise ValueError("sequence length must be n-2 = %d, got %d" % (n - 2, len(seq)))
     degree = [1] * n
-    for s in seq:
-        if not 0 <= s < n:
-            raise ValueError("sequence entry %r out of range 0..%d" % (s, n - 1))
+    for s in sequence:
         degree[s] += 1
-    ptr = degree.index(1)
-    leaf = ptr
-    edges = []
-    for s in seq:
-        edges.append((leaf, s))
+    parent = [-1] * n
+    order = []
+    ptr = leaf = degree.index(1)
+    for s in sequence:
+        parent[leaf] = s
+        order.append(leaf)
         degree[s] -= 1
         if degree[s] == 1 and s < ptr:
             leaf = s
@@ -382,8 +376,38 @@ def prufer_decode(sequence, n: int):
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    edges.append((leaf, n - 1))
-    return edges
+    parent[leaf] = n - 1
+    order += leaf, n - 1
+    return parent, order
+
+
+def _random_decoded(n: int, seed: int):
+    """(parent, order) as _decoded gives them for the tree random_tree(n,
+    seed) decodes, before its reroot: rooted at n-1, children first."""
+    if n == 1:
+        return [-1], [0]
+    return _decoded(SplitMix64(seed).randbelow_many(n, n - 2), n)
+
+
+def prufer_decode(sequence, n: int):
+    """Decode a Pruefer sequence (length n-2, entries in 0..n-1) to the
+    n-1 edges of its labeled tree, smallest-leaf-first.
+
+    This is the standard bijection: every labeled tree on n >= 2 vertices
+    corresponds to exactly one sequence.  Each edge is (leaf, neighbour)
+    in removal order, the last one (leaf, n-1), so the neighbour is the
+    leaf's parent with the tree rooted at n-1.
+    """
+    seq = list(sequence)
+    if n < 2:
+        raise ValueError("Pruefer decoding needs n >= 2")
+    if len(seq) != n - 2:
+        raise ValueError("sequence length must be n-2 = %d, got %d" % (n - 2, len(seq)))
+    for s in seq:
+        if not 0 <= s < n:
+            raise ValueError("sequence entry %r out of range 0..%d" % (s, n - 1))
+    parent, order = _decoded(seq, n)
+    return [(v, parent[v]) for v in order[:-1]]
 
 
 def tree_from_edges(n: int, edge_pairs) -> RootedTree:
@@ -427,11 +451,7 @@ def random_tree(n: int, seed: int) -> RootedTree:
     """
     if n < 1:
         raise ValueError("random_tree needs n >= 1")
-    if n == 1:
-        return RootedTree([-1])
-    parent = [-1] * n
-    for leaf, p in prufer_decode(SplitMix64(seed).randbelow_many(n, n - 2), n):
-        parent[leaf] = p
+    parent = _random_decoded(n, seed)[0]
     # the decoding roots the tree at n-1; reverse the path from 0 up to it
     prev, v = -1, 0
     while v != -1:
@@ -491,7 +511,12 @@ def parse_edge_list(text: str) -> RootedTree:
 def edge_list_text(tree: RootedTree) -> str:
     """Canonical edge-list text: one "u v" per line with u < v, sorted,
     no trailing newline.  parse_edge_list inverts this exactly."""
-    pairs = sorted((min(p, v), max(p, v)) for p, v in tree.edges())
+    return _edge_text(tree.parent)
+
+
+def _edge_text(parent):
+    """edge_list_text of the tree with this parent array, rooted anywhere."""
+    pairs = sorted((v, p) if v < p else (p, v) for v, p in enumerate(parent) if p >= 0)
     return "\n".join("%d %d" % e for e in pairs)
 
 
@@ -501,15 +526,18 @@ def edge_list_text(tree: RootedTree) -> str:
 def independence_number(tree: RootedTree) -> int:
     """Size of the largest independent set, by the two-state tree DP
     (best size with / without the vertex, combined over children)."""
-    take = [0] * tree.n
-    skip = [0] * tree.n
-    for v in reversed(tree.order):
-        t_v = 1
-        s_v = 0
-        for c in tree.children[v]:
-            t_v += skip[c]
-            s_v += take[c] if take[c] > skip[c] else skip[c]
-        take[v] = t_v
-        skip[v] = s_v
-    r = tree.root
-    return max(take[r], skip[r])
+    return _independence_number(tree.parent, tree.order[::-1])
+
+
+def _independence_number(parent, order) -> int:
+    """independence_number over a parent array and an order listing each
+    vertex after its children, the root (parent -1) last: each finished
+    vertex adds its best sizes to its parent's."""
+    take = [1] * len(parent)
+    skip = [0] * len(parent)
+    for v in order:
+        p, t, s = parent[v], take[v], skip[v]
+        if p < 0:
+            return t if t > s else s
+        take[p] += s
+        skip[p] += t if t > s else s

@@ -6,6 +6,7 @@ cli.main; a couple of subprocess calls check the installed entry point
 behaves the same.
 """
 
+import functools
 import glob
 import hashlib
 import json
@@ -18,6 +19,7 @@ import pytest
 
 from indseqlab import cli
 from indseqlab.seqcheck import report_from_json
+from test_search import SEARCH_SHA256
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # SHA-256 of `verify`'s default stdout
@@ -233,6 +235,7 @@ def test_suite_output_pinned(capsys, command, code, digest):
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
+@functools.cache
 def other_interpreters():
     """{sys.version: path} of every Python >= 3.10 found that starts, other
     than this one: pyenv's installs, and python3.1x on PATH (a pyenv shim
@@ -266,6 +269,38 @@ def test_verify_pinned_on_every_other_python(tmp_path):
         )
         got[version] = (proc.returncode, hashlib.sha256(proc.stdout).hexdigest())
     assert got == dict.fromkeys(found, (0, VERIFY_SHA256))
+
+
+# the pinned 600-sample search, then a (32, 80) audit, whose ratios pass a
+# digit limit of 640, through pickle; Python 3.10 pickles a Fraction
+# through str()
+OTHER_PYTHON_CHECKS = """
+import hashlib, pickle, sys
+from indseqlab.formulas import audit_term_ratios
+from indseqlab.search import run_search
+
+run_search(26, 40, 600, 5, "pinned.jsonl", threads=1, emit_all=True)
+with open("pinned.jsonl", "rb") as fh:
+    print(hashlib.sha256(fh.read()).hexdigest())
+audit = audit_term_ratios(32, 80)
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(640)
+print(pickle.loads(pickle.dumps(audit)) == audit)
+"""
+
+
+def test_search_and_audit_pickle_on_every_other_python(tmp_path):
+    found = other_interpreters()
+    if not found:
+        pytest.skip("no other Python >= 3.10 starts: none in ~/.pyenv/versions, no python3.1x on PATH")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    got = {}
+    for version, exe in found.items():
+        proc = subprocess.run(
+            [exe, "-c", OTHER_PYTHON_CHECKS], capture_output=True, text=True, cwd=tmp_path, env=env, timeout=600
+        )
+        got[version] = (proc.returncode, proc.stdout, proc.stderr)
+    assert got == dict.fromkeys(found, (0, SEARCH_SHA256 + "\nTrue\n", ""))
 
 
 def test_cli_without_command_fails(capsys):

@@ -1,5 +1,6 @@
 """Closed forms and inequality audits against the polynomial engine."""
 
+import pickle
 import sys
 from fractions import Fraction
 from math import comb
@@ -298,6 +299,23 @@ def test_audit_repr_past_the_int_str_digit_limit():
         with pytest.raises(ValueError):
             repr(max(r.term for r in audit.rows))
         assert repr(audit) == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_audit_pickles_fractions_as_int_pairs():
+    # Python 3.10 pickles a Fraction through str(), past the digit limit for
+    # the ratios of (32, 80); the audit and its rows store int pairs instead
+    # (test_cli checks the round trip under every other Python found)
+    audit = formulas.audit_term_ratios(32, 80)
+    assert max(r.ratio.denominator for r in audit.rows) > 10**640
+    for obj in (audit, audit.rows[-1]):
+        rebuild, args = obj.__reduce__()
+        assert not any(isinstance(value, Fraction) for value in args[1])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert pickle.loads(pickle.dumps(audit)) == audit
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -18,6 +18,8 @@ from indseqlab.indpoly import (
 from indseqlab.intpoly import IntPolynomial, poly_pow
 from indseqlab.rng import derive_seed
 from indseqlab.trees import (
+    _independence_number,
+    _random_decoded,
     caterpillar,
     independence_number,
     path,
@@ -269,6 +271,22 @@ def test_long_path_matches_fibonacci_recurrence():
     # 3,000 levels deep, so a recursive DP would overflow the interpreter
     # stack
     assert indpoly_tree(path(3000)) == path_poly(3000)
+
+
+@each_representation
+def test_dp_on_the_decoding_equals_the_tree_rooted_at_0():
+    # the DP straight off the Pruefer decoding, rooted at n - 1 in removal
+    # order, gives the polynomial of the same tree rooted at 0, on both
+    # sides of the slot bound
+    rng = random.Random(1)
+    for n in list(range(1, 41)) + [111, 112, 113, 200, 450]:
+        seed = rng.getrandbits(64)
+        parent, order = _random_decoded(n, seed)
+        assert parent[n - 1] == -1 and order[-1] == n - 1
+        (ins, outs), coeffs = indpoly._root_pair(parent, order)
+        tree = random_tree(n, seed)
+        assert IntPolynomial(coeffs(ins, outs)) == indpoly_tree(tree), n
+        assert _independence_number(parent, order) == independence_number(tree), n
 
 
 @each_representation

@@ -1,7 +1,7 @@
 """Smoke test of benchmarks/layers.py, which forces indpoly's bounds and
 power function and intpoly's leaf cap and paths by name: its SST-power,
-tree-DP, leaf-square and convolution-grid tables run on one small case
-each."""
+tree-DP, leaf-square, convolution-grid and search-sample tables run on
+one small case each."""
 
 import importlib.util
 import os
@@ -26,6 +26,8 @@ def test_layer_tables_run(monkeypatch):
     monkeypatch.setattr(layers, "LEAF_CAPS", (1 << 19,))
     monkeypatch.setattr(layers, "GRID_COUNTS", (64,))
     monkeypatch.setattr(layers, "GRID_BITS", (64,))
+    monkeypatch.setattr(layers, "SEARCH_SIZES", (26,))
+    monkeypatch.setattr(layers, "SEARCH_SAMPLES", 2)
     names = ("_SLOTS_FROM_N_MAX_VERTICES", "_PACKED_MAX_BITS", "_lpow")
     bounds = [getattr(indpoly, name) for name in names]
     kernel_names = ("LEAF_MAX_BITS",) + layers.KERNEL_PATHS
@@ -40,6 +42,8 @@ def test_layer_tables_run(monkeypatch):
     assert all(row[split + "_s"] > 0 and row[split + "_peak_mb"] > 0 for split in ("karatsuba", "two_point"))
     (row,) = layers.convolution_grid(1)
     assert (row["count"], row["bits"], row["paths"]) == (64, 64, ["_kronecker_binary"]) and row["s"] > 0
+    (row,) = layers.search_sample_table(1)
+    assert row["n"] == 26 and row["rooted_us"] > 0 and row["decoded_us"] > 0
     # the tables put back the bounds, arithmetic and paths they force
     assert [getattr(indpoly, name) for name in names] == bounds
     assert [getattr(intpoly, name) for name in kernel_names] == kernel

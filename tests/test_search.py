@@ -12,6 +12,7 @@ from indseqlab import search
 from indseqlab.search import (
     CHUNK,
     SearchRecord,
+    examine_sample,
     record_from_json,
     record_to_json,
     replay_record,
@@ -19,7 +20,12 @@ from indseqlab.search import (
     sample_tree,
 )
 from indseqlab.seqcheck import analyze
-from indseqlab.trees import edge_list_text
+from indseqlab.trees import _edge_text, edge_list_text
+
+# SHA-256 of a 600-sample emit-all run at n = 26..40, seed 5, recorded with
+# the coefficient-list DP and a heap-based Pruefer decoder; neither the
+# sampled trees nor their analysis may drift by a byte
+SEARCH_SHA256 = "0ecc1e81ceff428bd9d43e90b1e2c5949058539140338b1717e032ce7eaad7fd"
 
 
 def test_search_validation(tmp_path):
@@ -56,13 +62,41 @@ def test_search_deterministic_across_runs_and_threads(tmp_path):
 
 
 def test_search_output_pinned(tmp_path):
-    # SHA-256 of a 600-sample emit-all run at n = 26..40, recorded with the
-    # coefficient-list DP and a heap-based Pruefer decoder; neither the
-    # sampled trees nor their analysis may drift by a byte
     out = tmp_path / "pinned.jsonl"
     assert run_search(26, 40, 600, 5, out, threads=1, emit_all=True) == 600
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "0ecc1e81ceff428bd9d43e90b1e2c5949058539140338b1717e032ce7eaad7fd"
+    assert digest == SEARCH_SHA256
+
+
+def test_records_match_analyze_of_the_sampled_tree(tmp_path):
+    # every record of the decoding's DP equals analyze and edge_list_text of
+    # the RootedTree the sample replays to
+    out = tmp_path / "all.jsonl"
+    assert run_search(2, 60, 1500, 17, out, threads=1, emit_all=True) == 1500
+    for line in out.read_text().splitlines():
+        rec = record_from_json(line)
+        tree = sample_tree(17, rec.sample_index, 2, 60)
+        report = analyze(tree)
+        assert (rec.n, rec.breaks, rec.alpha) == (tree.n, report.breaks, report.alpha)
+        assert rec.edge_list == edge_list_text(tree)
+
+
+@pytest.mark.parametrize("n", [113, 200, 450])
+def test_examine_sample_past_the_slots_from_n_bound(n):
+    # past 112 vertices the DP counts i(T) first, and at 450 it runs on
+    # coefficient lists
+    for index in range(3):
+        tree = sample_tree(8, index, n, n)
+        report = analyze(tree)
+        parent, breaks, alpha = examine_sample(8, index, n, n)
+        assert (len(parent), breaks, alpha) == (n, report.breaks, report.alpha)
+        assert _edge_text(parent) == edge_list_text(tree)
+
+
+def test_examine_sample_checks_alpha(monkeypatch):
+    monkeypatch.setattr(search, "_independence_number", lambda parent, order: -1)
+    with pytest.raises(RuntimeError, match="disagrees with alpha"):
+        examine_sample(1, 0, 26, 40)
 
 
 def test_records_replay(tmp_path):
@@ -126,15 +160,15 @@ def test_fewer_samples_than_workers(tmp_path):
 def test_inline_failure_leaves_complete_records_before_it(tmp_path, monkeypatch, exc):
     full = tmp_path / "full.jsonl"
     run_search(4, 9, 40, 11, full, threads=1, emit_all=True)
-    real, calls = search.analyze, []
+    real, calls = search.examine_sample, []
 
-    def analyze(tree):
+    def examine_sample(*args):
         if len(calls) == 23:
             raise exc
-        calls.append(tree)
-        return real(tree)
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(search, "analyze", analyze)
+    monkeypatch.setattr(search, "examine_sample", examine_sample)
     out = tmp_path / "cut.jsonl"
     with pytest.raises(type(exc)):
         run_search(4, 9, 40, 11, out, threads=1, emit_all=True)
@@ -171,15 +205,15 @@ def test_interrupted_pooled_run_stops_workers_and_keeps_whole_records(tmp_path):
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyboardInterrupt()])
 def test_failure_in_a_chunk_this_process_examines(tmp_path, monkeypatch, exc):
     # on the pool path this process examines chunks too; the workers import
-    # analyze afresh, so only this process's chunks fail
+    # examine_sample afresh, so only this process's chunks fail
     samples = 3 * CHUNK + 7
     full = tmp_path / "full.jsonl"
     run_search(4, 9, samples, 13, full, threads=1, emit_all=True)
 
-    def analyze(tree):
+    def examine_sample(*args):
         raise exc
 
-    monkeypatch.setattr(search, "analyze", analyze)
+    monkeypatch.setattr(search, "examine_sample", examine_sample)
     out = tmp_path / "cut.jsonl"
     with pytest.raises(type(exc)):
         run_search(4, 9, samples, 13, out, threads=2, emit_all=True)

@@ -17,6 +17,8 @@ from indseqlab.rng import SplitMix64
 from indseqlab.seqcheck import analyze
 from indseqlab.trees import (
     FamilySpec,
+    _decoded,
+    _random_decoded,
     RootedTree,
     TreeParseError,
     build_family,
@@ -243,6 +245,23 @@ def test_prufer_decode_matches_heap_reference_random():
         assert prufer_decode(seq, n) == heap_prufer_decode(seq, n)
 
 
+def test_decoding_is_a_children_first_order():
+    # the decoder's parent array roots the tree at n - 1, its order lists
+    # each vertex after its children, and random_tree is that tree rerooted
+    # at 0
+    for n in range(2, 7):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            parent, order = _decoded(list(seq), n)
+            assert sorted(order) == list(range(n)) and order[-1] == n - 1
+            position = {v: i for i, v in enumerate(order)}
+            assert all(position[v] < position[p] for v, p in enumerate(parent) if p >= 0)
+            assert prufer_decode(seq, n) == [(v, parent[v]) for v in order[:-1]]
+    for n in (1, 2, 9, 40):
+        parent, order = _random_decoded(n, n)
+        edges = {frozenset((v, p)) for v, p in enumerate(parent) if p >= 0}
+        assert edges == {frozenset(e) for e in random_tree(n, n).edges()}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 2**63 + 1, 2**64 - 1])
 def test_randbelow_many_equals_repeated_randbelow(n):
     # 2**63 + 1 rejects almost half of all draws
@@ -382,15 +401,21 @@ def test_order_is_breadth_first():
 
 def test_root_split_walks_the_rerooted_order(monkeypatch):
     # root_split relabels v as the root through tree_from_edges; the DP
-    # then walks that tree's own order
+    # then walks that tree's own order, children first
     seen = []
     root_pair = indpoly._root_pair
-    monkeypatch.setattr(indpoly, "_root_pair", lambda tree: seen.append(tree) or root_pair(tree))
+
+    def spy(parent, order):
+        seen.append((parent, order))
+        return root_pair(parent, order)
+
+    monkeypatch.setattr(indpoly, "_root_pair", spy)
     tree = random_tree(20, 5)
     for v in (0, 7, 19):
         split = root_split(tree, v)
-        rerooted = seen[-1]
-        assert rerooted.order == bfs_order(rerooted.parent)
+        parent, order = seen[-1]
+        rerooted = RootedTree(parent)
+        assert tuple(order) == bfs_order(parent)[::-1]
         assert len(rerooted.children[0]) == len(tree.neighbors(v))
         validate_tree(rerooted)
         assert split.total == indpoly_oracle(tree)
