@@ -20,10 +20,10 @@ last times two routes through one search sample.
   most 1, with those powers from the binomial row (`intpoly._linear_power`,
   as shipped) against repeated squaring, both on coefficient lists.
 - One square of 5,162-bit coefficients (reproduce's top-level width) at
-  packed sizes 2^20..2^23 bits, under each candidate leaf cap, with the
-  products between the cap and twice the cap evaluated at +-X (as
-  shipped) and split Karatsuba-style instead: best seconds and the traced
-  (`tracemalloc`) peak of one call for each split.
+  packed sizes 2^20..2^23 bits, by `convolve` as shipped under each
+  candidate leaf cap: best seconds, the traced (`tracemalloc`) peak of
+  one call, and the kernel paths it enters.  (The two-point split against
+  Karatsuba is in BENCH_15.json.)
 - T(2^8 1^27), Tmt1:60,60 and the `reproduce` command under each candidate
   leaf cap, each in a fresh process: best seconds and the process's peak
   RSS.  With the square table, it is the measurement behind
@@ -106,7 +106,7 @@ CAP_JOBS = {
 GRID_COUNTS = (16, 64, 256, 1024, 4096)
 GRID_BITS = (64, 1024, 5162)
 # the kernel's multiplication paths, spied on by name
-KERNEL_PATHS = ("_schoolbook", "_kronecker_binary", "_kronecker_decimal", "_kronecker_two_point", "_karatsuba")
+KERNEL_PATHS = ("_schoolbook", "_kronecker_binary", "_kronecker_two_point", "_karatsuba")
 
 # the search-sample table: vertex counts, and samples timed per count
 SEARCH_SIZES = tuple(range(26, 41))
@@ -228,20 +228,12 @@ def traced_peak_mb(fn, *args):
         tracemalloc.stop()
 
 
-def karatsuba_split(a, b, slot):
-    """Stands in for `intpoly._kronecker_two_point`: every product past the
-    leaf cap splits Karatsuba-style, as before the two-point path."""
-    return intpoly._karatsuba(a, b)
-
-
 def square_table(repeat):
-    """One row per packed size and leaf cap: for each split of the products
-    between the cap and twice it, best seconds of one square and its traced
-    peak in MB, and the ratio of the two times."""
+    """One row per packed size and leaf cap: best seconds of one square by
+    `convolve`, its traced peak in MB and the kernel paths it enters."""
     bits = SQUARE_COEFF_BITS
     rng = random.Random(bits)
-    saved = intpoly.LEAF_MAX_BITS, intpoly._kronecker_two_point
-    forced = {"karatsuba": karatsuba_split, "two_point": saved[1]}
+    saved = intpoly.LEAF_MAX_BITS
     rows = []
     try:
         for size in SQUARE_SIZES:
@@ -250,21 +242,17 @@ def square_table(repeat):
             a = [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(count)]
             for cap in LEAF_CAPS:
                 intpoly.LEAF_MAX_BITS = cap
-                row = {"packed_bits": count * (2 * bits + count.bit_length()), "leaf_cap_bits": cap}
-                best = dict.fromkeys(forced, float("inf"))
-                # the splits take turns, so a slow phase of the host hits both alike
-                for _ in range(repeat):
-                    for split, kernel in forced.items():
-                        intpoly._kronecker_two_point = kernel
-                        best[split] = min(best[split], best_of(1, intpoly.convolve, a, a))
-                for split, kernel in forced.items():
-                    intpoly._kronecker_two_point = kernel
-                    row[split + "_s"] = best[split]
-                    row[split + "_peak_mb"] = traced_peak_mb(intpoly.convolve, a, a)
-                row["two_point_over_karatsuba"] = row["two_point_s"] / row["karatsuba_s"]
-                rows.append(row)
+                rows.append(
+                    {
+                        "packed_bits": count * (2 * bits + count.bit_length()),
+                        "leaf_cap_bits": cap,
+                        "s": best_of(repeat, intpoly.convolve, a, a),
+                        "peak_mb": traced_peak_mb(intpoly.convolve, a, a),
+                        "paths": paths_entered(intpoly.convolve, a, a),
+                    }
+                )
     finally:
-        intpoly.LEAF_MAX_BITS, intpoly._kronecker_two_point = saved
+        intpoly.LEAF_MAX_BITS = saved
     return rows
 
 

@@ -14,19 +14,19 @@ multiplied, and the product is cut back into slots.  A slot is wide
 enough that no product coefficient carries into the next one.  Small
 packings multiply as CPython ints; large ones as `decimal.Decimal`,
 whose libmpdec backend multiplies huge operands by a number-theoretic
-transform.  A fixed size, LEAF_MAX_BITS, bounds the transform's working
-memory, and three rules cover the Decimal range:
+transform.  A fixed size, LEAF_MAX_BITS, caps each operand libmpdec
+multiplies, and so the transform's working memory.  Two rules cover the
+Decimal range:
 
-- up to LEAF_MAX_BITS, one point: the operands are packed at 10**D, for
-  slots of D digits, and multiplied once;
-- up to twice that, two points: each operand is packed at +X and -X,
-  X = 10**ceil(D/2), each half the size, and the two products of half-size
-  operands give the even and the odd product coefficients;
+- up to twice LEAF_MAX_BITS, two points: for slots of D digits, each
+  operand is packed at +X and -X, X = 10**ceil(D/2), each half the
+  packing, and the two products of half-size operands give the even and
+  the odd product coefficients;
 - past twice that, the operands split Karatsuba-style first.
 
-Each Decimal product drops its buffers once the next one exists and turns
-its result into digits in two halves, so its peak memory is the product
-and the transform, and no more.
+A Decimal product drops each operand once it has been multiplied and turns
+its results into digits in two halves, so its peak memory is the first
+product held while the second is computed, and that multiply's transform.
 """
 
 from __future__ import annotations
@@ -44,12 +44,13 @@ BINARY_MAX_BITS = 1 << 18
 # (about 14,000 bits), and unpacking through Decimal instead costs more
 # than the transform saves.
 DECIMAL_MAX_SLOT_BITS = 13_000
-# Packed operands past this many bits are evaluated at two points, and past
-# twice it split Karatsuba-style; this caps the transform buffers libmpdec
-# allocates for one product.  Measured with one-point leaves and Karatsuba
-# (benchmarks/layers.py, BENCH_9.json "layers"), 2**22 ran reproduce,
-# T(2^8 1^27) and Tmt1:60,60 26-29% faster than 2**21 for 5% more peak
-# RSS; 2**23 was another 23-28% faster for 11% more again.
+# Each operand libmpdec multiplies packs into about this many bits at
+# most, which caps the transform buffers it allocates for one product:
+# packings up to twice it are evaluated at two points of half the size,
+# larger ones split Karatsuba-style.  Measured with one-point leaves and
+# Karatsuba (benchmarks/layers.py, BENCH_9.json "layers"), 2**22 ran
+# reproduce, T(2^8 1^27) and Tmt1:60,60 26-29% faster than 2**21 for 5%
+# more peak RSS; 2**23 was another 23-28% faster for 11% more again.
 LEAF_MAX_BITS = 1 << 22
 
 # Exact products only: any rounding raises instead of losing digits.  A
@@ -144,12 +145,11 @@ def _convolve_nonneg(a, b):
     # max(a) * max(b), so it stays below 2**slot
     slot = max(a).bit_length() + max(b).bit_length() + min(na, nb).bit_length()
     packed = slot * max(na, nb)
-    if packed > LEAF_MAX_BITS:
-        if packed <= 2 * LEAF_MAX_BITS and slot <= DECIMAL_MAX_SLOT_BITS:
-            return _kronecker_two_point(a, b, slot)
+    decimal_slot = slot <= DECIMAL_MAX_SLOT_BITS
+    if packed > 2 * LEAF_MAX_BITS or (packed > LEAF_MAX_BITS and not decimal_slot):
         return _karatsuba(a, b)
-    if packed > BINARY_MAX_BITS and slot <= DECIMAL_MAX_SLOT_BITS:
-        return _kronecker_decimal(a, b, slot)
+    if packed > BINARY_MAX_BITS and decimal_slot:
+        return _kronecker_two_point(a, b, slot)
     return _kronecker_binary(a, b, slot)
 
 
@@ -202,14 +202,6 @@ def _decimal_width(slot):
     return slot * 30103 // 100000 + 1
 
 
-def _digit_limit_below(width):
-    # Slots of up to DECIMAL_MAX_SLOT_BITS bits fit int() and str() under the
-    # default digit limit.  A limit lowered below the slot sends the product
-    # to ints (0 is no limit, and Pythons before 3.10.7 have none).
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    return 0 < limit < width
-
-
 def _decimal_pack(coeffs, width, exponent=0):
     """The Decimal holding nonnegative coefficients, lowest first, one per
     width-digit slot, times 10**exponent."""
@@ -217,32 +209,23 @@ def _decimal_pack(coeffs, width, exponent=0):
     return Decimal(("%%0%dd" % width * len(coeffs) + "E%d" % exponent) % tuple(reversed(coeffs)))
 
 
-def _kronecker_decimal(a, b, slot):
-    # Digit strings, not ints, cross between the two number types: int <->
-    # Decimal conversion of a packed operand takes time quadratic in its size.
-    # Each buffer is dropped once the next one exists, so the leaf's peak
-    # memory is the product and libmpdec's transform.
-    width = _decimal_width(slot)
-    if _digit_limit_below(width):
-        return _kronecker_binary(a, b, slot)
-    x = _decimal_pack(a, width)
-    y = x if b is a else _decimal_pack(b, width)
-    product = [_EXACT.multiply(x, y)]  # boxed for _decimal_slots
-    del x, y
-    return _decimal_slots(product, width, len(a) + len(b) - 1)
-
-
 def _kronecker_two_point(a, b, slot):
-    # Two-point Kronecker substitution (Harvey 2009): with the leaf's slot
-    # of D digits, d = ceil(D/2) and X = 10**d, an operand a(x) = E(x^2) +
+    # Two-point Kronecker substitution (Harvey 2009): with slots of D
+    # digits, d = ceil(D/2) and X = 10**d, an operand a(x) = E(x^2) +
     # x O(x^2) gives a(+-X) = E(X^2) +- X O(X^2), each about half the
-    # leaf's packing.  With U = a(X) b(X) and V = a(-X) b(-X),
+    # packing at 10**D.  With U = a(X) b(X) and V = a(-X) b(-X),
     # (U - V)/2 = X C_odd(X^2) and U - (U - V)/2 = C_even(X^2), where the
     # product c = C_even(x^2) + x C_odd(x^2) has every coefficient below
     # 10**D <= X^2: two half-size multiplies where Karatsuba takes three.
+    # Digit strings, not ints, cross between the two number types: int <->
+    # Decimal conversion of a packed operand takes time quadratic in its size.
     d = (_decimal_width(slot) + 1) >> 1
     width = 2 * d
-    if _digit_limit_below(width):
+    # Slots of up to DECIMAL_MAX_SLOT_BITS bits fit int() and str() under the
+    # default digit limit.  A limit lowered below the slot sends the product
+    # to ints (0 is no limit, and Pythons before 3.10.7 have none).
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if 0 < limit < width:
         return _kronecker_binary(a, b, slot)
 
     def at_plus_minus_x(coeffs):

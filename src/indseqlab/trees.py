@@ -471,10 +471,9 @@ def parse_edge_list(text: str) -> RootedTree:
     """
     edges = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        s = line.strip()
-        if not s or s.startswith("#"):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = s.split()
         if len(parts) != 2:
             raise TreeParseError("line %d: expected 'u v', got %r" % (lineno, line))
         try:

@@ -50,7 +50,7 @@ def test_py_convolve_empty_and_singleton():
 def paths_taken(monkeypatch):
     """Names of the multiplication paths the kernel entered."""
     taken = set()
-    for name in ("_schoolbook", "_kronecker_binary", "_kronecker_decimal", "_kronecker_two_point", "_karatsuba"):
+    for name in ("_schoolbook", "_kronecker_binary", "_kronecker_two_point", "_karatsuba"):
         inner = getattr(intpoly, name)
 
         def spy(*args, _inner=inner, _name=name):
@@ -62,16 +62,15 @@ def paths_taken(monkeypatch):
 
 
 # (paths entered, coefficient count, coefficient bits, leaf cap).  Binary
-# packs up to 2^18 bits per operand and decimal up to the leaf cap; up to
-# twice the cap the product is evaluated at +-X, and past that it splits
-# Karatsuba-style first.  300 x 303 coefficients of 1,000 bits pack into
-# 608,727 bits.
+# packs up to 2^18 bits per operand; up to twice the leaf cap the product
+# is evaluated at +-X as Decimals, and past that it splits Karatsuba-style
+# first.  300 x 303 coefficients of 1,000 bits pack into 608,727 bits.
 PATH_SIZES = [
     ({"_schoolbook"}, intpoly.SCHOOLBOOK_MAX, 300, None),
     ({"_kronecker_binary"}, 60, 64, None),
     ({"_kronecker_binary"}, 30, 9000, None),  # slots too wide for decimal
-    ({"_kronecker_decimal"}, 300, 1000, None),
-    ({"_kronecker_two_point"}, 300, 1000, 1 << 19),
+    ({"_karatsuba", "_kronecker_binary"}, 30, 9000, 1 << 19),  # and past the cap
+    ({"_kronecker_two_point"}, 300, 1000, None),
     ({"_karatsuba", "_kronecker_two_point"}, 300, 1000, 1 << 18),
 ]
 
@@ -121,35 +120,6 @@ def slot_digits(slot):
     return slot * 30103 // 100000 + 1
 
 
-def test_decimal_leaf_matches_naive():
-    rng = random.Random(9)
-    dense = random_coeffs(rng, 40, 700, signed=False)
-    sparse = [c if rng.random() < 0.2 else 0 for c in random_coeffs(rng, 60, 300, signed=False)]
-    cases = [
-        (dense, dense),  # a square
-        (dense[:9], random_coeffs(rng, 300, 50, signed=False)),  # lopsided
-        (dense + [0] * 7, dense[:20] + [0] * 5),  # zero top slots: a short digit string
-        (dense[:10] + [0] * 30, dense[:10] + [0] * 30),  # the high half all zero
-        ([0] * 30 + dense[:10], [0] * 30 + dense[:10]),  # the low half all zero
-        (sparse, sparse),  # zero runs in both halves, at the cut too
-        ([0] * 12, dense),  # an all-zero operand
-        ([0] * 12, [0] * 12),
-    ]
-    for a, b in cases:
-        want = naive_convolve(a, b)
-        assert intpoly._kronecker_decimal(a, b, leaf_slot(a, b)) == want
-    assert any(not c for c in naive_convolve(sparse, sparse))
-    # a top coefficient of exactly `width` digits, so the product's digit
-    # count is a multiple of the width: 10**30 in slots of 31 digits
-    assert slot_digits(100) == 31 and 10**31 > 2**100
-    a = [1] * 9 + [10**15]
-    want = naive_convolve(a, a)
-    assert len(str(want[-1])) == 31
-    assert intpoly._kronecker_decimal(a, a, 100) == want
-    b = [7] * 12 + [10**15]
-    assert intpoly._kronecker_decimal(a, b, 100) == naive_convolve(a, b)
-
-
 def test_two_point_matches_naive():
     rng = random.Random(15)
     dense = random_coeffs(rng, 41, 700, signed=False)
@@ -167,25 +137,35 @@ def test_two_point_matches_naive():
         ([rng.getrandbits(3000) for _ in range(30)], [1, 0] * 15),
         ([(1 << 700) - 1] * 41, [(1 << 700) - 1] * 41),  # the largest coefficients the slot allows
         ([0] * 12, dense),  # an all-zero operand
+        ([0] * 12, [0] * 12),
+        (dense + [0] * 7, dense[:20] + [0] * 5),  # zero top slots: a short digit string
+        (dense[:10] + [0] * 30, dense[:10] + [0] * 30),  # the high half all zero
+        ([0] * 30 + dense[:10], [0] * 30 + dense[:10]),  # the low half all zero
     ]
+    sparse = [c if rng.random() < 0.2 else 0 for c in random_coeffs(rng, 60, 300, signed=False)]
+    cases.append((sparse, sparse))  # zero runs in both halves, at the cut too
+    assert any(not c for c in naive_convolve(sparse, sparse))
     for a, b in cases:
         want = naive_convolve(a, b)
         assert intpoly._kronecker_two_point(a, b, leaf_slot(a, b)) == want
     # slots of an even and an odd digit count, so that 2d is D and D + 1
     widths = {slot_digits(leaf_slot(a, b)) % 2 for a, b in cases}
     assert widths == {0, 1}
-    # a top coefficient of exactly D digits, as in the leaf's test: 10**30
-    # in slots of D = 31 digits, so 2d = 32
+    # a top product coefficient of exactly D digits: 10**30 in slots of
+    # D = 31 digits, so 2d = 32
+    assert slot_digits(100) == 31 and 10**31 > 2**100
     a = [1] * 9 + [10**15]
-    assert intpoly._kronecker_two_point(a, a, 100) == naive_convolve(a, a)
+    want = naive_convolve(a, a)
+    assert len(str(want[-1])) == 31
+    assert intpoly._kronecker_two_point(a, a, 100) == want
     b = [7] * 12 + [10**15]
     assert intpoly._kronecker_two_point(a, b, 100) == naive_convolve(a, b)
 
 
 def test_small_decimal_leaves_match_naive(monkeypatch, paths_taken):
-    # every packed product goes Decimal; products past 2**12 bits are
-    # evaluated at +-X, and past 2**13 split Karatsuba-style first, so the
-    # small operands here take all three paths
+    # every packed product goes Decimal: up to 2**13 bits it is evaluated
+    # at +-X, and past that it splits Karatsuba-style first, so the small
+    # operands here take both paths
     monkeypatch.setattr(intpoly, "BINARY_MAX_BITS", 0)
     monkeypatch.setattr(intpoly, "LEAF_MAX_BITS", 1 << 12)
     rng = random.Random(12)
@@ -203,7 +183,7 @@ def test_small_decimal_leaves_match_naive(monkeypatch, paths_taken):
         want = naive_convolve(x, y)
         assert convolve(x, y) == want
         assert convolve(y, x) == want
-    assert {"_karatsuba", "_kronecker_decimal", "_kronecker_two_point"} <= paths_taken
+    assert {"_karatsuba", "_kronecker_two_point"} <= paths_taken
     assert "_kronecker_binary" not in paths_taken
 
 
@@ -214,42 +194,27 @@ needs_digit_limit = pytest.mark.skipif(
 
 @needs_digit_limit
 def test_decimal_slots_stay_under_the_digit_limit():
-    # the Decimal leaf converts each slot with plain int() and str(), so
-    # the widest slot it takes must fit CPython's default digit limit
+    # the Decimal kernel converts each slot of 2d = 2 ceil(D/2) digits with
+    # plain int() and str(), so the widest slot it takes must fit CPython's
+    # default digit limit
     width = slot_digits(intpoly.DECIMAL_MAX_SLOT_BITS)
     assert 10**width > 2**intpoly.DECIMAL_MAX_SLOT_BITS
-    assert width <= sys.int_info.default_max_str_digits
-    # a leaf at that slot: 40 coefficients of 6,497 bits, 3,914 digits
+    assert width + (width & 1) <= sys.int_info.default_max_str_digits
+    # a product at that slot: 40 coefficients of 6,497 bits, 3,914 digits
     rng = random.Random(13)
     a = [rng.getrandbits(6497) | 1 << 6496 for _ in range(40)]
     assert leaf_slot(a, a) == intpoly.DECIMAL_MAX_SLOT_BITS
-    assert intpoly._kronecker_decimal(a, a, leaf_slot(a, a)) == naive_convolve(a, a)
-
-
-@needs_digit_limit
-def test_decimal_leaf_under_a_lowered_digit_limit(paths_taken):
-    # PYTHONINTMAXSTRDIGITS can lower the limit to 640 digits; wider slots
-    # then multiply as ints
-    rng = random.Random(14)
-    a = [rng.getrandbits(2500) for _ in range(60)]
-    b = [rng.getrandbits(2500) for _ in range(61)]
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        assert convolve(a, b) == naive_convolve(a, b)
-    finally:
-        sys.set_int_max_str_digits(saved)
-    assert paths_taken == {"_kronecker_decimal", "_kronecker_binary"}
+    assert intpoly._kronecker_two_point(a, a, leaf_slot(a, a)) == naive_convolve(a, a)
 
 
 @needs_digit_limit
 @pytest.mark.parametrize("limit", [640, 1507])
 def test_two_point_under_a_lowered_digit_limit(monkeypatch, paths_taken, limit):
-    # 61 slots of 5,006 bits pack into 305,366 bits, between a lowered
-    # cap of 2^18 and twice it.  The slot has D = 1,507 digits, so the
-    # two-point slots have 2d = 1,508: past a limit of 640 digits, and past
-    # one of exactly D, which a one-point leaf would still take.  The
-    # product then multiplies as ints, as the leaf does.
+    # PYTHONINTMAXSTRDIGITS can lower the limit to 640 digits; wider slots
+    # then multiply as ints.  61 slots of 5,006 bits pack into 305,366
+    # bits, between a lowered cap of 2^18 and twice it.  The slot has
+    # D = 1,507 digits, so the two-point slots have 2d = 1,508: past a
+    # limit of 640 digits, and past one of exactly D.
     monkeypatch.setattr(intpoly, "LEAF_MAX_BITS", 1 << 18)
     rng = random.Random(16)
     a = [rng.getrandbits(2500) | 1 << 2499 for _ in range(60)]
@@ -264,41 +229,24 @@ def test_two_point_under_a_lowered_digit_limit(monkeypatch, paths_taken, limit):
     assert paths_taken == {"_kronecker_two_point", "_kronecker_binary"}
 
 
-def test_decimal_leaf_peak_memory():
-    # One square of 200 coefficients of 5,162 bits, reproduce's top-level
-    # width.  Its traced peak, measured 7.1x the packed operand, is the
-    # product and libmpdec's transform, as for the bare multiply.  Keeping
-    # the operands or the low half to the end measured 7.9x, the product
-    # 9.0x, and all of them with the product's digits held twice 12.7x.
-    rng = random.Random(200)
-    a = [rng.getrandbits(5162) | 1 << 5161 for _ in range(200)]
-    slot = leaf_slot(a, a)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        intpoly._kronecker_decimal(a, a, slot)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 7.5 * (200 * slot / 8)
-
-
 def test_two_point_peak_memory():
-    # One square of 420 coefficients of 5,162 bits, just past the leaf cap,
-    # so convolve evaluates it at +-X.  Its traced peak, measured 6.3x the
-    # packed operand, stays under the one-point leaf's bound.
-    rng = random.Random(420)
-    a = [rng.getrandbits(5162) | 1 << 5161 for _ in range(420)]
-    slot = leaf_slot(a, a)
-    assert intpoly.LEAF_MAX_BITS < 420 * slot <= 2 * intpoly.LEAF_MAX_BITS
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        intpoly._kronecker_two_point(a, a, slot)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 7.5 * (420 * slot / 8)
+    # Squares of 200 and 420 coefficients of 5,162 bits, reproduce's
+    # top-level width: below the leaf cap and just past it.  Each traced
+    # peak, measured 5.1-6.3x the packed operand, is the first product held
+    # while the second is computed, and that multiply's transform.
+    for count in (200, 420):
+        rng = random.Random(count)
+        a = [rng.getrandbits(5162) | 1 << 5161 for _ in range(count)]
+        slot = leaf_slot(a, a)
+        assert intpoly.BINARY_MAX_BITS < count * slot <= 2 * intpoly.LEAF_MAX_BITS
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            intpoly._kronecker_two_point(a, a, slot)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * (count * slot / 8)
 
 
 def random_graph_masks(rng, n, p):

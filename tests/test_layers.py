@@ -21,7 +21,7 @@ def test_layer_tables_run(monkeypatch):
     monkeypatch.setattr(layers, "TREE_SIZES", (26,))
     monkeypatch.setattr(layers, "TREE_CALLS", 1)
     # one square of 101 coefficients, 1,043,431 packed bits, between a cap
-    # of 2^19 and twice it, so that the two splits differ
+    # of 2^19 and twice it, so that it is evaluated at +-X
     monkeypatch.setattr(layers, "SQUARE_SIZES", (1 << 20,))
     monkeypatch.setattr(layers, "LEAF_CAPS", (1 << 19,))
     monkeypatch.setattr(layers, "GRID_COUNTS", (64,))
@@ -39,7 +39,7 @@ def test_layer_tables_run(monkeypatch):
     assert all(row[column + "_s"] > 0 for column, *_ in layers.TREE_MODES)
     (row,) = layers.square_table(1)
     assert row["packed_bits"] == 1043431 and row["leaf_cap_bits"] == 1 << 19
-    assert all(row[split + "_s"] > 0 and row[split + "_peak_mb"] > 0 for split in ("karatsuba", "two_point"))
+    assert row["s"] > 0 and row["peak_mb"] > 0 and row["paths"] == ["_kronecker_two_point"]
     (row,) = layers.convolution_grid(1)
     assert (row["count"], row["bits"], row["paths"]) == (64, 64, ["_kronecker_binary"]) and row["s"] > 0
     (row,) = layers.search_sample_table(1)

@@ -152,6 +152,8 @@ def test_parse_edge_list_basics():
     assert t.n == 3 and t.parent == (-1, 0, 1)
     t = parse_edge_list("# comment\n\n1 0\n 2 1 \n")
     assert t.n == 3 and t.parent == (-1, 0, 1)
+    t = parse_edge_list("0 1  # root edge\n1 2#\n")
+    assert t.n == 3 and t.parent == (-1, 0, 1)
     assert parse_edge_list("").n == 1
 
 
