@@ -64,21 +64,32 @@ def paths_taken(monkeypatch):
 # (paths entered, coefficient count, coefficient bits, leaf cap).  Binary
 # packs up to 2^18 bits per operand; up to twice the leaf cap the product
 # is evaluated at +-X as Decimals, and past that it splits Karatsuba-style
-# first.  300 x 303 coefficients of 1,000 bits pack into 608,727 bits.
+# first.  300 x 303 coefficients of 1,000 bits pack into 608,727 bits:
+# below the default cap, and between a cap of 2^19 and twice it.
 PATH_SIZES = [
     ({"_schoolbook"}, intpoly.SCHOOLBOOK_MAX, 300, None),
     ({"_kronecker_binary"}, 60, 64, None),
     ({"_kronecker_binary"}, 30, 9000, None),  # slots too wide for decimal
     ({"_karatsuba", "_kronecker_binary"}, 30, 9000, 1 << 19),  # and past the cap
     ({"_kronecker_two_point"}, 300, 1000, None),
+    ({"_kronecker_two_point"}, 300, 1000, 1 << 19),
     ({"_karatsuba", "_kronecker_two_point"}, 300, 1000, 1 << 18),
 ]
+
+
+def path_id(paths, size, bits, leaf_cap):
+    # The Decimal range below the leaf cap keeps the id it had when the
+    # one-point leaf _kronecker_decimal took it, before the two-point
+    # kernel took the whole range.
+    if paths == {"_kronecker_two_point"} and leaf_cap is None:
+        paths = {"_kronecker_decimal"}
+    return "%s-%d-%d" % ("+".join(sorted(paths)), size, bits)
 
 
 @pytest.mark.parametrize(
     "paths,size,bits,leaf_cap",
     PATH_SIZES,
-    ids=["%s-%d-%d" % ("+".join(sorted(p)), n, b) for p, n, b, _ in PATH_SIZES],
+    ids=[path_id(*row) for row in PATH_SIZES],
 )
 def test_convolve_paths_match_naive(monkeypatch, paths_taken, paths, size, bits, leaf_cap):
     if leaf_cap is not None:
@@ -120,6 +131,37 @@ def slot_digits(slot):
     return slot * 30103 // 100000 + 1
 
 
+def test_decimal_leaf_matches_naive():
+    # the shapes the Decimal range takes below the leaf cap, where one
+    # point used to suffice, evaluated at +-X
+    rng = random.Random(9)
+    dense = random_coeffs(rng, 40, 700, signed=False)
+    sparse = [c if rng.random() < 0.2 else 0 for c in random_coeffs(rng, 60, 300, signed=False)]
+    cases = [
+        (dense, dense),  # a square
+        (dense[:9], random_coeffs(rng, 300, 50, signed=False)),  # lopsided
+        (dense + [0] * 7, dense[:20] + [0] * 5),  # zero top slots: a short digit string
+        (dense[:10] + [0] * 30, dense[:10] + [0] * 30),  # the high half all zero
+        ([0] * 30 + dense[:10], [0] * 30 + dense[:10]),  # the low half all zero
+        (sparse, sparse),  # zero runs in both halves, at the cut too
+        ([0] * 12, dense),  # an all-zero operand
+        ([0] * 12, [0] * 12),
+    ]
+    for a, b in cases:
+        want = naive_convolve(a, b)
+        assert intpoly._kronecker_two_point(a, b, leaf_slot(a, b)) == want
+    assert any(not c for c in naive_convolve(sparse, sparse))
+    # a top product coefficient of exactly D digits: 10**30 in slots of
+    # D = 31 digits, so 2d = 32
+    assert slot_digits(100) == 31 and 10**31 > 2**100
+    a = [1] * 9 + [10**15]
+    want = naive_convolve(a, a)
+    assert len(str(want[-1])) == 31
+    assert intpoly._kronecker_two_point(a, a, 100) == want
+    b = [7] * 12 + [10**15]
+    assert intpoly._kronecker_two_point(a, b, 100) == naive_convolve(a, b)
+
+
 def test_two_point_matches_naive():
     rng = random.Random(15)
     dense = random_coeffs(rng, 41, 700, signed=False)
@@ -137,27 +179,17 @@ def test_two_point_matches_naive():
         ([rng.getrandbits(3000) for _ in range(30)], [1, 0] * 15),
         ([(1 << 700) - 1] * 41, [(1 << 700) - 1] * 41),  # the largest coefficients the slot allows
         ([0] * 12, dense),  # an all-zero operand
-        ([0] * 12, [0] * 12),
-        (dense + [0] * 7, dense[:20] + [0] * 5),  # zero top slots: a short digit string
-        (dense[:10] + [0] * 30, dense[:10] + [0] * 30),  # the high half all zero
-        ([0] * 30 + dense[:10], [0] * 30 + dense[:10]),  # the low half all zero
     ]
-    sparse = [c if rng.random() < 0.2 else 0 for c in random_coeffs(rng, 60, 300, signed=False)]
-    cases.append((sparse, sparse))  # zero runs in both halves, at the cut too
-    assert any(not c for c in naive_convolve(sparse, sparse))
     for a, b in cases:
         want = naive_convolve(a, b)
         assert intpoly._kronecker_two_point(a, b, leaf_slot(a, b)) == want
     # slots of an even and an odd digit count, so that 2d is D and D + 1
     widths = {slot_digits(leaf_slot(a, b)) % 2 for a, b in cases}
     assert widths == {0, 1}
-    # a top product coefficient of exactly D digits: 10**30 in slots of
-    # D = 31 digits, so 2d = 32
-    assert slot_digits(100) == 31 and 10**31 > 2**100
+    # a top coefficient of exactly D digits, as in the Decimal leaf's test:
+    # 10**30 in slots of D = 31 digits, so 2d = 32
     a = [1] * 9 + [10**15]
-    want = naive_convolve(a, a)
-    assert len(str(want[-1])) == 31
-    assert intpoly._kronecker_two_point(a, a, 100) == want
+    assert intpoly._kronecker_two_point(a, a, 100) == naive_convolve(a, a)
     b = [7] * 12 + [10**15]
     assert intpoly._kronecker_two_point(a, b, 100) == naive_convolve(a, b)
 
@@ -208,13 +240,30 @@ def test_decimal_slots_stay_under_the_digit_limit():
 
 
 @needs_digit_limit
+def test_decimal_leaf_under_a_lowered_digit_limit(paths_taken):
+    # PYTHONINTMAXSTRDIGITS can lower the limit to 640 digits; wider slots
+    # then multiply as ints.  61 slots of up to 5,006 bits pack into less
+    # than the default leaf cap.
+    rng = random.Random(14)
+    a = [rng.getrandbits(2500) for _ in range(60)]
+    b = [rng.getrandbits(2500) for _ in range(61)]
+    assert 61 * leaf_slot(a, b) <= intpoly.LEAF_MAX_BITS
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert convolve(a, b) == naive_convolve(a, b)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert paths_taken == {"_kronecker_two_point", "_kronecker_binary"}
+
+
+@needs_digit_limit
 @pytest.mark.parametrize("limit", [640, 1507])
 def test_two_point_under_a_lowered_digit_limit(monkeypatch, paths_taken, limit):
-    # PYTHONINTMAXSTRDIGITS can lower the limit to 640 digits; wider slots
-    # then multiply as ints.  61 slots of 5,006 bits pack into 305,366
-    # bits, between a lowered cap of 2^18 and twice it.  The slot has
-    # D = 1,507 digits, so the two-point slots have 2d = 1,508: past a
-    # limit of 640 digits, and past one of exactly D.
+    # 61 slots of 5,006 bits pack into 305,366 bits, between a lowered cap
+    # of 2^18 and twice it.  The slot has D = 1,507 digits, so the
+    # two-point slots have 2d = 1,508: past a limit of 640 digits, and past
+    # one of exactly D.
     monkeypatch.setattr(intpoly, "LEAF_MAX_BITS", 1 << 18)
     rng = random.Random(16)
     a = [rng.getrandbits(2500) | 1 << 2499 for _ in range(60)]
@@ -229,24 +278,37 @@ def test_two_point_under_a_lowered_digit_limit(monkeypatch, paths_taken, limit):
     assert paths_taken == {"_kronecker_two_point", "_kronecker_binary"}
 
 
+def decimal_peak_ratio(count):
+    # traced peak of one square of `count` coefficients of 5,162 bits,
+    # reproduce's top-level width, over the packed operand
+    rng = random.Random(count)
+    a = [rng.getrandbits(5162) | 1 << 5161 for _ in range(count)]
+    slot = leaf_slot(a, a)
+    assert intpoly.BINARY_MAX_BITS < count * slot <= 2 * intpoly.LEAF_MAX_BITS
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        intpoly._kronecker_two_point(a, a, slot)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (count * slot / 8), count * slot
+
+
+def test_decimal_leaf_peak_memory():
+    # 200 coefficients, below the leaf cap.  The peak, measured 5.1x, is
+    # the first product held while the second is computed, and that
+    # multiply's transform.
+    ratio, packed = decimal_peak_ratio(200)
+    assert packed <= intpoly.LEAF_MAX_BITS
+    assert ratio < 7.5
+
+
 def test_two_point_peak_memory():
-    # Squares of 200 and 420 coefficients of 5,162 bits, reproduce's
-    # top-level width: below the leaf cap and just past it.  Each traced
-    # peak, measured 5.1-6.3x the packed operand, is the first product held
-    # while the second is computed, and that multiply's transform.
-    for count in (200, 420):
-        rng = random.Random(count)
-        a = [rng.getrandbits(5162) | 1 << 5161 for _ in range(count)]
-        slot = leaf_slot(a, a)
-        assert intpoly.BINARY_MAX_BITS < count * slot <= 2 * intpoly.LEAF_MAX_BITS
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            intpoly._kronecker_two_point(a, a, slot)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 7.5 * (count * slot / 8)
+    # 420 coefficients, just past the leaf cap; measured 6.3x
+    ratio, packed = decimal_peak_ratio(420)
+    assert intpoly.LEAF_MAX_BITS < packed
+    assert ratio < 7.5
 
 
 def random_graph_masks(rng, n, p):
