@@ -64,13 +64,9 @@ def _load_tree(args):
 
 
 def _add_tree_input(sub):
-    sub.add_argument("spec", nargs="?", help="family spec string, e.g. Tmt1:4,3")
-    sub.add_argument("--edges", metavar="FILE", help="edge-list file instead of a spec")
-
-
-def _check_tree_input(parser, args):
-    if (args.spec is None) == (args.edges is None):
-        parser.error("give exactly one of: a family spec, or --edges FILE")
+    tree = sub.add_mutually_exclusive_group(required=True)
+    tree.add_argument("spec", nargs="?", help="family spec string, e.g. Tmt1:4,3")
+    tree.add_argument("--edges", metavar="FILE", help="edge-list file instead of a spec")
 
 
 # -- commands -----------------------------------------------------------------
@@ -260,16 +256,16 @@ def build_parser():
 
     p = sub.add_parser("poly", help="print the independence sequence")
     _add_tree_input(p)
-    p.set_defaults(func=cmd_poly, needs_tree=True)
+    p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("analyze", help="break/unimodality report (exit 3 on breaks)")
     _add_tree_input(p)
     p.add_argument("--json", metavar="FILE", help="also write the report as JSON")
-    p.set_defaults(func=cmd_analyze, needs_tree=True)
+    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("reproduce", help="run the fixed claim suite")
     p.add_argument("--json", metavar="FILE", help="write a JSON summary")
-    p.set_defaults(func=cmd_reproduce, needs_tree=False)
+    p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("search", help="seeded random-tree counterexample search")
     p.add_argument("--n-min", type=int, required=True)
@@ -284,17 +280,17 @@ def build_parser():
         help="processes that examine trees: this one and THREADS - 1 spawned workers"
         " (default: machine parallelism)",
     )
-    p.set_defaults(func=cmd_search, needs_tree=False)
+    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="run the formula verification suite")
     p.add_argument("--t-max", type=int, default=300)
     p.add_argument("--grid-max", type=int, default=8)
     p.add_argument("--json", metavar="FILE", help="write a JSON summary")
-    p.set_defaults(func=cmd_verify, needs_tree=False)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="cross-check DP vs subset-sweep oracle")
     _add_tree_input(p)
-    p.set_defaults(func=cmd_oracle, needs_tree=True)
+    p.set_defaults(func=cmd_oracle)
 
     return parser
 
@@ -302,8 +298,6 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.needs_tree:
-        _check_tree_input(parser, args)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so a closed pipe fails here, not at exit

@@ -24,6 +24,8 @@ from test_search import SEARCH_SHA256
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # SHA-256 of `verify`'s default stdout
 VERIFY_SHA256 = "631f111e96a7653e930a8c15e8ab1bebef41ca38d65e3f3193aa885238cb0219"
+# SHA-256 of `oracle Rand:22,1`'s stdout: the DP and subset-sweep sequences
+ORACLE_SHA256 = "9b9b2e0392edc35e898ec1fc6fbee6c4089aa1c2e408203d698c8b42fe6a4523"
 
 
 def run_cli(capsys, *argv):
@@ -255,9 +257,9 @@ def other_interpreters():
     return found
 
 
-def test_verify_pinned_on_every_other_python(tmp_path):
-    # the same bytes under every supported interpreter; reproduce is left
-    # out for its cost, about 2 s per interpreter
+def cli_digests_on_other_pythons(tmp_path, *argv):
+    """{version: (exit code, stdout SHA-256)} of one CLI call under each
+    other interpreter; skips the test when there is none."""
     found = other_interpreters()
     if not found:
         pytest.skip("no other Python >= 3.10 starts: none in ~/.pyenv/versions, no python3.1x on PATH")
@@ -265,10 +267,24 @@ def test_verify_pinned_on_every_other_python(tmp_path):
     got = {}
     for version, exe in found.items():
         proc = subprocess.run(
-            [exe, "-m", "indseqlab.cli", "verify"], capture_output=True, cwd=tmp_path, env=env, timeout=600
+            [exe, "-m", "indseqlab.cli", *argv], capture_output=True, cwd=tmp_path, env=env, timeout=600
         )
         got[version] = (proc.returncode, hashlib.sha256(proc.stdout).hexdigest())
-    assert got == dict.fromkeys(found, (0, VERIFY_SHA256))
+    return got
+
+
+def test_verify_pinned_on_every_other_python(tmp_path):
+    # the same bytes under every supported interpreter; reproduce is left
+    # out for its cost, about 2 s per interpreter
+    got = cli_digests_on_other_pythons(tmp_path, "verify")
+    assert got == dict.fromkeys(got, (0, VERIFY_SHA256))
+
+
+def test_oracle_pinned_on_every_other_python(tmp_path):
+    # the largest oracle sweep, 2^22 subsets, gives the same bytes under
+    # every supported interpreter
+    got = cli_digests_on_other_pythons(tmp_path, "oracle", "Rand:22,1")
+    assert got == dict.fromkeys(got, (0, ORACLE_SHA256))
 
 
 # the pinned 600-sample search, then a (32, 80) audit, whose ratios pass a
