@@ -15,10 +15,12 @@ Each forced value, and each spy on a kernel path, is patched in with
 - `indpoly_sst` on spiders, stars, T(2^8 1^27) and Tmt1:60,60: best
   seconds.  The last two have coefficients of thousands of bits, and
   the leaf cap was tuned on them (BENCH_9.json).
-- `indpoly_tree` on Rand, Path, Cat, Spider and Star trees of n = 26..256
+- `indpoly_tree` on Rand, Path, Cat, Spider and Star trees of n = 26..400
   vertices: packed with w = ceil(n/8) byte slots, packed with slots from
   the count pass at x = 1, and on lists; plus the rule as shipped.  It is
-  the measurement behind `indpoly._SLOTS_FROM_N_MAX_VERTICES`.
+  the measurement behind `indpoly._SLOTS_FROM_N_MAX_VERTICES`.  The rows
+  at 320 and 400 vertices lie on either side of 362, from where the rule
+  as shipped skips the count pass.
 - One square of 5,162-bit coefficients (reproduce's top-level width) at
   packed sizes 2^20..2^23 bits, by `convolve` under each candidate leaf
   cap: best seconds, the traced (`tracemalloc`) peak of one call, and the
@@ -65,7 +67,7 @@ SST_CASES = (
     + (("T(2^8 1^27)", [2] * 8 + [1] * 27), ("Tmt1:60,60", [60, 60, 1]))
 )
 
-TREE_SIZES = (26, 32, 40, 48, 64, 80, 96, 112, 120, 128, 136, 144, 160, 192, 224, 256)
+TREE_SIZES = (26, 32, 40, 48, 64, 80, 96, 112, 120, 128, 136, 144, 160, 192, 224, 256, 320, 400)
 # random trees timed per size, reported per tree
 RAND_TREES = 8
 # (label, n -> trees of about n vertices)

@@ -40,6 +40,14 @@ EXIT_INTERNAL = 4
 # -- input handling -----------------------------------------------------------
 
 
+def _tree_input(args):
+    """(spec, None) for a family spec, or (None, tree) read from --edges."""
+    if args.edges is None:
+        return parse_family(args.spec), None
+    with open(args.edges, "r", encoding="utf-8") as fh:
+        return None, parse_edge_list(fh.read())
+
+
 def _load_sequence(args):
     """(n, coefficient tuple) for the requested tree.
 
@@ -47,20 +55,13 @@ def _load_sequence(args):
     are never materialized; everything else builds the tree and runs the
     generic DP.
     """
-    if args.edges is None:
-        spec = parse_family(args.spec)
+    spec, tree = _tree_input(args)
+    if spec is not None:
         counts = spec.sst_counts()
         if counts is not None:
             return spec.vertex_count(), indpoly_sst(counts).coeffs
-    tree = _load_tree(args)
+        tree = build_family(spec)
     return tree.n, indpoly_tree(tree).coeffs
-
-
-def _load_tree(args):
-    if args.edges is not None:
-        with open(args.edges, "r", encoding="utf-8") as fh:
-            return parse_edge_list(fh.read())
-    return build_family(parse_family(args.spec))
 
 
 def _add_tree_input(sub):
@@ -222,17 +223,13 @@ def cmd_search(args):
     return EXIT_OK
 
 
-def _check_oracle_size(n):
+def cmd_oracle(args):
+    spec, tree = _tree_input(args)
+    # a spec is sized from its parameters, before it is built
+    n = tree.n if spec is None else spec.vertex_count()
     if n > ORACLE_MAX_VERTICES:
         raise ValueError("tree has %d vertices, limit is %d" % (n, ORACLE_MAX_VERTICES))
-
-
-def cmd_oracle(args):
-    if args.edges is None:
-        # a spec is sized from its parameters, before it is built
-        _check_oracle_size(parse_family(args.spec).vertex_count())
-    tree = _load_tree(args)
-    _check_oracle_size(tree.n)
+    tree = tree or build_family(spec)
     dp = indpoly_tree(tree)
     orc = indpoly_oracle(tree)
     print("dp     : %s" % " ".join(str(c) for c in dp.coeffs))

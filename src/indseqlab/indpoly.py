@@ -28,8 +28,8 @@ coefficients are, and the root's products run at CPython's Karatsuba
 speed; so a tree whose width 8wn exceeds the measured crossover
 _PACKED_MAX_BITS runs the same DP on coefficient lists instead, whose
 products `intpoly.convolve` packs one at a time with slots fitted to the
-operands.  A tree that runs on lists even in one-byte slots needs no width
-and skips the count.  A subset-sweep oracle (shared code with nothing
+operands.  A tree certain to run on lists needs no width and skips the
+count (see _root_pair).  A subset-sweep oracle (shared code with nothing
 else) provides an independent cross-check up to 22 vertices.
 """
 
@@ -167,11 +167,13 @@ def _root_pair(parent, order):
 
     The width rule (see the module docstring): w-byte slots from n up to
     _SLOTS_FROM_N_MAX_VERTICES vertices, else from a count pass at x = 1;
-    packed ints while 8wn <= _PACKED_MAX_BITS, else coefficient lists, with
-    no count pass when one-byte slots already span more.
+    packed ints while 8wn <= _PACKED_MAX_BITS, else coefficient lists.
+    Every tree has at least 2**ceil(n/2) independent sets, the subsets of
+    its larger colour class, so 8w >= (n + 2) / 2 and 8wn >= n(n + 2) / 2:
+    past that gate lists are certain, and the count pass is skipped.
     """
     n = len(parent)
-    if 8 * n <= _PACKED_MAX_BITS:
+    if n * (n + 2) <= 2 * _PACKED_MAX_BITS:
         count = (1 << n) - 1 if n <= _SLOTS_FROM_N_MAX_VERTICES else sum(_evaluate(parent, order, _packed(0)))
         w = (count.bit_length() + 7) >> 3
         if 8 * w * n <= _PACKED_MAX_BITS:

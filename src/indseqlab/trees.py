@@ -167,10 +167,14 @@ FAMILIES = ("Tmt1", "SST", "Spider", "Cat", "Path", "Star", "Rand")
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named tree family instance, e.g. FamilySpec("Tmt1", (4, 3))."""
+    """A named tree family instance, e.g. FamilySpec("Tmt1", (4, 3)), checked
+    when built: parameters that do not fit the family raise ValueError."""
 
     family: str
     params: tuple
+
+    def __post_init__(self):
+        _check_params(self)
 
     def __str__(self):
         return "%s:%s" % (self.family, ",".join(str(p) for p in self.params))
@@ -218,24 +222,30 @@ def parse_family(text: str) -> FamilySpec:
         params = tuple(int(p) for p in rest.split(",")) if rest else ()
     except ValueError:
         raise ValueError("non-integer parameter in %r" % text) from None
-    spec = FamilySpec(name, params)
-    _check_params(spec)
-    return spec
+    return FamilySpec(name, params)
 
 
 def build_family(spec: FamilySpec) -> RootedTree:
     """Materialize a FamilySpec as a breadth-first-numbered rooted tree;
     spherically symmetric families through their level counts, the one
     map the fast path uses too."""
-    _check_params(spec)
     counts = spec.sst_counts()
     if counts is not None:
         return sst(counts)
-    if spec.family == "Cat":
-        return caterpillar(spec.params)
     if spec.family == "Rand":
         return random_tree(*spec.params)
-    return RootedTree([-1])  # Path:1 and Star:1
+    # a caterpillar (Path:1 and Star:1 are one bare spine vertex), numbered
+    # breadth-first: the pendants of spine vertex k, then spine vertex k+1
+    ps = spec.params if spec.family == "Cat" else (0,)
+    parent = [-1]
+    spine_v = 0
+    for i, p in enumerate(ps):
+        for _ in range(p):
+            parent.append(spine_v)
+        if i + 1 < len(ps):
+            parent.append(spine_v)
+            spine_v = len(parent) - 1
+    return RootedTree(parent)
 
 
 def _check_params(spec):
@@ -266,7 +276,7 @@ def _check_params(spec):
         need(len(ps) == 2, "expected parameters n,seed")
         need(ps[0] >= 1, "n must be >= 1")
     else:
-        raise ValueError("unknown family %r" % fam)
+        raise ValueError("%s: unknown family (expected one of %s)" % (spec, ", ".join(FAMILIES)))
 
 
 def _level_counts(child_counts):
@@ -327,22 +337,7 @@ def star(n: int) -> RootedTree:
 def caterpillar(pendant_counts) -> RootedTree:
     """Caterpillar: a spine path with pendant_counts[i] pendant leaves on
     spine vertex i.  Zero pendant counts are allowed."""
-    ps = list(pendant_counts)
-    if not ps:
-        raise ValueError("pendant-count list must be nonempty")
-    if any(p < 0 for p in ps):
-        raise ValueError("pendant counts must be >= 0, got %r" % (ps,))
-    # breadth-first order: level k holds spine vertex k's pendants' parent
-    # is spine k-1, so emit pendants of spine k, then spine vertex k+1
-    parent = [-1]
-    spine_v = 0
-    for i, p in enumerate(ps):
-        for _ in range(p):
-            parent.append(spine_v)
-        if i + 1 < len(ps):
-            parent.append(spine_v)
-            spine_v = len(parent) - 1
-    return RootedTree(parent)
+    return build_family(FamilySpec("Cat", tuple(pendant_counts)))
 
 
 # -- random trees via Pruefer sequences --------------------------------------

@@ -18,6 +18,7 @@ import sys
 import pytest
 
 from indseqlab import cli
+from indseqlab.intpoly import IntPolynomial
 from indseqlab.seqcheck import report_from_json
 from test_search import SEARCH_SHA256
 
@@ -166,6 +167,26 @@ def test_oracle_budget(capsys, monkeypatch):
         assert (code, out) == (2, "")
         assert err.endswith("tree has %d vertices, limit is 22\n" % n)
     assert built == []
+
+
+def test_oracle_mismatch(capsys, monkeypatch):
+    # a DP that disagrees with the sweep is a fault: MISMATCH, exit 1
+    monkeypatch.setattr(cli, "indpoly_tree", lambda tree: IntPolynomial([1, tree.n + 1]))
+    code, out, _ = run_cli(capsys, "oracle", "Path:3")
+    assert code == 1
+    assert out == "dp     : 1 4\noracle : 1 3 1\nMISMATCH\n"
+
+
+@pytest.mark.parametrize("argv", [["poly", "Cat:2,0,3"], ["poly", "Tmt1:2,2"],
+                                  ["analyze", "Cat:1"], ["oracle", "Rand:8,1"]],
+                         ids=" ".join)
+def test_each_spec_parsed_once(capsys, monkeypatch, argv):
+    calls = []
+    parse = cli.parse_family
+    monkeypatch.setattr(cli, "parse_family", lambda text: calls.append(text) or parse(text))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == [argv[1]]
 
 
 def test_verify_small_bounds(capsys, tmp_path):

@@ -327,15 +327,15 @@ def test_count_pass_runs_only_above_the_slot_bound(monkeypatch):
 
 
 def test_count_pass_skipped_where_lists_are_sure(monkeypatch):
-    # a tree whose one-byte slots already span more than its bound runs on
-    # lists whatever i(T) is, so it never counts; here the bound is moved
-    # down to 8 * 150
+    # i(T) >= 2^ceil(n/2), so a tree with n(n + 2)/2 past its bound runs on
+    # lists whatever i(T) is, and never counts; here the bound is moved down
+    # to 130 * 132 / 2, past the 112 vertices that take slots from n
     shifts = []
     packed = indpoly._packed
     monkeypatch.setattr(indpoly, "_packed", lambda shift: shifts.append(shift) or packed(shift))
-    monkeypatch.setattr(indpoly, "_PACKED_MAX_BITS", 8 * 150)
+    monkeypatch.setattr(indpoly, "_PACKED_MAX_BITS", 130 * 132 // 2)
     rng = random.Random(150)
-    for n, counts in ((150, True), (151, False)):
+    for n, counts in ((130, True), (131, False)):
         tree = random_tree(n, rng.getrandbits(64))
         shifts.clear()
         poly = indpoly_tree(tree)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from indseqlab import seqcheck
 from indseqlab.indpoly import indpoly_sst, indpoly_tree
 from indseqlab.intpoly import IntPolynomial, mul
 from indseqlab.seqcheck import (
@@ -47,6 +48,8 @@ def test_is_unimodal():
     assert is_unimodal([1, 2, 3]) == (True, (2, 2))
     assert is_unimodal([3, 2, 1]) == (True, (0, 0))
     assert is_unimodal([1, 2, 1, 2]) == (False, None)
+    assert is_unimodal([2, 1, 3]) == (False, None)
+    assert is_unimodal([3, 1, 2]) == (False, None)
     with pytest.raises(ValueError):
         is_unimodal([])
 
@@ -83,6 +86,12 @@ def test_analyze_tmt1_44():
     assert not r.is_log_concave
     assert r.is_unimodal
     assert r.tail_start == 13 and r.tail_monotone
+
+
+def test_analyze_checks_alpha(monkeypatch):
+    monkeypatch.setattr(seqcheck, "independence_number", lambda tree: -1)
+    with pytest.raises(RuntimeError, match="disagrees with alpha"):
+        analyze(path(2))
 
 
 def test_analyze_deterministic():

@@ -8,6 +8,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 
 import pytest
 
@@ -126,6 +127,16 @@ def test_family_rejects_bad_parameters():
             parse_family(bad)
 
 
+def test_family_spec_checked_when_built():
+    # a spec built directly is checked too, before any method can see it
+    for family, params, msg in [("Tmt1", (3,), "Tmt1:3: expected parameters m,t"),
+                                ("Path", (), "Path:: expected parameter n"),
+                                ("Cat", (-2,), "Cat:-2: pendant counts must be >= 0"),
+                                ("Nope", (1,), "Nope:1: unknown family")]:
+        with pytest.raises(ValueError, match="^" + re.escape(msg)):
+            FamilySpec(family, params)
+
+
 def test_parse_family_roundtrip():
     spec = parse_family("Tmt1:4,3")
     assert spec == FamilySpec("Tmt1", (4, 3))
@@ -161,6 +172,7 @@ def test_parse_edge_list_basics():
     "text,msg",
     [
         ("0 1\n2 3", "disconnected"),
+        ("0 1\n1 2\n2 0\n3 4", "not reachable"),
         ("0 1\n1 2\n2 0", "cycle"),
         ("0 0", "self-loop"),
         ("0 1\n1 0", "duplicate"),
@@ -295,6 +307,8 @@ def test_tree_from_edges_validation():
         tree_from_edges(2, [(0, 5)])
     with pytest.raises(TreeParseError, match="expected"):
         tree_from_edges(3, [(0, 1)])
+    with pytest.raises(TreeParseError, match="at least one vertex"):
+        tree_from_edges(0, [])
     assert tree_from_edges(1, []).n == 1
 
 
