@@ -5,7 +5,7 @@ Run from the repository root:
 
     python3 benchmarks/layers.py [--repeat 5]
 
-It regenerates five tables, each case timed best-of-N.  They time the
+It regenerates six tables, each case timed best-of-N.  They time the
 code as shipped, except where a table retunes one of its constants: the
 tree-DP table forces `indpoly._SLOTS_FROM_N_MAX_VERTICES` and
 `indpoly._PACKED_MAX_BITS`, the square table `intpoly.LEAF_MAX_BITS`.
@@ -34,6 +34,11 @@ Each forced value, and each spy on a kernel path, is patched in with
 - `search.examine_sample` at each n = 26..40, in microseconds per sample.
   (The route through a `RootedTree` and `seqcheck.analyze` that it
   replaced is in BENCH_17.json.)
+- The oracle at n = 8, 14, 18 and 22, on the tree of `Rand:n,1`, in
+  microseconds per call: `indpoly_oracle` alone, and the whole
+  `cli.main(["oracle", "Rand:n,1"])` with its stdout discarded.  Their
+  difference is the command's fixed cost per call: parsing, building the
+  tree, the tree DP and printing.
 
 Prints one JSON object with the environment, the git revision, N and the
 rows.
@@ -56,7 +61,7 @@ from unittest import mock
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from indseqlab import indpoly, intpoly, search  # noqa: E402
+from indseqlab import cli, indpoly, intpoly, search  # noqa: E402
 from indseqlab.rng import derive_seed  # noqa: E402
 from indseqlab.trees import caterpillar, path, random_tree, spider, star  # noqa: E402
 
@@ -103,6 +108,10 @@ KERNEL_PATHS = ("_schoolbook", "_kronecker_binary", "_kronecker_two_point", "_ka
 # the search-sample table: vertex counts, and samples timed per count
 SEARCH_SIZES = tuple(range(26, 41))
 SEARCH_SAMPLES = 200
+
+# the oracle table: vertex counts, and calls timed per count
+ORACLE_SIZES = (8, 14, 18, 22)
+ORACLE_CALLS = 20
 
 
 def cpu_model():
@@ -255,6 +264,29 @@ def search_sample_table(repeat):
     return [{"n": n, "us": best_of(repeat, examine_samples, n) / SEARCH_SAMPLES * 1e6} for n in SEARCH_SIZES]
 
 
+def oracle_calls(fn, *args):
+    for _ in range(ORACLE_CALLS):
+        fn(*args)
+
+
+def oracle_table(repeat):
+    """One row per vertex count: best microseconds per call of
+    `indpoly_oracle` on the tree of `Rand:n,1`, and of `cli.main` on the
+    `oracle` command for that spec, with stdout discarded.  Unless `main`
+    ran before, its first timing includes building the parser, which best
+    of two or more leaves out."""
+    rows = []
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        for n in ORACLE_SIZES:
+            # the tree `Rand:n,1` builds
+            oracle_s = best_of(repeat, oracle_calls, indpoly.indpoly_oracle, random_tree(n, 1))
+            cli_s = best_of(repeat, oracle_calls, cli.main, ["oracle", "Rand:%d,1" % n])
+            scale = 1e6 / ORACLE_CALLS
+            rows.append({"n": n, "oracle_us": oracle_s * scale, "cli_us": cli_s * scale,
+                         "cli_fixed_us": (cli_s - oracle_s) * scale})
+    return rows
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5, help="best of this many timings per cell")
@@ -288,6 +320,7 @@ def main(argv=None):
             "rows": convolution_grid(args.repeat),
         },
         "search_sample": {"samples": SEARCH_SAMPLES, "rows": search_sample_table(args.repeat)},
+        "oracle": {"calls": ORACLE_CALLS, "rows": oracle_table(args.repeat)},
     }
     json.dump(report, sys.stdout, indent=1)
     sys.stdout.write("\n")

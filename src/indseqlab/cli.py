@@ -19,6 +19,7 @@ the reader of stdout left early, as in `indseqlab poly Path:3000 | head -1`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -292,9 +293,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """`main`'s parser: built on first use, then kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so a closed pipe fails here, not at exit

@@ -340,6 +340,69 @@ def test_search_and_audit_pickle_on_every_other_python(tmp_path):
     assert got == dict.fromkeys(found, (0, SEARCH_SHA256 + "\nTrue\n", ""))
 
 
+@pytest.fixture
+def fresh_parser():
+    """`main` builds its parser anew on its next call, and again after the
+    test, so that no parser a test built outlives it."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_parser_reuse_keeps_no_state(capsys, monkeypatch, tmp_path, fresh_parser):
+    # every call below runs on the one parser `main` keeps
+    first = run_cli(capsys, "oracle", "Path:4")
+    assert first[0] == 0
+    for argv in (["oracle"], ["oracle", "Path:4", "--edges", "e.txt"], ["verify", "--t-max", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, *argv)
+        assert exc.value.code == 2
+        assert "error: " in capsys.readouterr().err
+    assert run_cli(capsys, "oracle", "Path:4") == first
+
+    # an option given once falls back to its default on the next call
+    bounds = []
+    monkeypatch.setattr(cli, "_verify_checks", lambda t_max, grid_max: bounds.append((t_max, grid_max)) or [])
+    assert run_cli(capsys, "verify", "--t-max", "5")[0] == 0
+    assert run_cli(capsys, "verify")[0] == 0
+    assert bounds == [(5, 8), (300, 8)]
+
+    # --edges is not kept for the spec that follows it, nor the spec for --edges
+    star = tmp_path / "star.txt"
+    star.write_text("0 1\n0 2\n0 3\n")
+    path3 = (0, "dp     : 1 3 1\noracle : 1 3 1\nMATCH\n", "")
+    assert run_cli(capsys, "oracle", "--edges", str(star))[1].endswith("oracle : 1 4 3 1\nMATCH\n")
+    assert run_cli(capsys, "oracle", "Path:3") == path3
+    assert run_cli(capsys, "oracle", "--edges", str(star))[1].endswith("oracle : 1 4 3 1\nMATCH\n")
+
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith("usage: indseqlab oracle")
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch, fresh_parser):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    for argv in (["poly", "Path:2"], ["oracle", "Path:3"], ["analyze", "Path:4"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert len(built) == 1
+    # build_parser() gives each caller its own parser, and what a caller
+    # adds to its copy is not accepted by main
+    mine = build()
+    assert mine is not build() and mine is not cli._parser()
+    mine.add_argument("--extra", action="store_true")
+    assert mine.parse_args(["--extra", "poly", "Path:2"]).extra
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--extra", "poly", "Path:2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --extra" in capsys.readouterr().err
+
+
 def test_cli_without_command_fails(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])

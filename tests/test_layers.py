@@ -1,8 +1,8 @@
 """Smoke test of benchmarks/layers.py, which times the code as shipped and
 patches indpoly's bounds and intpoly's leaf cap and paths by name where it
-retunes or spies on them: its SST, tree-DP, leaf-square, convolution-grid
-and search-sample tables run on one small case each, and put back every
-value they force."""
+retunes or spies on them: its SST, tree-DP, leaf-square, convolution-grid,
+search-sample and oracle tables run on one small case each, and put back
+every value they force."""
 
 import importlib.util
 import os
@@ -12,7 +12,7 @@ from indseqlab import indpoly, intpoly
 SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks", "layers.py")
 
 
-def test_layer_tables_run(monkeypatch):
+def test_layer_tables_run(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("layers", SCRIPT)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
@@ -29,6 +29,8 @@ def test_layer_tables_run(monkeypatch):
     monkeypatch.setattr(layers, "GRID_BITS", (64,))
     monkeypatch.setattr(layers, "SEARCH_SIZES", (26,))
     monkeypatch.setattr(layers, "SEARCH_SAMPLES", 2)
+    monkeypatch.setattr(layers, "ORACLE_SIZES", (8,))
+    monkeypatch.setattr(layers, "ORACLE_CALLS", 1)
     names = ("_SLOTS_FROM_N_MAX_VERTICES", "_PACKED_MAX_BITS")
     bounds = [getattr(indpoly, name) for name in names]
     kernel_names = ("LEAF_MAX_BITS",) + layers.KERNEL_PATHS
@@ -45,6 +47,10 @@ def test_layer_tables_run(monkeypatch):
     assert (row["count"], row["bits"], row["paths"]) == (64, 64, ["_kronecker_binary"]) and row["s"] > 0
     (row,) = layers.search_sample_table(1)
     assert row["n"] == 26 and row["us"] > 0
+    (row,) = layers.oracle_table(1)
+    assert row["n"] == 8 and row["oracle_us"] > 0 and row["cli_us"] > 0
+    # the CLI's stdout is discarded
+    assert capsys.readouterr().out == ""
     # the tables put back the bounds, cap and paths they force
     assert [getattr(indpoly, name) for name in names] == bounds
     assert [getattr(intpoly, name) for name in kernel_names] == kernel
