@@ -34,11 +34,13 @@ Each forced value, and each spy on a kernel path, is patched in with
 - `search.examine_sample` at each n = 26..40, in microseconds per sample.
   (The route through a `RootedTree` and `seqcheck.analyze` that it
   replaced is in BENCH_17.json.)
-- The oracle at n = 8, 14, 18 and 22, on the tree of `Rand:n,1`, in
-  microseconds per call: `indpoly_oracle` alone, and the whole
-  `cli.main(["oracle", "Rand:n,1"])` with its stdout discarded.  Their
-  difference is the command's fixed cost per call: parsing, building the
-  tree, the tree DP and printing.
+- The oracle at n = 8, 14, 16, 17, 18, 20 and 22, on the tree of
+  `Rand:n,1`, in microseconds per call: `indpoly_oracle` alone, and the
+  whole `cli.main(["oracle", "Rand:n,1"])` with its stdout discarded.
+  Their difference is the command's fixed cost per call: parsing,
+  building the tree, the tree DP and printing.  16 is the largest n the
+  bitsets sweep alone, 17 the first with a vertex enumerated beside
+  them, and 20 the largest random trees of the oracle acceptance test.
 
 Prints one JSON object with the environment, the git revision, N and the
 rows.
@@ -110,7 +112,7 @@ SEARCH_SIZES = tuple(range(26, 41))
 SEARCH_SAMPLES = 200
 
 # the oracle table: vertex counts, and calls timed per count
-ORACLE_SIZES = (8, 14, 18, 22)
+ORACLE_SIZES = (8, 14, 16, 17, 18, 20, 22)
 ORACLE_CALLS = 20
 
 

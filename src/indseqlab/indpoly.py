@@ -30,7 +30,10 @@ _PACKED_MAX_BITS runs the same DP on coefficient lists instead, whose
 products `intpoly.convolve` packs one at a time with slots fitted to the
 operands.  A tree certain to run on lists needs no width and skips the
 count (see _root_pair).  A subset-sweep oracle (shared code with nothing
-else) provides an independent cross-check up to 22 vertices.
+else) provides an independent cross-check up to 22 vertices: one bitset
+per set size over the subsets of 16 vertices, and the independent subsets
+of the other ones, chosen from a post-order, grouped by their neighbours
+among those 16 (see independent_set_counts).
 """
 
 from __future__ import annotations
@@ -255,9 +258,11 @@ def root_split(tree: RootedTree, v: int) -> RootSplit:
 
 
 def indpoly_oracle(tree: RootedTree) -> IntPolynomial:
-    """Independent brute-force count over all 2^n vertex subsets (see
-    independent_set_counts).  No code shared with indpoly_tree; raises
-    ValueError past ORACLE_MAX_VERTICES = 22 vertices."""
+    """Independence polynomial of `tree` from the subset sweep, which
+    counts the independent sets among all 2^n vertex subsets from the
+    neighbour masks alone (see independent_set_counts).  No code shared
+    with indpoly_tree or the tree builders; raises ValueError past
+    ORACLE_MAX_VERTICES = 22 vertices."""
     return IntPolynomial._raw(independent_set_counts(tree.neighbor_masks()))
 
 
@@ -276,50 +281,160 @@ def _avoid_patterns(low):
     return tuple(avoids)
 
 
+def _fault(neighbor_masks):
+    """Why neighbor_masks is not a simple undirected graph on 0..n-1, for
+    the first vertex that shows it: a bit past n - 1, a self-loop or an
+    edge listed at one end only.  None if it is one."""
+    n = len(neighbor_masks)
+    for v, nbrs in enumerate(neighbor_masks):
+        if nbrs >> n:
+            return "vertex %d has a neighbour outside 0..%d" % (v, n - 1)
+        if nbrs >> v & 1:
+            return "vertex %d is its own neighbour" % v
+        for u in range(n):
+            if nbrs >> u & 1 and not neighbor_masks[u] >> v & 1:
+                return "edge %d-%d is listed at %d only" % (v, u, v)
+    return None
+
+
+def _sweep_order(neighbor_masks, high):
+    """The vertices in sweep order: a post-order of a depth-first spanning
+    forest that takes the child with the larger subtree first, with its
+    first `high` vertices moved to the end.  A prefix of a post-order is a
+    union of whole subtrees, whose roots hang off one root path; taking
+    the larger subtree first keeps that prefix deep in one branch, so few
+    vertices border it.  The other vertices keep post-order too: a prefix
+    of theirs has smaller largest independent sets than as many vertices
+    taken at random, so fewer bitset levels fill: random trees on 16
+    vertices sweep in 0.68-0.79x the time of their labels as given
+    (BENCH_22.json, "low_vertex_order")."""
+    n = len(neighbor_masks)
+    size = [1] * n
+    children = [[] for _ in range(n)]
+    roots = []
+    unseen = (1 << n) - 1
+    for root in range(n):
+        if not unseen >> root & 1:
+            continue
+        unseen ^= 1 << root
+        roots.append(root)
+        stack = [root]
+        while stack:
+            fresh = neighbor_masks[stack[-1]] & unseen
+            if fresh:
+                u = fresh.bit_length() - 1
+                unseen ^= 1 << u
+                stack.append(u)
+            else:
+                v = stack.pop()
+                if stack:
+                    size[stack[-1]] += size[v]
+                    children[stack[-1]].append(v)
+    # the pre-order that takes the smaller subtree first, which is the
+    # post-order wanted reversed
+    order = []
+    while roots:
+        v = roots.pop()
+        order.append(v)
+        roots += sorted(children[v], key=size.__getitem__, reverse=True)
+    post = order[::-1]
+    return post[high:] + post[:high]
+
+
+def _relabelled(neighbor_masks, order):
+    """The graph with vertex order[i] renamed i."""
+    label = [0] * len(order)
+    for i, v in enumerate(order):
+        label[v] = i
+    masks = []
+    for v in order:
+        nbrs, mask = neighbor_masks[v], 0
+        while nbrs:
+            u = nbrs.bit_length() - 1
+            mask |= 1 << label[u]
+            nbrs ^= 1 << u
+        masks.append(mask)
+    return masks
+
+
 def independent_set_counts(neighbor_masks):
     """Count independent sets by size via a sweep over all vertex subsets.
 
-    neighbor_masks[v] is the bitmask of vertices adjacent to v.  Returns
-    counts[k] = number of independent k-subsets, for k = 0..n.  The low
-    L = min(n, 16) vertices are swept as bitsets: bit S of level[k] is
-    set iff S, a subset of {0..L-1}, is independent with |S| = k.  Each
-    independent subset T of the remaining vertices then adds the sets of
-    level[k] that avoid N(T).  Budget-limited to n <= 22 (a 4M-subset
-    sweep).
+    neighbor_masks[v] is the bitmask of vertices adjacent to v; a bit past
+    n - 1, a self-loop or an edge listed at one end only raises
+    ValueError.  Returns counts[k] = number of independent k-subsets, for
+    k = 0..n.  L = min(n, 16) low vertices are swept as bitsets: bit S of
+    level[k] is set iff S, a subset of the low vertices, is independent
+    with |S| = k.  The n - L high vertices, at most 6, are the first of a
+    post-order that takes the larger subtree first (see _sweep_order), so
+    few low vertices border them.  Each independent subset T of the high
+    vertices adds the sets of level[k] that avoid N(T) to counts[k + |T|];
+    those sets depend only on the key A = N(T) among the low vertices, so
+    they are counted once per key and added once per T.  T = {} needs no
+    mask, and with n <= 16 it is the only T.  Budget-limited to n <= 22
+    (a 4M-subset sweep).
     """
     n = len(neighbor_masks)
     if n > ORACLE_MAX_VERTICES:
         raise ValueError(
             "subset sweep limited to n <= %d, got n=%d" % (ORACLE_MAX_VERTICES, n)
         )
+    if functools.reduce(operator.or_, neighbor_masks, 0) >> n:
+        raise ValueError(_fault(neighbor_masks))
     low = min(n, _SWEEP_LOW)
+    masks = neighbor_masks if n == low else _relabelled(neighbor_masks, _sweep_order(neighbor_masks, n - low))
     avoids = _avoid_patterns(low)
-
-    def avoiding(nbrs, width):
-        # sets of width bits avoiding every low vertex in nbrs
-        pattern = (1 << width) - 1
-        while nbrs:
-            u = (nbrs & -nbrs).bit_length() - 1
-            pattern &= avoids[u]
-            nbrs &= nbrs - 1
-        return pattern
-
+    # Each edge is checked where the sweep reads it, at its higher end: the
+    # lower end must list it too.  The masks must then hold two bits per
+    # edge checked; any other bit is a self-loop or an edge listed at its
+    # lower end only.
+    checked = 0
     level = [1] + [0] * low
+    top = 0  # the largest k with level[k] != 0
     for v in range(low):
         # S + {v} is independent iff S is and S avoids N(v); its bit is S + 2^v
-        avoid = avoiding(neighbor_masks[v] & ((1 << v) - 1), 1 << v)
-        for k in range(v, -1, -1):
-            level[k + 1] |= (level[k] & avoid) << (1 << v)
-    counts = [0] * (n + 1)
-    high = range(low, n)
-    for t in range(1 << len(high)):
-        verts = [v for i, v in enumerate(high) if t >> i & 1]
-        nbrs = 0
-        for v in verts:
-            nbrs |= neighbor_masks[v]
-        if nbrs >> low & t:
-            continue  # T itself is not independent
-        avoid = avoiding(nbrs & ((1 << low) - 1), 1 << low)
-        for k, bits in enumerate(level):
-            counts[k + len(verts)] += (bits & avoid).bit_count()
+        shift = 1 << v
+        below = masks[v] & (shift - 1)
+        avoid = (1 << shift) - 1
+        while below:
+            u = below.bit_length() - 1
+            if not masks[u] >> v & 1:
+                raise ValueError(_fault(neighbor_masks))
+            checked += 1
+            avoid &= avoids[u]
+            below ^= 1 << u
+        for k in range(top, -1, -1):
+            level[k + 1] |= (level[k] & avoid) << shift
+        if level[top + 1]:
+            top += 1
+    # the independent high subsets T, as (T, N(T) among the low vertices, |T|)
+    lows = (1 << low) - 1
+    subsets = [(0, 0, 0)]
+    for v in range(low, n):
+        nbrs = masks[v]
+        below = nbrs & ((1 << v) - 1)
+        while below:
+            u = below.bit_length() - 1
+            if not masks[u] >> v & 1:
+                raise ValueError(_fault(neighbor_masks))
+            checked += 1
+            below ^= 1 << u
+        subsets += [(t | 1 << v, a | nbrs & lows, size + 1) for t, a, size in subsets if not nbrs & t]
+    if sum(map(int.bit_count, masks)) != 2 * checked:
+        raise ValueError(_fault(neighbor_masks))
+    counts = list(map(int.bit_count, level)) + [0] * (n - low)
+    # per key, how many of the other T have each size
+    sizes_by_key = {}
+    for _, a, size in subsets[1:]:
+        sizes_by_key.setdefault(a, [0] * (n - low + 1))[size] += 1
+    for a, sizes in sizes_by_key.items():
+        sets = level[: top + 1]
+        if a:
+            avoid = functools.reduce(operator.and_, [avoids[u] for u in range(low) if a >> u & 1])
+            sets = map(avoid.__and__, sets)
+        found = list(map(int.bit_count, sets))
+        for j, m in enumerate(sizes):
+            if m:
+                for k, f in enumerate(found, j):
+                    counts[k] += m * f
     return counts

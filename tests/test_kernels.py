@@ -1,6 +1,7 @@
 """The convolution and subset-sweep kernels against naive references, on
 every path each kernel takes."""
 
+import math
 import random
 import sys
 import tracemalloc
@@ -8,10 +9,10 @@ from itertools import zip_longest
 
 import pytest
 
-from indseqlab import intpoly
+from indseqlab import indpoly, intpoly
 from indseqlab.indpoly import ORACLE_MAX_VERTICES, independent_set_counts, indpoly_tree
 from indseqlab.intpoly import IntPolynomial, convolve
-from indseqlab.trees import random_tree
+from indseqlab.trees import build_family, parse_family, random_tree, star
 
 
 def naive_convolve(a, b):
@@ -356,16 +357,111 @@ def test_py_subset_sweep_matches_naive():
         assert independent_set_counts(masks) == naive_independent_counts(masks)
 
 
+def relabelled(masks, perm):
+    # the same graph with vertex v renamed perm[v]
+    out = [0] * len(masks)
+    for v, nbrs in enumerate(masks):
+        out[perm[v]] = sum(1 << perm[u] for u in range(len(masks)) if nbrs >> u & 1)
+    return out
+
+
+def shuffled(rng, masks):
+    perm = list(range(len(masks)))
+    rng.shuffle(perm)
+    return relabelled(masks, perm)
+
+
 @pytest.mark.parametrize("n", range(0, ORACLE_MAX_VERTICES + 1))
 def test_subset_sweep_every_size(n):
-    # n > 16 adds vertices outside the bitset sweep, enumerated directly
+    # n > 16 adds vertices outside the bitset sweep: the first n - 16 of a
+    # post-order, whose independent subsets are grouped by their
+    # neighbours in the sweep.  Shuffled labels move them, isolated
+    # vertices restart the depth-first search, and the edgeless graph and
+    # K_n leave every subset or none of them independent.
     rng = random.Random(n)
-    for p in (0.0, 0.15, 0.5):
-        masks = random_graph_masks(rng, n, p)
+    graphs = [random_graph_masks(rng, n, p) for p in (0.0, 0.15, 0.5)]
+    if n > 16:
+        graphs += [shuffled(rng, masks) for masks in graphs]
+        forest = random_tree(n - 3, n).neighbor_masks() + [0, 0, 0]
+        graphs.append(shuffled(rng, forest))
+    for masks in graphs:
         assert independent_set_counts(masks) == branching_independent_counts(masks)
+    assert independent_set_counts([0] * n) == [math.comb(n, k) for k in range(n + 1)]
+    everyone = (1 << n) - 1
+    assert independent_set_counts([everyone ^ 1 << v for v in range(n)]) == ([1, n] + [0] * n)[: n + 1]
     if n:
         tree = random_tree(n, n)
         assert IntPolynomial(independent_set_counts(tree.neighbor_masks())) == indpoly_tree(tree)
+
+
+# trees of 19..22 vertices whose first post-order vertices, larger subtree
+# first, border one or two vertices of the bitset sweep: a comb, a
+# caterpillar, a path, a star, spiders and spherically symmetric trees
+NAMED_SHAPES = (
+    "Cat:" + ",".join(["1"] * 11),
+    "Cat:0,2,0,2,0,2,0,2,0,2,0",
+    "Path:22",
+    "Star:22",
+    "Spider:10",
+    "Spider:7,3",
+    "SST:4,4",
+    "SST:3,3,1",
+    "Tmt1:3,3",
+    "Tmt1:2,4",
+)
+
+
+@pytest.mark.parametrize("spec", NAMED_SHAPES)
+def test_subset_sweep_named_shapes(spec):
+    # as built, with the labels reversed (the star's centre last) and shuffled
+    tree = build_family(parse_family(spec))
+    masks = tree.neighbor_masks()
+    n = len(masks)
+    for graph in (masks, relabelled(masks, range(n - 1, -1, -1)), shuffled(random.Random(spec), masks)):
+        assert IntPolynomial(independent_set_counts(graph)) == indpoly_tree(tree)
+
+
+@pytest.mark.parametrize("spec", ["Cat:" + ",".join(["1"] * 11), "Path:22", "Star:22"])
+def test_high_vertices_border_one_sweep_vertex(spec):
+    # Taking the larger subtree first, the 6 high vertices are the far end
+    # of the comb's spine or the path, or 6 leaves of the star, next to one
+    # vertex of the bitset sweep.  Lowest label first, the comb's would be
+    # 6 pendant leaves on 6 spine vertices.
+    masks = build_family(parse_family(spec)).neighbor_masks()
+    order = indpoly._sweep_order(masks, 6)
+    assert sorted(order) == list(range(22))
+    high = sum(1 << v for v in order[16:])
+    border = 0
+    for v in order[16:]:
+        border |= masks[v] & ~high
+    assert border.bit_count() == 1
+
+
+def test_subset_sweep_refuses_malformed_masks():
+    # each answer would depend on which end of an edge the sweep reads
+    with pytest.raises(ValueError, match="edge 0-1 is listed at 0 only"):
+        independent_set_counts([2, 0])
+    with pytest.raises(ValueError, match="edge 1-0 is listed at 1 only"):
+        independent_set_counts([0, 1])
+    # two one-sided edges, one listed at its lower end and one at its higher
+    with pytest.raises(ValueError, match="edge 0-2 is listed at 0 only"):
+        independent_set_counts([4, 1, 0])
+    loop = [0] * 17
+    loop[16] = 1 << 16
+    with pytest.raises(ValueError, match="vertex 16 is its own neighbour"):
+        independent_set_counts(loop)
+    with pytest.raises(ValueError, match="vertex 2 has a neighbour outside 0..2"):
+        independent_set_counts([2, 1, 1 << 3])
+    with pytest.raises(ValueError, match="vertex 0 has a neighbour outside 0..1"):
+        independent_set_counts([-2, 1])
+    # such a pair on 18 vertices, where 0 and 17 come first in the
+    # post-order and are not swept as bitsets: 0 lists 17, and 4 lists 1,
+    # which the search reaches first, through 3
+    balanced = [0] * 18
+    balanced[0], balanced[1], balanced[3], balanced[4] = 1 << 17, 1 << 3, 1 << 1 | 1 << 4, 1 << 1 | 1 << 3
+    assert sorted(indpoly._sweep_order(balanced, 2)[16:]) == [0, 17]
+    with pytest.raises(ValueError, match="edge 0-17 is listed at 0 only"):
+        independent_set_counts(balanced)
 
 
 def test_subset_sweep_budget_enforced():
