@@ -168,7 +168,7 @@ FAMILIES = ("Tmt1", "SST", "Spider", "Cat", "Path", "Star", "Rand")
 @dataclass(frozen=True)
 class FamilySpec:
     """A named tree family instance, e.g. FamilySpec("Tmt1", (4, 3)), checked
-    when built: parameters that do not fit the family raise ValueError."""
+    when built: params not a tuple of ints fitting the family raise ValueError."""
 
     family: str
     params: tuple
@@ -219,10 +219,17 @@ def parse_family(text: str) -> FamilySpec:
             "unknown family spec %r (expected one of %s)" % (text, ", ".join(FAMILIES))
         )
     try:
-        params = tuple(int(p) for p in rest.split(",")) if rest else ()
+        params = tuple(map(_ascii_int, rest.split(","))) if rest else ()
     except ValueError:
         raise ValueError("non-integer parameter in %r" % text) from None
     return FamilySpec(name, params)
+
+
+def _ascii_int(token):
+    """int(token), refusing the underscores and non-ASCII digits it reads."""
+    if not token.isascii() or "_" in token:
+        raise ValueError("not an ASCII decimal: %r" % token)
+    return int(token)
 
 
 def build_family(spec: FamilySpec) -> RootedTree:
@@ -256,6 +263,8 @@ def _check_params(spec):
         if not cond:
             raise ValueError("%s: %s" % (spec, msg))
 
+    if type(ps) is not tuple or any(type(p) is not int for p in ps):
+        raise ValueError("%s: parameters must be a tuple of ints, got %r" % (fam, ps))
     if fam == "Tmt1":
         need(len(ps) == 2, "expected parameters m,t")
         need(ps[0] >= 1 and ps[1] >= 1, "m and t must be >= 1")
@@ -472,7 +481,7 @@ def parse_edge_list(text: str) -> RootedTree:
         if len(parts) != 2:
             raise TreeParseError("line %d: expected 'u v', got %r" % (lineno, line))
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _ascii_int(parts[0]), _ascii_int(parts[1])
         except ValueError:
             raise TreeParseError(
                 "line %d: non-integer vertex in %r" % (lineno, line)

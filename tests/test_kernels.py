@@ -443,6 +443,9 @@ def test_subset_sweep_refuses_malformed_masks():
         independent_set_counts([2, 0])
     with pytest.raises(ValueError, match="edge 1-0 is listed at 1 only"):
         independent_set_counts([0, 1])
+    # the lowest neighbour first
+    with pytest.raises(ValueError, match="edge 0-1 is listed at 0 only"):
+        independent_set_counts([6, 0, 0])
     # two one-sided edges, one listed at its lower end and one at its higher
     with pytest.raises(ValueError, match="edge 0-2 is listed at 0 only"):
         independent_set_counts([4, 1, 0])
@@ -462,8 +465,60 @@ def test_subset_sweep_refuses_malformed_masks():
     assert sorted(indpoly._sweep_order(balanced, 2)[16:]) == [0, 17]
     with pytest.raises(ValueError, match="edge 0-17 is listed at 0 only"):
         independent_set_counts(balanced)
+    # a self-loop on a vertex the bitsets sweep, with no relabelling
+    loop = star(6).neighbor_masks()
+    loop[3] |= 1 << 3
+    with pytest.raises(ValueError, match="vertex 3 is its own neighbour"):
+        independent_set_counts(loop)
+    # On 20 vertices the sweep relabels: vertex 9 of Rand:20,1 is high
+    # (label 17) and vertex 2 low (label 4), also once 9 or 2 lists the
+    # other alone.  Each fault is named in the labels as given.
+    masks = random_tree(20, 1).neighbor_masks()
+    assert not masks[9] >> 2 & 1
+    for v, u in ((9, 2), (2, 9)):
+        bad = list(masks)
+        bad[v] |= 1 << u
+        order = indpoly._sweep_order(bad, 4)
+        assert (order.index(9), order.index(2)) == (17, 4)
+        with pytest.raises(ValueError, match="^edge %d-%d is listed at %d only$" % (v, u, v)):
+            independent_set_counts(bad)
+    for v, mask, msg in [(9, masks[9] | 1 << 20, "vertex 9 has a neighbour outside 0..19"),
+                         (2, -masks[2], "vertex 2 has a neighbour outside 0..19"),
+                         (9, masks[9] | 1 << 9, "vertex 9 is its own neighbour"),
+                         (2, masks[2] | 1 << 2, "vertex 2 is its own neighbour")]:
+        bad = list(masks)
+        bad[v] = mask
+        with pytest.raises(ValueError, match="^%s$" % msg):
+            independent_set_counts(bad)
 
 
 def test_subset_sweep_budget_enforced():
     with pytest.raises(ValueError):
         independent_set_counts([0] * (ORACLE_MAX_VERTICES + 1))
+
+
+def names_reached(fn, module):
+    """The names fn's code refers to, with those of every function of
+    `module` that it names, transitively: nested code (comprehensions,
+    lambdas) is read with its function, and a functools.cache wrapper is
+    followed to the function it wraps."""
+    names, codes = set(), [fn.__code__]
+    while codes:
+        code = codes.pop()
+        codes += [c for c in code.co_consts if hasattr(c, "co_names")]
+        for name in set(code.co_names) - names:
+            names.add(name)
+            obj = getattr(module, name, None)
+            obj = getattr(obj, "__wrapped__", obj)
+            if getattr(obj, "__module__", None) == module.__name__ and hasattr(obj, "__code__"):
+                codes.append(obj.__code__)
+    return names
+
+
+def test_subset_sweep_shares_no_code_with_the_dp():
+    # the oracle checks the tree DP only while it is written apart from it
+    names = names_reached(independent_set_counts, indpoly)
+    assert {"_fault", "_sweep_order", "_relabelled", "_avoid_patterns"} <= names
+    dp = {"_evaluate", "_root_pair", "_packed", "_ON_LISTS", "_lproduct", "_levels",
+          "_unpack", "convolve", "tree_from_edges", "RootedTree"}
+    assert not names & dp

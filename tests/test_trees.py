@@ -125,6 +125,15 @@ def test_family_rejects_bad_parameters():
                 "Star:-1", "Rand:1", "Cat:-1", "Nope:3", "Tmt1:a,b"]:
         with pytest.raises(ValueError):
             parse_family(bad)
+    # int() also reads underscores and non-ASCII digits; a token may not
+    for bad in ["Path:1_0", "Path:\uff13", "Rand:12,\u0669", "Tmt1:4,_3"]:
+        with pytest.raises(ValueError, match="^non-integer parameter in "):
+            parse_family(bad)
+    # a sign still reaches the family's range check
+    with pytest.raises(ValueError, match="^Cat:-1: pendant counts must be >= 0$"):
+        parse_family("Cat:-1")
+    with pytest.raises(ValueError, match="^Star:-1: n must be >= 1$"):
+        parse_family("Star:-1")
 
 
 def test_family_spec_checked_when_built():
@@ -135,6 +144,18 @@ def test_family_spec_checked_when_built():
                                 ("Nope", (1,), "Nope:1: unknown family")]:
         with pytest.raises(ValueError, match="^" + re.escape(msg)):
             FamilySpec(family, params)
+    # parameters are ints: a bool, float or str is refused by name, not
+    # built (Path:True was one vertex) or left to raise TypeError later
+    for family, params in [("Path", (True,)), ("Star", (True,)), ("Path", (3.5,)),
+                           ("Spider", (3, 2.5)), ("Cat", (2.0, 1)), ("Tmt1", ("4", 3)),
+                           ("Path", [3]), ("Path", 3)]:
+        msg = "%s: parameters must be a tuple of ints, got %r" % (family, params)
+        with pytest.raises(ValueError, match="^" + re.escape(msg) + "$"):
+            FamilySpec(family, params)
+    with pytest.raises(ValueError, match=re.escape("Spider: parameters must be a tuple of ints, got (3, 2.5)")):
+        spider(3, 2.5)
+    with pytest.raises(ValueError, match=re.escape("Cat: parameters must be a tuple of ints, got (2.0, 1)")):
+        caterpillar([2.0, 1])
 
 
 def test_parse_family_roundtrip():
@@ -179,6 +200,9 @@ def test_parse_edge_list_basics():
         ("0 -2", "negative"),
         ("0 1 2", "expected"),
         ("0 x", "non-integer"),
+        ("0 2_0", "line 1: non-integer vertex"),
+        ("0 1\n1 \uff12", "line 2: non-integer vertex"),
+        ("\u0660 1", "line 1: non-integer vertex"),
     ],
 )
 def test_parse_edge_list_diagnostics(text, msg):
