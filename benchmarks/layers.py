@@ -5,10 +5,11 @@ Run from the repository root:
 
     python3 benchmarks/layers.py [--repeat 5]
 
-It regenerates six tables, each case timed best-of-N.  They time the
+It regenerates eight tables, each case timed best-of-N.  They time the
 code as shipped, except where a table retunes one of its constants: the
 tree-DP table forces `indpoly._SLOTS_FROM_N_MAX_VERTICES` and
-`indpoly._PACKED_MAX_BITS`, the square table `intpoly.LEAF_MAX_BITS`.
+`indpoly._PACKED_MAX_BITS`, the square table `intpoly.LEAF_MAX_BITS`, the
+`lc_breaks` table `seqcheck._SCREEN_MIN_BITS`.
 Each forced value, and each spy on a kernel path, is patched in with
 `unittest.mock` and put back after.
 
@@ -41,6 +42,13 @@ Each forced value, and each spy on a kernel path, is patched in with
   building the tree, the tree DP and printing.  16 is the largest n the
   bitsets sweep alone, 17 the first with a vertex enumerated beside
   them, and 20 the largest random trees of the oracle acceptance test.
+- `seqcheck.lc_breaks` on log-concave sequences of 8..2,048 entries,
+  every entry of 32..5,162 bits: microseconds per call by the exact scan
+  alone and with the floating-point screen, and their ratio.  It is the
+  measurement behind `seqcheck._SCREEN_MIN_BITS`: the screen pays from
+  128 bits on 32 entries or more, and from 256 bits on 8.
+- `formulas.spider_suite(300)`, the spider checks `verify` makes: best
+  seconds.
 
 Prints one JSON object with the environment, the git revision, N and the
 rows.
@@ -63,7 +71,7 @@ from unittest import mock
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from indseqlab import cli, indpoly, intpoly, search  # noqa: E402
+from indseqlab import cli, formulas, indpoly, intpoly, search, seqcheck  # noqa: E402
 from indseqlab.rng import derive_seed  # noqa: E402
 from indseqlab.trees import caterpillar, path, random_tree, spider, star  # noqa: E402
 
@@ -114,6 +122,17 @@ SEARCH_SAMPLES = 200
 # the oracle table: vertex counts, and calls timed per count
 ORACLE_SIZES = (8, 14, 16, 17, 18, 20, 22)
 ORACLE_CALLS = 20
+
+# the lc_breaks table: bits of every entry, entries per sequence, and
+# entries scanned per timing
+LC_BITS = (32, 64, 128, 160, 192, 256, 384, 512, 1024, 5162)
+LC_LENGTHS = (8, 32, 128, 512, 2048)
+LC_ENTRIES = 4096
+# (column, seqcheck._SCREEN_MIN_BITS forced in that mode)
+LC_MODES = (("exact", 1 << 62), ("screen", 0))
+
+# the spider suite's t_max: verify's default
+SPIDER_T_MAX = 300
 
 
 def cpu_model():
@@ -289,6 +308,39 @@ def oracle_table(repeat):
     return rows
 
 
+def concave_sequence(bits, length):
+    """length entries of `bits` bits each, b + s k (length - 1 - k): a
+    concave positive sequence, so log-concave with no ties."""
+    step = max(1, (1 << (bits - 2)) // max(1, (length // 2) ** 2))
+    return [(1 << (bits - 1)) + step * k * (length - 1 - k) for k in range(length)]
+
+
+def lc_scan(seqs):
+    for seq in seqs:
+        seqcheck.lc_breaks(seq)
+
+
+def lc_breaks_table(repeat):
+    """One row per entry size and length: best microseconds per call of
+    `lc_breaks` in each mode of LC_MODES, and screen over exact."""
+    rows = []
+    for bits in LC_BITS:
+        for length in LC_LENGTHS:
+            seqs = [concave_sequence(bits, length)] * max(1, LC_ENTRIES // length)
+            row = {"bits": bits, "length": length}
+            for column, gate in LC_MODES:
+                with mock.patch.object(seqcheck, "_SCREEN_MIN_BITS", gate):
+                    row[column + "_us"] = best_of(repeat, lc_scan, seqs) / len(seqs) * 1e6
+            row["screen_over_exact"] = row["screen_us"] / row["exact_us"]
+            rows.append(row)
+    return rows
+
+
+def spider_suite_table(repeat):
+    """One row: best seconds of `formulas.spider_suite` at SPIDER_T_MAX."""
+    return [{"t_max": SPIDER_T_MAX, "s": best_of(repeat, formulas.spider_suite, SPIDER_T_MAX)}]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5, help="best of this many timings per cell")
@@ -323,6 +375,8 @@ def main(argv=None):
         },
         "search_sample": {"samples": SEARCH_SAMPLES, "rows": search_sample_table(args.repeat)},
         "oracle": {"calls": ORACLE_CALLS, "rows": oracle_table(args.repeat)},
+        "lc_breaks": {"screen_min_bits": seqcheck._SCREEN_MIN_BITS, "rows": lc_breaks_table(args.repeat)},
+        "spider_suite": {"rows": spider_suite_table(args.repeat)},
     }
     json.dump(report, sys.stdout, indent=1)
     sys.stdout.write("\n")

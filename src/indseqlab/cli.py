@@ -162,13 +162,10 @@ def _verify_checks(t_max, grid_max):
     def check(name, params, ok):
         out.append({"name": name, "params": params, "pass": bool(ok)})
 
-    check("spider_closed_form_matches_engine", "t<=%d" % t_max, formulas.spider_matches_engine(t_max))
-    check("spider_log_concavity_sweep", "t<=%d" % t_max, formulas.spider_lc_sweep(t_max))
-    check(
-        "binomial_gap_identity",
-        "0<=k<=t<=%d" % t_max,
-        all(formulas.binomial_gap_sweep(t) for t in range(0, t_max + 1)),
-    )
+    engine_ok, lc_ok, gap_ok = formulas.spider_suite(t_max)
+    check("spider_closed_form_matches_engine", "t<=%d" % t_max, engine_ok)
+    check("spider_log_concavity_sweep", "t<=%d" % t_max, lc_ok)
+    check("binomial_gap_identity", "0<=k<=t<=%d" % t_max, gap_ok)
 
     split_ok = h_ok = mt2_ok = mt3_ok = impl_ok = True
     for m in range(1, grid_max + 1):

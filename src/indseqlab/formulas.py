@@ -4,11 +4,14 @@ The three-level family tmt1(m, t) splits at its root: deleting the root
 and its neighbors leaves a perfect matching on mt edges, so the sets
 containing the root are counted by x(1+2x)^{mt}; the sets avoiding it
 live in m disjoint spiders with t legs of length 2.  Everything here is
-exact.  The sweeps over t build the binomial row C(t, 0..t) once per t, in
-the call, by the exact recurrence C(t, k+1) = C(t, k) (t-k) / (k+1), and
-read their binomials from it; single cells and the term-ratio audit use
-math.comb.  Every bound is an integer comparison; fractions.Fraction
-appears only in the ratios the audit reports.
+exact.  The spider checks read their binomials from rows C(t, 0..t): the
+checks over t = 0..t_max walk the rows, each built from the one before by
+Pascal's rule, and a check of one t builds its row alone (intpoly's
+_binomial_row).  spider_suite makes all three checks over t in one pass;
+each public check is the same per-row checks on the same rows.  Single
+cells and the term-ratio audit use math.comb.  Every bound is an integer
+comparison; fractions.Fraction appears only in the ratios the audit
+reports.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
+from operator import add, lshift, mul, sub
 
 from .indpoly import indpoly_sst
 from .intpoly import IntPolynomial, _binomial_row, int_to_str, poly_pow
@@ -44,10 +48,51 @@ def spider_count(t: int, k: int) -> int:
     return _c(t, k - 1) + (1 << k) * _c(t, k)
 
 
-def _spider_counts(t: int) -> list:
-    """[spider_count(t, k) for k in 0..t+1], from one binomial row."""
-    row = _binomial_row(t)
-    return [a + (b << k) for k, (a, b) in enumerate(zip([0] + row, row + [0]))]
+def _binomial_rows(t_max):
+    """C(t, 0..t) for t = 0..t_max, each row built from the one before by
+    Pascal's rule C(t+1, k) = C(t, k-1) + C(t, k)."""
+    row = [1]
+    yield row
+    for _ in range(t_max):
+        row = [1, *map(add, row, row[1:]), 1]
+        yield row
+
+
+# -- per-row checks: each reads the binomial row C(t, 0..t) it is given
+
+
+def _spider_counts(t, row):
+    """(spider_count(t, k) for k in 0..t+1), from row = C(t, 0..t)."""
+    return tuple(map(add, [0, *row], map(lshift, [*row, 0], range(t + 2))))
+
+
+def _engine_agrees(t, counts):
+    """The closed-form counts equal the engine's coefficients for t."""
+    return counts == indpoly_sst([t, 1]).coeffs
+
+
+def _ratios_hold(t, ks):
+    """spider_ratio_inequality(t, k) for every k in ks."""
+    return all((t + 1) * (t - k + 2) << k >= 2 * k * (k - 1) * (t - k) for k in ks)
+
+
+def _spider_log_concave(t, counts):
+    """The spider counts of t have no log-concavity break, and the reduced
+    ratio inequality holds at each 1 <= k <= t."""
+    return not lc_breaks(counts) and _ratios_hold(t, range(1, t + 1))
+
+
+def _gap_holds(row):
+    """binomial_gap_identity(t, k) for every 0 <= k <= t, from row =
+    C(t, 0..t).  With C(t+1, k) = C(t, k) + C(t, k-1), the identity holds
+    with an exact division iff (k + 1) (C(t,k)^2 - C(t,k-1) C(t,k+1)) ==
+    C(t,k) (C(t,k) + C(t,k-1)), one integer comparison per k."""
+    below = [0, *row]  # below[k] = C(t, k-1)
+    gaps = map(sub, map(mul, row, row), map(mul, below, [*row[1:], 0]))
+    return list(map(mul, gaps, range(1, len(row) + 1))) == list(map(mul, row, map(add, row, below)))
+
+
+# -- the checks over t, public; spider_suite makes all three in one pass
 
 
 def spider_sequence(t: int) -> IntPolynomial:
@@ -55,7 +100,7 @@ def spider_sequence(t: int) -> IntPolynomial:
     closed form (not the polynomial engine)."""
     if t < 1:
         raise ValueError("spider needs t >= 1")
-    return IntPolynomial(_spider_counts(t))
+    return IntPolynomial(_spider_counts(t, _binomial_row(t)))
 
 
 def spider_engine_poly(t: int) -> IntPolynomial:
@@ -66,7 +111,9 @@ def spider_engine_poly(t: int) -> IntPolynomial:
 def spider_matches_engine(t_max: int) -> bool:
     """Closed form == engine for every t <= t_max."""
     return all(
-        spider_sequence(t) == spider_engine_poly(t) for t in range(1, t_max + 1)
+        _engine_agrees(t, _spider_counts(t, row))
+        for t, row in enumerate(_binomial_rows(t_max))
+        if t
     )
 
 
@@ -87,16 +134,10 @@ def binomial_gap_identity(t: int, k: int) -> bool:
 
 def binomial_gap_sweep(t: int) -> bool:
     """binomial_gap_identity(t, k) for every 0 <= k <= t at once, reading
-    the binomials from the rows of t and t + 1."""
+    the binomials from the row of t."""
     if t < 0:
         raise ValueError("need t >= 0")
-    row = [0] + _binomial_row(t) + [0]  # row[k + 1] = C(t, k)
-    for k in range(t + 1):
-        below, mid, above = row[k], row[k + 1], row[k + 2]
-        q, r = divmod(mid * (mid + below), k + 1)  # C(t+1, k) = C(t, k) + C(t, k-1)
-        if r or mid * mid - below * above != q:
-            return False
-    return True
+    return _gap_holds(_binomial_row(t))
 
 
 def spider_ratio_inequality(t: int, k: int) -> bool:
@@ -104,7 +145,7 @@ def spider_ratio_inequality(t: int, k: int) -> bool:
     to integers: 2^k (t+1) / k >= 2 (k-1)(t-k) / (t-k+2), for 1 <= k <= t."""
     if not 1 <= k <= t:
         raise ValueError("need 1 <= k <= t")
-    return (1 << k) * (t + 1) * (t - k + 2) >= 2 * k * (k - 1) * (t - k)
+    return _ratios_hold(t, (k,))
 
 
 def spider_lc_sweep(t_max: int) -> bool:
@@ -114,12 +155,30 @@ def spider_lc_sweep(t_max: int) -> bool:
     holds at each k."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    for t in range(1, t_max + 1):
-        if lc_breaks(_spider_counts(t)):
-            return False
-        if not all(spider_ratio_inequality(t, k) for k in range(1, t + 1)):
-            return False
-    return True
+    return all(
+        _spider_log_concave(t, _spider_counts(t, row))
+        for t, row in enumerate(_binomial_rows(t_max))
+        if t
+    )
+
+
+def spider_suite(t_max: int) -> tuple:
+    """(spider_matches_engine(t_max), spider_lc_sweep(t_max),
+    binomial_gap_sweep(t) for every 0 <= t <= t_max) in one pass over
+    t = 0..t_max: each binomial row is built once, from the row before,
+    and the closed-form counts once from it.  The engine computes its own
+    polynomial for each t.  A check that has failed is not made again;
+    the other two go on."""
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    engine_ok = lc_ok = gap_ok = True
+    for t, row in enumerate(_binomial_rows(t_max)):
+        gap_ok = gap_ok and _gap_holds(row)
+        if t:
+            counts = _spider_counts(t, row)
+            engine_ok = engine_ok and _engine_agrees(t, counts)
+            lc_ok = lc_ok and _spider_log_concave(t, counts)
+    return engine_ok, lc_ok, gap_ok
 
 
 # -- the three-level family ---------------------------------------------------

@@ -361,6 +361,11 @@ def _relabelled(neighbor_masks, order):
     return masks
 
 
+def _popcounts(sets):
+    """[s.bit_count() for s in sets]: one popcount pass over bitsets."""
+    return list(map(int.bit_count, sets))
+
+
 def independent_set_counts(neighbor_masks):
     """Count independent sets by size via a sweep over all vertex subsets.
 
@@ -376,8 +381,10 @@ def independent_set_counts(neighbor_masks):
     vertices adds the sets of level[k] that avoid N(T) to counts[k + |T|];
     those sets depend only on the key A = N(T) among the low vertices, so
     they are counted once per key and added once per T.  T = {} needs no
-    mask, and with n <= 16 it is the only T.  Budget-limited to n <= 22
-    (a 4M-subset sweep).
+    mask: it joins the key A = {} when another T has that key, so the
+    unmasked levels are counted once, and otherwise seeds the counts alone
+    (with n <= 16 it is the only T).  Budget-limited to n <= 22 (a
+    4M-subset sweep).
     """
     n = len(neighbor_masks)
     if n > ORACLE_MAX_VERTICES:
@@ -411,17 +418,22 @@ def independent_set_counts(neighbor_masks):
     for v in range(low, n):
         nbrs = masks[v]
         subsets += [(t | 1 << v, a | nbrs & lows, size + 1) for t, a, size in subsets if not nbrs & t]
-    counts = list(map(int.bit_count, level)) + [0] * (n - low)
     # per key, how many of the other T have each size
     sizes_by_key = {}
     for _, a, size in subsets[1:]:
         sizes_by_key.setdefault(a, [0] * (n - low + 1))[size] += 1
+    if 0 in sizes_by_key:
+        # T = {} shares the unmasked popcounts with the other T keyed 0
+        sizes_by_key[0][0] += 1
+        counts = [0] * (n + 1)
+    else:
+        counts = _popcounts(level) + [0] * (n - low)
     for a, sizes in sizes_by_key.items():
         sets = level[: top + 1]
         if a:
             avoid = functools.reduce(operator.and_, [avoids[u] for u in range(low) if a >> u & 1])
             sets = map(avoid.__and__, sets)
-        found = list(map(int.bit_count, sets))
+        found = _popcounts(sets)
         for j, m in enumerate(sizes):
             if m:
                 for k, f in enumerate(found, j):

@@ -44,10 +44,10 @@ def test_spider_lc_sweep_rejects_a_break(monkeypatch):
     # a break at the last interior index k = t must fail the sweep
     real = formulas._spider_counts
 
-    def broken(t):
-        seq = real(t)
+    def broken(t, row):
+        seq = list(real(t, row))
         seq[t] = 1
-        return seq
+        return tuple(seq)
 
     monkeypatch.setattr(formulas, "_spider_counts", broken)
     assert not formulas.spider_lc_sweep(5)
@@ -84,8 +84,26 @@ def test_binomial_gap_sweep_matches_cells():
         formulas.binomial_gap_sweep(-1)
 
 
+REAL_ROWS = formulas._binomial_rows
+
+
+def bumped_rows(t, k):
+    """formulas._binomial_rows with C(t, k) one too large in the row of t,
+    as a copy, so the rows built after it stay right."""
+
+    def rows(t_max):
+        for n, row in enumerate(REAL_ROWS(t_max)):
+            if n == t:
+                row = row[:]
+                row[k] += 1
+            yield row
+
+    return rows
+
+
 def test_binomial_gap_sweep_rejects_a_wrong_row(monkeypatch):
-    # the sweep must read every cell of the row it builds
+    # the sweep of one t, and the suite's gap check over the Pascal rows,
+    # must each read every cell of the row
     real = formulas._binomial_row
     for t in (1, 2, 7, 30):
         for k in range(t + 1):
@@ -97,8 +115,66 @@ def test_binomial_gap_sweep_rejects_a_wrong_row(monkeypatch):
 
             monkeypatch.setattr(formulas, "_binomial_row", bumped)
             assert not formulas.binomial_gap_sweep(t), (t, k)
-    monkeypatch.undo()
-    assert formulas.binomial_gap_sweep(30)
+            monkeypatch.setattr(formulas, "_binomial_rows", bumped_rows(t, k))
+            assert not formulas.spider_suite(t)[2], (t, k)
+            monkeypatch.undo()
+    assert formulas.binomial_gap_sweep(30) and formulas.spider_suite(30)[2]
+
+
+def test_pascal_rows_match_math_comb():
+    rows = list(formulas._binomial_rows(302))
+    assert rows == [[comb(n, k) for k in range(n + 1)] for n in range(303)]
+
+
+def test_spider_suite_is_the_three_sweeps():
+    for t_max in (1, 2, 5, 40, 120):
+        gaps = all(formulas.binomial_gap_sweep(t) for t in range(t_max + 1))
+        want = (formulas.spider_matches_engine(t_max), formulas.spider_lc_sweep(t_max), gaps)
+        assert formulas.spider_suite(t_max) == want == (True, True, True)
+    with pytest.raises(ValueError):
+        formulas.spider_suite(0)
+
+
+def test_spider_suite_wrong_row_at_the_source(monkeypatch):
+    # one wrong cell in the row of t = 7: the gap identity fails, and so
+    # does the engine check, since the closed-form counts are read from the
+    # same row; the bumped counts stay log-concave
+    monkeypatch.setattr(formulas, "_binomial_rows", bumped_rows(7, 3))
+    assert formulas.spider_suite(30) == (False, True, False)
+
+
+@pytest.mark.parametrize("at", [1, 7, 30])
+def test_spider_suite_faults_fail_only_their_own_check(monkeypatch, at):
+    # each fault is put in at t = `at` of 30, where only one check reads
+    # it; the other two checks still pass over every t
+    real_gap, real_lc, real_sst = formulas._gap_holds, formulas._spider_log_concave, formulas.indpoly_sst
+
+    def wrong_row(row):
+        if len(row) == at + 1:
+            row = row[:]
+            row[at // 2] += 1
+        return real_gap(row)
+
+    def broken_counts(t, counts):
+        if t == at:  # a last entry past counts[t]^2 breaks at k = t
+            counts = counts[:-1] + (counts[t] ** 2 + 1,)
+        return real_lc(t, counts)
+
+    def engine_off_by_one(counts):
+        poly = real_sst(counts)
+        if counts == [at, 1]:
+            poly = poly + IntPolynomial([0, 0, 1])
+        return poly
+
+    for name, fault, want in (
+        ("_gap_holds", wrong_row, (True, True, False)),
+        ("_spider_log_concave", broken_counts, (True, False, True)),
+        ("indpoly_sst", engine_off_by_one, (False, True, True)),
+    ):
+        monkeypatch.setattr(formulas, name, fault)
+        assert formulas.spider_suite(30) == want, name
+        monkeypatch.undo()
+    assert formulas.spider_suite(30) == (True, True, True)
 
 
 def test_spider_sequence_matches_cells():

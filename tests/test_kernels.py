@@ -421,6 +421,46 @@ def test_subset_sweep_named_shapes(spec):
         assert IntPolynomial(independent_set_counts(graph)) == indpoly_tree(tree)
 
 
+@pytest.mark.parametrize("n", range(6, ORACLE_MAX_VERTICES + 1))
+def test_subset_sweep_random_trees_match_the_dp(n):
+    # Rand:n,1..16: from n = 18 most of these trees have a high subset T
+    # other than {} whose key N(T) among the low vertices is empty
+    for seed in range(1, 17):
+        tree = random_tree(n, seed)
+        assert IntPolynomial(independent_set_counts(tree.neighbor_masks())) == indpoly_tree(tree)
+
+
+def popcount_passes(monkeypatch, masks):
+    """The bitset lists independent_set_counts popcounts, one per pass."""
+    passes = []
+    real = indpoly._popcounts
+
+    def spy(sets):
+        sets = tuple(sets)
+        passes.append(sets)
+        return real(sets)
+
+    monkeypatch.setattr(indpoly, "_popcounts", spy)
+    independent_set_counts(masks)
+    monkeypatch.undo()
+    return passes
+
+
+def test_subset_sweep_counts_each_key_once(monkeypatch):
+    # Every independent singleton is set in level 1, so two keys never mask
+    # the levels alike: a repeated pass means a key, the empty key of T = {}
+    # above all, was popcounted twice.
+    for n in range(6, ORACLE_MAX_VERTICES + 1):
+        for seed in range(1, 17):
+            passes = popcount_passes(monkeypatch, random_tree(n, seed).neighbor_masks())
+            assert len(set(passes)) == len(passes), (n, seed)
+            # the unmasked levels, all singletons in level 1, once
+            assert sum(p[1].bit_count() == min(n, 16) for p in passes) == 1, (n, seed)
+            if n <= 16:
+                # T = {} is the only T and seeds the counts alone
+                assert len(passes) == 1
+
+
 @pytest.mark.parametrize("spec", ["Cat:" + ",".join(["1"] * 11), "Path:22", "Star:22"])
 def test_high_vertices_border_one_sweep_vertex(spec):
     # Taking the larger subtree first, the 6 high vertices are the far end

@@ -1,13 +1,13 @@
 """Smoke test of benchmarks/layers.py, which times the code as shipped and
 patches indpoly's bounds and intpoly's leaf cap and paths by name where it
 retunes or spies on them: its SST, tree-DP, leaf-square, convolution-grid,
-search-sample and oracle tables run on one small case each, and put back
-every value they force."""
+search-sample, oracle, lc_breaks and spider-suite tables run on one small
+case each, and put back every value they force."""
 
 import importlib.util
 import os
 
-from indseqlab import indpoly, intpoly
+from indseqlab import indpoly, intpoly, seqcheck
 
 SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks", "layers.py")
 
@@ -31,6 +31,11 @@ def test_layer_tables_run(monkeypatch, capsys):
     monkeypatch.setattr(layers, "SEARCH_SAMPLES", 2)
     monkeypatch.setattr(layers, "ORACLE_SIZES", (8,))
     monkeypatch.setattr(layers, "ORACLE_CALLS", 1)
+    monkeypatch.setattr(layers, "LC_BITS", (200,))
+    monkeypatch.setattr(layers, "LC_LENGTHS", (16,))
+    monkeypatch.setattr(layers, "LC_ENTRIES", 32)
+    monkeypatch.setattr(layers, "SPIDER_T_MAX", 5)
+    gate = seqcheck._SCREEN_MIN_BITS
     names = ("_SLOTS_FROM_N_MAX_VERTICES", "_PACKED_MAX_BITS")
     bounds = [getattr(indpoly, name) for name in names]
     kernel_names = ("LEAF_MAX_BITS",) + layers.KERNEL_PATHS
@@ -49,8 +54,15 @@ def test_layer_tables_run(monkeypatch, capsys):
     assert row["n"] == 26 and row["us"] > 0
     (row,) = layers.oracle_table(1)
     assert row["n"] == 8 and row["oracle_us"] > 0 and row["cli_us"] > 0
+    (row,) = layers.lc_breaks_table(1)
+    assert (row["bits"], row["length"]) == (200, 16) and row["exact_us"] > 0 and row["screen_us"] > 0
+    sequence = layers.concave_sequence(200, 16)
+    assert {c.bit_length() for c in sequence} == {200} and seqcheck.lc_breaks(sequence) == []
+    (row,) = layers.spider_suite_table(1)
+    assert row["t_max"] == 5 and row["s"] > 0
     # the CLI's stdout is discarded
     assert capsys.readouterr().out == ""
     # the tables put back the bounds, cap and paths they force
     assert [getattr(indpoly, name) for name in names] == bounds
     assert [getattr(intpoly, name) for name in kernel_names] == kernel
+    assert seqcheck._SCREEN_MIN_BITS == gate

@@ -1,6 +1,7 @@
 """Sequence diagnostics and reports: breaks, unimodality, tails, JSON."""
 
 import json
+import math
 import random
 
 import pytest
@@ -33,6 +34,116 @@ def test_lc_breaks_basics():
         lc_breaks([])
     # equality is not a break
     assert lc_breaks([1, 2, 4]) == []
+
+
+def exact_breaks(a):
+    """The plain exact scan that lc_breaks screens."""
+    return [k for k in range(1, len(a) - 1) if a[k] * a[k] < a[k - 1] * a[k + 1]]
+
+
+@pytest.fixture
+def log2_calls(monkeypatch):
+    """How many entries lc_breaks took a logarithm of."""
+    calls = []
+    real = math.log2
+
+    def spy(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(math, "log2", spy)
+    return calls
+
+
+def near_ties(a):
+    """a, and a with each interior entry moved by -1 and by +1 in turn:
+    every one a tie or within one unit of a tie at three indices."""
+    yield a
+    for k in range(1, len(a) - 1):
+        for step in (-1, 1):
+            yield a[:k] + [a[k] + step] + a[k + 1 :]
+
+
+def test_lc_breaks_screen_exact_ties(log2_calls):
+    # a_k = p^k q^(N-k) has a_k^2 == a_(k-1) a_(k+1) at every k, with entries
+    # of 5,000+ bits; no logarithm can tell these from a break
+    for p, q, n in ((3, 5, 400), (2, 3, 900), (7, 1, 600)):
+        a = [p**k * q ** (n - k) << 5001 for k in range(n + 1)]
+        assert min(a).bit_length() > 5001
+        assert lc_breaks(a) == exact_breaks(a) == []
+        assert len(log2_calls) == n + 1
+        log2_calls.clear()
+
+
+def test_lc_breaks_screen_near_ties():
+    # +-1 off a tie: the break appears or vanishes at k and its neighbours
+    for p, q, n in ((3, 5, 16), (2, 3, 9)):
+        tie = [p**k * q ** (n - k) * 5**2200 for k in range(n + 1)]
+        for a in near_ties(tie):
+            assert lc_breaks(a) == exact_breaks(a)
+    k = 4
+    tie[k] -= 1
+    assert lc_breaks(tie) == [k]
+    tie[k] += 2
+    assert lc_breaks(tie) == [k - 1, k + 1]
+
+
+def test_lc_breaks_screen_huge_entries():
+    rng = random.Random(1024)
+    # past 2**1024, where log2 reads the int's top digits, and 10^5 bits
+    for bits, size in ((1030, 60), (4000, 40), (100_000, 12)):
+        for _ in range(5):
+            a = [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(size)]
+            assert lc_breaks(a) == exact_breaks(a)
+        tie = [3**k * 2 ** (bits - 2 * k) for k in range(size)]
+        for a in near_ties(tie):
+            assert lc_breaks(a) == exact_breaks(a)
+
+
+def test_lc_breaks_screen_mixed_sizes():
+    # tiny and huge entries side by side: the tolerance follows the largest
+    rng = random.Random(77)
+    big = 2**5000
+    assert lc_breaks([1, 2, big, 3, 1, big + 1, big, 1]) == exact_breaks([1, 2, big, 3, 1, big + 1, big, 1])
+    for _ in range(300):
+        pool = (1, 2, 3, rng.getrandbits(64) + 1, big + rng.getrandbits(64), big * rng.getrandbits(8) + 1)
+        a = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
+        assert lc_breaks(a) == exact_breaks(a)
+    # T(2^5 1^15) and T(2^6 1^17): 375- and 843-bit entries, 3 and 8 breaks
+    for counts, breaks in (([2] * 5 + [1] * 15, 3), ([2] * 6 + [1] * 17, 8)):
+        seq = indpoly_sst(counts).coeffs
+        assert lc_breaks(seq) == exact_breaks(seq) and len(exact_breaks(seq)) == breaks
+
+
+def test_lc_breaks_size_gate(log2_calls):
+    # a middle entry of up to _SCREEN_MIN_BITS bits takes the exact scan
+    # alone, whatever the other entries; one bit more and every entry is
+    # screened
+    gate = seqcheck._SCREEN_MIN_BITS
+    rng = random.Random(gate)
+    for bits, screened in ((gate, False), (gate + 1, True)):
+        for _ in range(50):
+            a = [rng.getrandbits(rng.choice((bits, 2 * bits))) + 1 for _ in range(rng.randint(1, 30))]
+            a[len(a) // 2] = rng.getrandbits(bits - 1) | 1 << (bits - 1)
+            log2_calls.clear()
+            assert lc_breaks(a) == exact_breaks(a)
+            assert len(log2_calls) == (len(a) if screened else 0)
+    # search-size sequences (n <= 40, entries below 2**40) stay exact
+    for n in range(26, 41):
+        coeffs = indpoly_tree(random_tree(n, n)).coeffs
+        log2_calls.clear()
+        assert lc_breaks(coeffs) == exact_breaks(coeffs) and not log2_calls
+
+
+def test_lc_breaks_messages():
+    with pytest.raises(ValueError, match="^sequence must be nonempty$"):
+        lc_breaks([])
+    # the first entry that is not positive is named, big or small
+    cases = (([1, 0, 1], 0), ([3, -2, 0, 1], -2), ([4, 0, -5], 0), ([2**3000, 1, 0], 0), ([5, -(2**300)], -(2**300)))
+    for seq, bad in cases:
+        with pytest.raises(ValueError) as info:
+            lc_breaks(seq)
+        assert str(info.value) == "sequence entries must be positive, got %r" % (bad,)
 
 
 def test_lc_breaks_on_family_polynomials():
