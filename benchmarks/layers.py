@@ -5,13 +5,13 @@ Run from the repository root:
 
     python3 benchmarks/layers.py [--repeat 5]
 
-It regenerates eight tables, each case timed best-of-N.  They time the
+It regenerates nine tables, each case timed best-of-N.  They time the
 code as shipped, except where a table retunes one of its constants: the
 tree-DP table forces `indpoly._SLOTS_FROM_N_MAX_VERTICES` and
 `indpoly._PACKED_MAX_BITS`, the square table `intpoly.LEAF_MAX_BITS`, the
-`lc_breaks` table `seqcheck._SCREEN_MIN_BITS`.
-Each forced value, and each spy on a kernel path, is patched in with
-`unittest.mock` and put back after.
+band table `intpoly._kronecker_four_point`, the `lc_breaks` table
+`seqcheck._SCREEN_MIN_BITS`.  Each forced value, and each spy on a kernel
+path, is patched in with `unittest.mock` and put back after.
 
 - `indpoly_sst` on spiders, stars, T(2^8 1^27) and Tmt1:60,60: best
   seconds.  The last two have coefficients of thousands of bits, and
@@ -23,12 +23,18 @@ Each forced value, and each spy on a kernel path, is patched in with
   at 320 and 400 vertices lie on either side of 362, from where the rule
   as shipped skips the count pass.
 - One square of 5,162-bit coefficients (reproduce's top-level width) at
-  packed sizes 2^20..2^23 bits, by `convolve` under each candidate leaf
+  packed sizes 2^20..2^24 bits, by `convolve` under each candidate leaf
   cap: best seconds, the traced (`tracemalloc`) peak of one call, and the
   kernel paths it enters.  It is the measurement behind
   `intpoly.LEAF_MAX_BITS`; T(2^8 1^27), Tmt1:60,60 and `reproduce` run
   under each cap in fresh processes are in BENCH_9.json and
   BENCH_18.json, the two-point split against Karatsuba in BENCH_15.json.
+- The four-point band: one square of 64..5,162-bit coefficients packed
+  into 2.25, 3 and 4 times the leaf cap, by `convolve` as shipped (at four
+  points) and with the four-point kernel replaced by a Karatsuba split
+  onto two-point products: best seconds of each, their ratio, and the
+  kernel paths the four-point square enters.  It is the measurement behind
+  the four-point band (BENCH_25.json).
 - `convolve` on two operands of 16..4,096 coefficients of 64, 1,024 and
   5,162 bits: best seconds, and the kernel paths the product enters, in
   the order first entered.
@@ -106,14 +112,19 @@ TREE_CALLS = 20
 # candidate values of intpoly.LEAF_MAX_BITS
 LEAF_CAPS = (1 << 21, 1 << 22, 1 << 23)
 # packed operand sizes of the squares timed under each cap, in bits
-SQUARE_SIZES = (1 << 20, 1 << 21, 1 << 22, 1 << 23)
+SQUARE_SIZES = (1 << 20, 1 << 21, 1 << 22, 1 << 23, 1 << 24)
 SQUARE_COEFF_BITS = 5162
+
+# the band table: coefficient bits of the squared operand, and packed
+# sizes in leaf caps, past twice the cap and up to four times it
+BAND_BITS = (64, 512, 2578, 5162)
+BAND_CAPS = (2.25, 3, 4)
 
 # the convolution grid: coefficient counts and bits of both operands
 GRID_COUNTS = (16, 64, 256, 1024, 4096)
 GRID_BITS = (64, 1024, 5162)
 # the kernel's multiplication paths, spied on by name
-KERNEL_PATHS = ("_schoolbook", "_kronecker_binary", "_kronecker_two_point", "_karatsuba")
+KERNEL_PATHS = ("_schoolbook", "_kronecker_binary", "_kronecker_two_point", "_kronecker_four_point", "_karatsuba")
 
 # the search-sample table: vertex counts, and samples timed per count
 SEARCH_SIZES = tuple(range(26, 41))
@@ -233,6 +244,34 @@ def square_table(repeat):
                         "paths": paths_entered(intpoly.convolve, a, a),
                     }
                 )
+    return rows
+
+
+def split_instead(a, b, slot):
+    """A Karatsuba split in place of the four-point kernel: the band as it
+    was multiplied before that kernel."""
+    return intpoly._karatsuba(a, b)
+
+
+def band_table(repeat):
+    """One row per coefficient bits and packed size: best seconds of one
+    square by `convolve` at four points and split Karatsuba-style, their
+    ratio, and the paths the four-point square enters."""
+    rows = []
+    for bits in BAND_BITS:
+        rng = random.Random(bits)
+        for caps in BAND_CAPS:
+            size = int(caps * intpoly.LEAF_MAX_BITS)
+            # slots of 2 * bits + bits(len(a)) bits, so that a packs within size
+            count = size // (2 * bits + size.bit_length())
+            a = [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(count)]
+            row = {"coeff_bits": bits, "count": count, "packed_bits": count * (2 * bits + count.bit_length()),
+                   "four_point_s": best_of(repeat, intpoly.convolve, a, a),
+                   "four_point_paths": paths_entered(intpoly.convolve, a, a)}
+            with mock.patch.object(intpoly, "_kronecker_four_point", split_instead):
+                row["karatsuba_s"] = best_of(repeat, intpoly.convolve, a, a)
+            row["four_over_karatsuba"] = row["four_point_s"] / row["karatsuba_s"]
+            rows.append(row)
     return rows
 
 
@@ -368,6 +407,10 @@ def main(argv=None):
             "leaf_max_bits": intpoly.LEAF_MAX_BITS,
             "coeff_bits": SQUARE_COEFF_BITS,
             "rows": square_table(args.repeat),
+        },
+        "four_point_band": {
+            "leaf_max_bits": intpoly.LEAF_MAX_BITS,
+            "rows": band_table(args.repeat),
         },
         "convolution_grid": {
             "leaf_max_bits": intpoly.LEAF_MAX_BITS,

@@ -86,10 +86,12 @@ def _gap_holds(row):
     """binomial_gap_identity(t, k) for every 0 <= k <= t, from row =
     C(t, 0..t).  With C(t+1, k) = C(t, k) + C(t, k-1), the identity holds
     with an exact division iff (k + 1) (C(t,k)^2 - C(t,k-1) C(t,k+1)) ==
-    C(t,k) (C(t,k) + C(t,k-1)), one integer comparison per k."""
+    C(t,k) (C(t,k) + C(t,k-1)), one integer comparison per k.  Both
+    sides are homogeneous of degree 2 in the row, so c C(t, 0..t) passes
+    them for every c: the row must also start at C(t, 0) = 1."""
     below = [0, *row]  # below[k] = C(t, k-1)
     gaps = map(sub, map(mul, row, row), map(mul, below, [*row[1:], 0]))
-    return list(map(mul, gaps, range(1, len(row) + 1))) == list(map(mul, row, map(add, row, below)))
+    return row[0] == 1 and list(map(mul, gaps, range(1, len(row) + 1))) == list(map(mul, row, map(add, row, below)))
 
 
 # -- the checks over t, public; spider_suite makes all three in one pass

@@ -15,18 +15,24 @@ enough that no product coefficient carries into the next one.  Small
 packings multiply as CPython ints; large ones as `decimal.Decimal`,
 whose libmpdec backend multiplies huge operands by a number-theoretic
 transform.  A fixed size, LEAF_MAX_BITS, caps each operand libmpdec
-multiplies, and so the transform's working memory.  Two rules cover the
-Decimal range:
+multiplies, and so the transform's working memory.  Three rules cover
+the Decimal range:
 
 - up to twice LEAF_MAX_BITS, two points: for slots of D digits, each
   operand is packed at +X and -X, X = 10**ceil(D/2), each half the
   packing, and the two products of half-size operands give the even and
   the odd product coefficients;
-- past twice that, the operands split Karatsuba-style first.
+- up to four times it, four points: X = 10**ceil((D + 1)/4), and the
+  products at +X and -X of the operands and of their reversals, each
+  operand a quarter of the packing, give every coefficient's low half
+  from the first pair and its high half from the second;
+- past that, the operands split Karatsuba-style first.
 
 A Decimal product drops each operand once it has been multiplied and turns
 its results into digits in two halves, so its peak memory is the first
-product held while the second is computed, and that multiply's transform.
+product held while the second is computed, and that multiply's transform;
+at four points, also the slots of the first pair while the second is
+computed.
 """
 
 from __future__ import annotations
@@ -46,8 +52,9 @@ BINARY_MAX_BITS = 1 << 18
 DECIMAL_MAX_SLOT_BITS = 13_000
 # Each operand libmpdec multiplies packs into about this many bits at
 # most, which caps the transform buffers it allocates for one product:
-# packings up to twice it are evaluated at two points of half the size,
-# larger ones split Karatsuba-style.  Measured with one-point leaves and
+# packings up to twice it are evaluated at two points of half the size, up
+# to four times it at four points of a quarter, and larger ones split
+# Karatsuba-style.  Measured with one-point leaves and
 # Karatsuba (benchmarks/layers.py, BENCH_9.json "layers"), 2**22 ran
 # reproduce, T(2^8 1^27) and Tmt1:60,60 26-29% faster than 2**21 for 5%
 # more peak RSS; 2**23 was another 23-28% faster for 11% more again.
@@ -146,8 +153,10 @@ def _convolve_nonneg(a, b):
     slot = max(a).bit_length() + max(b).bit_length() + min(na, nb).bit_length()
     packed = slot * max(na, nb)
     decimal_slot = slot <= DECIMAL_MAX_SLOT_BITS
-    if packed > 2 * LEAF_MAX_BITS or (packed > LEAF_MAX_BITS and not decimal_slot):
+    if packed > 4 * LEAF_MAX_BITS or (packed > LEAF_MAX_BITS and not decimal_slot):
         return _karatsuba(a, b)
+    if packed > 2 * LEAF_MAX_BITS:
+        return _kronecker_four_point(a, b, slot)
     if packed > BINARY_MAX_BITS and decimal_slot:
         return _kronecker_two_point(a, b, slot)
     return _kronecker_binary(a, b, slot)
@@ -209,28 +218,96 @@ def _decimal_pack(coeffs, width, exponent=0):
     return Decimal(("%%0%dd" % width * len(coeffs) + "E%d" % exponent) % tuple(reversed(coeffs)))
 
 
+def _digit_limit():
+    """The interpreter's int/str digit limit; 0 is no limit, and Pythons
+    before 3.10.7 have none."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
 def _kronecker_two_point(a, b, slot):
     # Two-point Kronecker substitution (Harvey 2009): with slots of D
-    # digits, d = ceil(D/2) and X = 10**d, an operand a(x) = E(x^2) +
-    # x O(x^2) gives a(+-X) = E(X^2) +- X O(X^2), each about half the
-    # packing at 10**D.  With U = a(X) b(X) and V = a(-X) b(-X),
-    # (U - V)/2 = X C_odd(X^2) and U - (U - V)/2 = C_even(X^2), where the
-    # product c = C_even(x^2) + x C_odd(x^2) has every coefficient below
-    # 10**D <= X^2: two half-size multiplies where Karatsuba takes three.
-    # Digit strings, not ints, cross between the two number types: int <->
-    # Decimal conversion of a packed operand takes time quadratic in its size.
+    # digits, d = ceil(D/2) and X = 10**d, the product c = C_even(x^2) +
+    # x C_odd(x^2) has every coefficient below 10**D <= X^2, so the digits
+    # of C_even(X^2) and X C_odd(X^2), from _plus_minus_x, are its slots:
+    # two half-size multiplies where Karatsuba takes three.
     d = (_decimal_width(slot) + 1) >> 1
     width = 2 * d
     # Slots of up to DECIMAL_MAX_SLOT_BITS bits fit int() and str() under the
     # default digit limit.  A limit lowered below the slot sends the product
-    # to ints (0 is no limit, and Pythons before 3.10.7 have none).
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if 0 < limit < width:
+    # to ints.
+    if 0 < _digit_limit() < width:
         return _kronecker_binary(a, b, slot)
 
+    def halves(coeffs):
+        return _decimal_pack(coeffs[0::2], width), _decimal_pack(coeffs[1::2], width, d)
+
+    even, odd = _plus_minus_x(a, b, halves)
+    n = len(a) + len(b) - 1
+    out = [0] * n
+    out[0::2] = _decimal_slots(even, width, (n + 1) >> 1)
+    out[1::2] = _decimal_slots(odd, width, n >> 1, d)
+    return out
+
+
+def _kronecker_four_point(a, b, slot):
+    # Four-point Kronecker substitution (Harvey 2009, KS4): with slots of D
+    # digits, r = ceil((D + 1)/4), X = 10**r and Z = X^2, an operand
+    # a(x) = A0(x^4) + x A1(x^4) + x^2 A2(x^4) + x^3 A3(x^4) packs at +-X
+    # as (A0 + X^2 A2) +- (X A1 + X^3 A3), each phase in slots of 4r
+    # digits: a quarter of the packing at 10**D.  The two-point step then
+    # gives the base-Z digits of C_even(Z) and C_odd(Z), where each
+    # coefficient, below 10**D <= Z^2/10, spans two Z-digits and overlaps
+    # its neighbours.  The same step on the reversed operands gives the
+    # digits of the reversed halves, read from the other end, and
+    # _two_slot_coefficients takes each coefficient's low Z-digit from the
+    # first and its high one from the second: four quarter-size multiplies
+    # where Karatsuba over two-point products takes six.
+    r = (_decimal_width(slot) + 4) >> 2
+    width = 4 * r
+    # the phases are written in fields of 4r digits; under a digit limit
+    # below that, the product splits and its halves check their own slots
+    if 0 < _digit_limit() < width:
+        return _karatsuba(a, b)
+
+    def halves(coeffs):
+        even = _EXACT.add(_decimal_pack(coeffs[0::4], width), _decimal_pack(coeffs[2::4], width, 2 * r))
+        odd = _EXACT.add(_decimal_pack(coeffs[1::4], width, r), _decimal_pack(coeffs[3::4], width, 3 * r))
+        return even, odd
+
+    n = len(a) + len(b) - 1
+    ra = a[::-1]
+    digits = []
+    for x, y in ((a, b), (ra, ra if b is a else b[::-1])):
+        even, odd = _plus_minus_x(x, y, halves)
+        digits.append(_decimal_slots(even, 2 * r, ((n + 1) >> 1) + 1))
+        digits.append(_decimal_slots(odd, 2 * r, (n >> 1) + 1, r))
+    low_even, low_odd, high_even, high_odd = digits
+    del digits
+    # c reversed has c_(n-1) first: for even n its even half is C_odd's
+    if not n & 1:
+        high_even, high_odd = high_odd, high_even
+    z = 10 ** (2 * r)
+    out = [0] * n
+    out[0::2] = _two_slot_coefficients(low_even, high_even, z)
+    del low_even, high_even
+    out[1::2] = _two_slot_coefficients(low_odd, high_odd, z)
+    return out
+
+
+def _plus_minus_x(a, b, halves):
+    """C_even(X^2) and X C_odd(X^2) of c = a b, each as a one-item list
+    for _decimal_slots, where halves(coeffs) gives E(X^2) and X O(X^2)
+    for an operand E(x^2) + x O(x^2).
+
+    With U = a(X) b(X) and V = a(-X) b(-X), (U - V)/2 = X C_odd(X^2) and
+    U - (U - V)/2 = C_even(X^2).  Each operand is dropped once it has been
+    multiplied.  Digit strings, not ints, cross between the two number
+    types: int <-> Decimal conversion of a packed operand takes time
+    quadratic in its size.
+    """
+
     def at_plus_minus_x(coeffs):
-        even = _decimal_pack(coeffs[0::2], width)
-        odd = _decimal_pack(coeffs[1::2], width, d)
+        even, odd = halves(coeffs)
         return _EXACT.add(even, odd), _EXACT.subtract(even, odd)
 
     ap, am = at_plus_minus_x(a)
@@ -239,13 +316,42 @@ def _kronecker_two_point(a, b, slot):
     del ap, bp
     v = _EXACT.multiply(am, bm)
     del am, bm
-    odd = [_EXACT.divide(_EXACT.subtract(u, v), 2)]  # X C_odd(X^2)
-    even = [_EXACT.subtract(u, odd[0])]  # (U + V)/2 = C_even(X^2)
-    del u, v
-    n = len(a) + len(b) - 1
-    out = [0] * n
-    out[0::2] = _decimal_slots(even, width, (n + 1) >> 1)
-    out[1::2] = _decimal_slots(odd, width, n >> 1, d)
+    odd = _EXACT.divide(_EXACT.subtract(u, v), 2)
+    return [_EXACT.subtract(u, odd)], [odd]
+
+
+def _two_slot_coefficients(low, high, z):
+    """The coefficients e_0 .. e_(m-1), each below z^2/10, of a polynomial
+    E from the m + 1 base-z digits of E(z), `low`, and those of its
+    reversal, `high`, both lowest first.
+
+    Digit j of E(z) is the low half of e_j plus the high half of e_(j-1)
+    and a carry from below; digit m - 1 - j of the reversal is the low
+    half of e_j plus the high half of e_(j+1) and a carry from below,
+    which there means from e_(j+1).  One pass up j takes the low half l
+    from `low`, carrying the high half and carry of e_(j-1) up in p, and
+    the high half from `high`, carrying down in delta what the digit there
+    held above l.  Since every high half is below z/10, neither carry is
+    ambiguous.  The pass closes on the top digit of each: anything else
+    raises ArithmeticError, so inconsistent digits never pass silently.
+    """
+    m = len(low) - 1
+    out = []
+    p, delta = 0, high[m]
+    for g, g_rev in zip(low, reversed(high[:m])):
+        lo = g - p
+        carry = lo < 0
+        if carry:
+            lo += z
+        d = g_rev - lo
+        if d < 0:
+            d += z
+            delta -= 1
+        out.append(lo + z * delta)
+        p = delta + carry
+        delta = d
+    if delta or p != low[m]:
+        raise ArithmeticError("four-point digits do not close")
     return out
 
 

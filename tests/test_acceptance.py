@@ -6,6 +6,7 @@ for reference, never asserted; all value comparisons are exact integer or
 exact rational arithmetic.
 """
 
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -171,6 +172,16 @@ def test_criterion_5_deep_tree_break_counts(m, n_tail, expected):
         % (expected, len(breaks)),
         started,
     )
+
+
+def test_deep_tree_polynomial_pinned():
+    # SHA-256 of every coefficient of T(2^8 1^27) in 646 little-endian
+    # bytes, recorded before the four-point kernel: the break counts above
+    # see only where the sequence bends, this sees every digit
+    cs = deep_poly(8, 27).coeffs
+    assert (len(cs), max(cs).bit_length()) == (3755, 5162)
+    digest = hashlib.sha256(b"".join(c.to_bytes(646, "little") for c in cs)).hexdigest()
+    assert digest == "83fff541a213f336c6189d7cc31ab32c3c3b1f961cdfa1d083895fda7a484686"
 
 
 # -- criterion 6: split decomposition ------------------------------------------

@@ -121,6 +121,27 @@ def test_binomial_gap_sweep_rejects_a_wrong_row(monkeypatch):
     assert formulas.binomial_gap_sweep(30) and formulas.spider_suite(30)[2]
 
 
+def test_gap_checks_reject_a_scaled_row(monkeypatch):
+    # c C(t, 0..t) satisfies the gap identity's homogeneous equations for
+    # every c; the row's first cell, C(t, 0) = 1, tells it apart
+    real = formulas._binomial_row
+    for t in (0, 1, 2, 7, 30):
+        def doubled(n, t=t):
+            row = real(n)
+            return [2 * c for c in row] if n == t else row
+
+        def doubled_rows(t_max, t=t):
+            for n, row in enumerate(REAL_ROWS(t_max)):
+                yield [2 * c for c in row] if n == t else row
+
+        monkeypatch.setattr(formulas, "_binomial_row", doubled)
+        assert not formulas.binomial_gap_sweep(t), t
+        monkeypatch.setattr(formulas, "_binomial_rows", doubled_rows)
+        assert not formulas.spider_suite(max(t, 1))[2], t
+        monkeypatch.undo()
+    assert formulas.binomial_gap_sweep(30) and formulas.spider_suite(30)[2]
+
+
 def test_pascal_rows_match_math_comb():
     rows = list(formulas._binomial_rows(302))
     assert rows == [[comb(n, k) for k in range(n + 1)] for n in range(303)]

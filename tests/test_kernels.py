@@ -51,7 +51,8 @@ def test_py_convolve_empty_and_singleton():
 def paths_taken(monkeypatch):
     """Names of the multiplication paths the kernel entered."""
     taken = set()
-    for name in ("_schoolbook", "_kronecker_binary", "_kronecker_two_point", "_karatsuba"):
+    for name in ("_schoolbook", "_kronecker_binary", "_kronecker_two_point", "_kronecker_four_point",
+                 "_karatsuba"):
         inner = getattr(intpoly, name)
 
         def spy(*args, _inner=inner, _name=name):
@@ -64,9 +65,13 @@ def paths_taken(monkeypatch):
 
 # (paths entered, coefficient count, coefficient bits, leaf cap).  Binary
 # packs up to 2^18 bits per operand; up to twice the leaf cap the product
-# is evaluated at +-X as Decimals, and past that it splits Karatsuba-style
-# first.  300 x 303 coefficients of 1,000 bits pack into 608,727 bits:
-# below the default cap, and between a cap of 2^19 and twice it.
+# is evaluated at +-X as Decimals, up to four times it at +-X and +-1/X,
+# and past that it splits Karatsuba-style first.  300 x 303 coefficients
+# of 1,000 bits pack into 608,727 bits: below the default cap, between a
+# cap of 2^19 and twice it, between twice a cap of 2^18 and four times
+# it, and past four times a cap of 2^17.  60 x 63 coefficients of 6,000
+# bits pack into 756,378 bits in slots of 12,006 bits, near the widest
+# that go Decimal.
 PATH_SIZES = [
     ({"_schoolbook"}, intpoly.SCHOOLBOOK_MAX, 300, None),
     ({"_kronecker_binary"}, 60, 64, None),
@@ -74,16 +79,22 @@ PATH_SIZES = [
     ({"_karatsuba", "_kronecker_binary"}, 30, 9000, 1 << 19),  # and past the cap
     ({"_kronecker_two_point"}, 300, 1000, None),
     ({"_kronecker_two_point"}, 300, 1000, 1 << 19),
-    ({"_karatsuba", "_kronecker_two_point"}, 300, 1000, 1 << 18),
+    ({"_kronecker_four_point"}, 300, 1000, 1 << 18),
+    ({"_kronecker_four_point"}, 60, 6000, 1 << 18),
+    ({"_karatsuba", "_kronecker_four_point"}, 300, 1000, 1 << 17),
 ]
 
 
 def path_id(paths, size, bits, leaf_cap):
-    # The Decimal range below the leaf cap keeps the id it had when the
-    # one-point leaf _kronecker_decimal took it, before the two-point
-    # kernel took the whole range.
+    # Rows whose paths changed keep the ids they had before: the Decimal
+    # range below the leaf cap the id from when the one-point leaf
+    # _kronecker_decimal took it, before the two-point kernel took the
+    # whole range; the row between twice and four times a cap of 2^18 the
+    # id from when it split Karatsuba-style onto two-point products.
     if paths == {"_kronecker_two_point"} and leaf_cap is None:
         paths = {"_kronecker_decimal"}
+    if paths == {"_kronecker_four_point"} and (size, bits) == (300, 1000):
+        paths = {"_karatsuba", "_kronecker_two_point"}
     return "%s-%d-%d" % ("+".join(sorted(paths)), size, bits)
 
 
@@ -195,10 +206,90 @@ def test_two_point_matches_naive():
     assert intpoly._kronecker_two_point(a, b, 100) == naive_convolve(a, b)
 
 
+def in_four_point_band(monkeypatch, a, b):
+    """Sets the leaf cap so that convolve(a, b) is evaluated at four points:
+    the packing between twice the cap and four times it."""
+    packed = leaf_slot(a, b) * max(len(a), len(b))
+    monkeypatch.setattr(intpoly, "LEAF_MAX_BITS", packed // 3)
+
+
+def test_four_point_matches_naive(monkeypatch, paths_taken):
+    rng = random.Random(25)
+    dense = random_coeffs(rng, 43, 700, signed=False)
+    cases = [
+        (dense, dense),  # a square: an odd count of product coefficients
+        (dense[:42], dense[:42]),  # a square of even length
+        (dense, dense[:42]),  # an even count
+        (dense[:40], random_coeffs(rng, 37, 500, signed=False)),  # and of two widths
+        (dense[:9], random_coeffs(rng, 300, 50, signed=False)),  # 9 against 300
+        (random_coeffs(rng, 301, 50, signed=False), dense[:9]),
+        ([1] * 30, random_coeffs(rng, 31, 3000, signed=False)),  # 1 against 3,000 bits
+        ([0] * 3 + dense[3:], [0] + dense[1:]),  # zero first coefficients
+        (dense[:-4] + [0] * 4, dense[:30] + [0]),  # zero last coefficients
+        ([0] * 2 + dense[2:-2] + [0] * 2, [0] * 2 + dense[2:-2] + [0] * 2),
+        ([c if rng.random() < 0.2 else 0 for c in dense], dense),  # zero runs
+        ([(1 << 700) - 1] * 43, [(1 << 700) - 1] * 43),  # the largest coefficients the slot allows
+        ([(1 << 700) - 1] * 42, [(1 << 699) - 1] * 40),
+        ([0] * 12, dense),  # an all-zero operand
+        ([0] * 12, [0] * 12),
+    ]
+    for a, b in cases:
+        in_four_point_band(monkeypatch, a, b)
+        want = naive_convolve(a, b)
+        assert convolve(a, b) == want
+        assert convolve(b, a) == want
+        assert paths_taken == {"_kronecker_four_point"}, (len(a), len(b))
+    assert {(len(a) + len(b) - 1) & 1 for a, b in cases} == {0, 1}
+    # slots of every digit count mod 4, so that 4r runs from D + 1 to D + 4
+    assert {slot_digits(leaf_slot(a, b)) % 4 for a, b in cases} == {0, 1, 2, 3}
+    # signed operands split into four nonnegative products in the band
+    s, t = random_coeffs(rng, 43, 700), random_coeffs(rng, 40, 700)
+    in_four_point_band(monkeypatch, *intpoly._split_signs(s))
+    assert convolve(s, t) == naive_convolve(s, t)
+    assert convolve(s, s) == naive_convolve(s, list(s))
+    assert "_kronecker_four_point" in paths_taken
+    # a top coefficient of exactly D digits: 10**30 in slots of D = 31
+    # digits, r = 8, so that it fills 4r - 1 of 4r digits
+    a = [1] * 9 + [10**15]
+    assert intpoly._kronecker_four_point(a, a, 100) == naive_convolve(a, a)
+    b = [7] * 12 + [10**15]
+    assert intpoly._kronecker_four_point(a, b, 100) == naive_convolve(a, b)
+
+
+def base_digits(value, base, count):
+    out = []
+    for _ in range(count):
+        value, digit = divmod(value, base)
+        out.append(digit)
+    assert not value
+    return out
+
+
+def test_four_point_recovery_raises_on_a_wrong_digit():
+    # coefficients below z^2/10, among them the largest and zero
+    z = 10**6
+    rng = random.Random(26)
+    coeffs = [rng.randrange(z * z // 10) for _ in range(9)] + [z * z // 10 - 1, 0, z * z // 10 - 1]
+    m = len(coeffs)
+    low = base_digits(sum(c * z**j for j, c in enumerate(coeffs)), z, m + 1)
+    high = base_digits(sum(c * z ** (m - 1 - j) for j, c in enumerate(coeffs)), z, m + 1)
+    assert intpoly._two_slot_coefficients(low, high, z) == coeffs
+    # one digit off, in either list and at any place, top digits included
+    for digits in (low, high):
+        for j in range(m + 1):
+            for step in (1, -1, z // 2):
+                saved = digits[j]
+                digits[j] = (saved + step) % z
+                with pytest.raises(ArithmeticError, match="four-point digits do not close"):
+                    intpoly._two_slot_coefficients(low, high, z)
+                digits[j] = saved
+
+
 def test_small_decimal_leaves_match_naive(monkeypatch, paths_taken):
     # every packed product goes Decimal: up to 2**13 bits it is evaluated
-    # at +-X, and past that it splits Karatsuba-style first, so the small
-    # operands here take both paths
+    # at +-X, up to 2**14 at four points, and past that it splits
+    # Karatsuba-style first, so the small operands here take all three
+    # paths
     monkeypatch.setattr(intpoly, "BINARY_MAX_BITS", 0)
     monkeypatch.setattr(intpoly, "LEAF_MAX_BITS", 1 << 12)
     rng = random.Random(12)
@@ -216,7 +307,7 @@ def test_small_decimal_leaves_match_naive(monkeypatch, paths_taken):
         want = naive_convolve(x, y)
         assert convolve(x, y) == want
         assert convolve(y, x) == want
-    assert {"_karatsuba", "_kronecker_two_point"} <= paths_taken
+    assert {"_karatsuba", "_kronecker_two_point", "_kronecker_four_point"} <= paths_taken
     assert "_kronecker_binary" not in paths_taken
 
 
@@ -238,6 +329,9 @@ def test_decimal_slots_stay_under_the_digit_limit():
     a = [rng.getrandbits(6497) | 1 << 6496 for _ in range(40)]
     assert leaf_slot(a, a) == intpoly.DECIMAL_MAX_SLOT_BITS
     assert intpoly._kronecker_two_point(a, a, leaf_slot(a, a)) == naive_convolve(a, a)
+    # four points write fields of 4r = 4 ceil((D + 1)/4) digits
+    assert 4 * ((width + 4) // 4) <= sys.int_info.default_max_str_digits
+    assert intpoly._kronecker_four_point(a, a, leaf_slot(a, a)) == naive_convolve(a, a)
 
 
 @needs_digit_limit
@@ -279,17 +373,41 @@ def test_two_point_under_a_lowered_digit_limit(monkeypatch, paths_taken, limit):
     assert paths_taken == {"_kronecker_two_point", "_kronecker_binary"}
 
 
-def decimal_peak_ratio(count):
+@needs_digit_limit
+@pytest.mark.parametrize("limit", [640, 1511])
+def test_four_point_under_a_lowered_digit_limit(monkeypatch, paths_taken, limit):
+    # 121 slots of 5,007 bits pack into 605,847 bits, between twice a
+    # lowered cap of 2^18 and four times it.  The slot has D = 1,508
+    # digits, so the four-point fields have 4r = 1,512: past both limits.
+    # The product then splits, and its halves are evaluated at +-X, in
+    # slots of 2d = 1,508 digits: past a limit of 640, within one of 1,511.
+    monkeypatch.setattr(intpoly, "LEAF_MAX_BITS", 1 << 18)
+    rng = random.Random(27)
+    a = [rng.getrandbits(2500) | 1 << 2499 for _ in range(120)]
+    b = [rng.getrandbits(2500) | 1 << 2499 for _ in range(121)]
+    assert slot_digits(leaf_slot(a, b)) == 1508
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert convolve(a, b) == naive_convolve(a, b)
+        assert convolve(a, a) == naive_convolve(a, list(a))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    split = {"_kronecker_four_point", "_karatsuba", "_kronecker_two_point"}
+    assert paths_taken == (split | {"_kronecker_binary"} if limit < 1508 else split)
+
+
+def decimal_peak_ratio(count, kernel=intpoly._kronecker_two_point):
     # traced peak of one square of `count` coefficients of 5,162 bits,
     # reproduce's top-level width, over the packed operand
     rng = random.Random(count)
     a = [rng.getrandbits(5162) | 1 << 5161 for _ in range(count)]
     slot = leaf_slot(a, a)
-    assert intpoly.BINARY_MAX_BITS < count * slot <= 2 * intpoly.LEAF_MAX_BITS
+    assert intpoly.BINARY_MAX_BITS < count * slot <= 4 * intpoly.LEAF_MAX_BITS
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        intpoly._kronecker_two_point(a, a, slot)
+        kernel(a, a, slot)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -310,6 +428,15 @@ def test_two_point_peak_memory():
     ratio, packed = decimal_peak_ratio(420)
     assert intpoly.LEAF_MAX_BITS < packed
     assert ratio < 7.5
+
+
+def test_four_point_peak_memory():
+    # 900 coefficients, 9.3 Mbit, the size of reproduce's two top-level
+    # squares: past twice the leaf cap; measured 3.9x, against 6.3x for two
+    # points just past the cap
+    ratio, packed = decimal_peak_ratio(900, intpoly._kronecker_four_point)
+    assert 2 * intpoly.LEAF_MAX_BITS < packed
+    assert ratio < 4.7
 
 
 def random_graph_masks(rng, n, p):

@@ -1,8 +1,8 @@
 """Smoke test of benchmarks/layers.py, which times the code as shipped and
 patches indpoly's bounds and intpoly's leaf cap and paths by name where it
-retunes or spies on them: its SST, tree-DP, leaf-square, convolution-grid,
-search-sample, oracle, lc_breaks and spider-suite tables run on one small
-case each, and put back every value they force."""
+retunes or spies on them: its SST, tree-DP, leaf-square, four-point band,
+convolution-grid, search-sample, oracle, lc_breaks and spider-suite tables
+run on one or two small cases each, and put back every value they force."""
 
 import importlib.util
 import os
@@ -21,10 +21,13 @@ def test_layer_tables_run(monkeypatch, capsys):
     monkeypatch.setattr(layers, "TREE_SHAPES", [s for s in layers.TREE_SHAPES if s[0] == "Star"])
     monkeypatch.setattr(layers, "TREE_SIZES", (26,))
     monkeypatch.setattr(layers, "TREE_CALLS", 1)
-    # one square of 101 coefficients, 1,043,431 packed bits, between a cap
-    # of 2^19 and twice it, so that it is evaluated at +-X
-    monkeypatch.setattr(layers, "SQUARE_SIZES", (1 << 20,))
+    # squares of 101 and 202 coefficients, 1,043,431 and 2,087,064 packed
+    # bits: between a cap of 2^19 and twice it, evaluated at +-X, and
+    # between twice the cap and four times it, at four points
+    monkeypatch.setattr(layers, "SQUARE_SIZES", (1 << 20, 1 << 21))
     monkeypatch.setattr(layers, "LEAF_CAPS", (1 << 19,))
+    monkeypatch.setattr(layers, "BAND_BITS", (64,))
+    monkeypatch.setattr(layers, "BAND_CAPS", (3,))
     monkeypatch.setattr(layers, "GRID_COUNTS", (64,))
     monkeypatch.setattr(layers, "GRID_BITS", (64,))
     monkeypatch.setattr(layers, "SEARCH_SIZES", (26,))
@@ -45,9 +48,18 @@ def test_layer_tables_run(monkeypatch, capsys):
     (row,) = layers.tree_dp_table(1)
     assert row["tree"] == "Star" and row["n"] == 26
     assert all(row[column + "_s"] > 0 for column, _ in layers.TREE_MODES)
-    (row,) = layers.square_table(1)
-    assert row["packed_bits"] == 1043431 and row["leaf_cap_bits"] == 1 << 19
-    assert row["s"] > 0 and row["peak_mb"] > 0 and row["paths"] == ["_kronecker_two_point"]
+    rows = layers.square_table(1)
+    assert [(row["packed_bits"], row["leaf_cap_bits"]) for row in rows] == [(1043431, 1 << 19), (2087064, 1 << 19)]
+    assert all(row["s"] > 0 and row["peak_mb"] > 0 for row in rows)
+    assert [row["paths"] for row in rows] == [["_kronecker_two_point"], ["_kronecker_four_point"]]
+    # one square of 677 coefficients of 64 bits, 93,426 packed bits, in
+    # three times a cap of 2^15
+    with monkeypatch.context() as patch:
+        patch.setattr(intpoly, "LEAF_MAX_BITS", 1 << 15)
+        (row,) = layers.band_table(1)
+    assert (row["coeff_bits"], row["count"], row["packed_bits"]) == (64, 677, 93426)
+    assert row["four_point_s"] > 0 and row["karatsuba_s"] > 0 and row["four_over_karatsuba"] > 0
+    assert row["four_point_paths"] == ["_kronecker_four_point"]
     (row,) = layers.convolution_grid(1)
     assert (row["count"], row["bits"], row["paths"]) == (64, 64, ["_kronecker_binary"]) and row["s"] > 0
     (row,) = layers.search_sample_table(1)
