@@ -9,9 +9,9 @@ It regenerates nine tables, each case timed best-of-N.  They time the
 code as shipped, except where a table retunes one of its constants: the
 tree-DP table forces `indpoly._SLOTS_FROM_N_MAX_VERTICES` and
 `indpoly._PACKED_MAX_BITS`, the square table `intpoly.LEAF_MAX_BITS`, the
-band table `intpoly._kronecker_four_point`, the `lc_breaks` table
-`seqcheck._SCREEN_MIN_BITS`.  Each forced value, and each spy on a kernel
-path, is patched in with `unittest.mock` and put back after.
+`lc_breaks` table `seqcheck._SCREEN_MIN_BITS`.  Each forced value, and
+each spy on a kernel path, is patched in with `unittest.mock` and put back
+after.  The Decimal-kernel table calls each kernel by name.
 
 - `indpoly_sst` on spiders, stars, T(2^8 1^27) and Tmt1:60,60: best
   seconds.  The last two have coefficients of thousands of bits, and
@@ -29,12 +29,12 @@ path, is patched in with `unittest.mock` and put back after.
   `intpoly.LEAF_MAX_BITS`; T(2^8 1^27), Tmt1:60,60 and `reproduce` run
   under each cap in fresh processes are in BENCH_9.json and
   BENCH_18.json, the two-point split against Karatsuba in BENCH_15.json.
-- The four-point band: one square of 64..5,162-bit coefficients packed
-  into 2.25, 3 and 4 times the leaf cap, by `convolve` as shipped (at four
-  points) and with the four-point kernel replaced by a Karatsuba split
-  onto two-point products: best seconds of each, their ratio, and the
-  kernel paths the four-point square enters.  It is the measurement behind
-  the four-point band (BENCH_25.json).
+- The Decimal kernels: one square of 64..5,162-bit coefficients packed
+  into 0.5 to 4 times the leaf cap, its top-level product at two points,
+  at four points and split Karatsuba-style: best seconds of each, four
+  points' ratio to the other two, and the kernel paths `convolve` enters
+  as shipped.  It is the measurement behind the two Decimal kernels and
+  the edge between them at twice the cap (BENCH_25.json).
 - `convolve` on two operands of 16..4,096 coefficients of 64, 1,024 and
   5,162 bits: best seconds, and the kernel paths the product enters, in
   the order first entered.
@@ -115,10 +115,12 @@ LEAF_CAPS = (1 << 21, 1 << 22, 1 << 23)
 SQUARE_SIZES = (1 << 20, 1 << 21, 1 << 22, 1 << 23, 1 << 24)
 SQUARE_COEFF_BITS = 5162
 
-# the band table: coefficient bits of the squared operand, and packed
-# sizes in leaf caps, past twice the cap and up to four times it
+# the band table: coefficient bits of the squared operand, packed sizes
+# in leaf caps, in two-point's range and in the four-point band, and the
+# kernels each square's top-level product is timed in
 BAND_BITS = (64, 512, 2578, 5162)
-BAND_CAPS = (2.25, 3, 4)
+BAND_CAPS = (0.5, 1.25, 1.5, 2, 2.25, 3, 4)
+BAND_KERNELS = ("_kronecker_two_point", "_kronecker_four_point", "_karatsuba")
 
 # the convolution grid: coefficient counts and bits of both operands
 GRID_COUNTS = (16, 64, 256, 1024, 4096)
@@ -247,16 +249,11 @@ def square_table(repeat):
     return rows
 
 
-def split_instead(a, b, slot):
-    """A Karatsuba split in place of the four-point kernel: the band as it
-    was multiplied before that kernel."""
-    return intpoly._karatsuba(a, b)
-
-
 def band_table(repeat):
-    """One row per coefficient bits and packed size: best seconds of one
-    square by `convolve` at four points and split Karatsuba-style, their
-    ratio, and the paths the four-point square enters."""
+    """One row per coefficient bits and packed size: the kernel paths one
+    square by `convolve` enters as shipped, and the best seconds of that
+    square with its top-level product sent to each of BAND_KERNELS, whose
+    own parts take the paths as shipped."""
     rows = []
     for bits in BAND_BITS:
         rng = random.Random(bits)
@@ -265,12 +262,15 @@ def band_table(repeat):
             # slots of 2 * bits + bits(len(a)) bits, so that a packs within size
             count = size // (2 * bits + size.bit_length())
             a = [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(count)]
-            row = {"coeff_bits": bits, "count": count, "packed_bits": count * (2 * bits + count.bit_length()),
-                   "four_point_s": best_of(repeat, intpoly.convolve, a, a),
-                   "four_point_paths": paths_entered(intpoly.convolve, a, a)}
-            with mock.patch.object(intpoly, "_kronecker_four_point", split_instead):
-                row["karatsuba_s"] = best_of(repeat, intpoly.convolve, a, a)
-            row["four_over_karatsuba"] = row["four_point_s"] / row["karatsuba_s"]
+            slot = 2 * bits + count.bit_length()
+            row = {"coeff_bits": bits, "count": count, "packed_bits": count * slot, "leaf_caps": caps,
+                   "paths": paths_entered(intpoly.convolve, a, a)}
+            for name in BAND_KERNELS:
+                kernel = getattr(intpoly, name)
+                args = (a, a) if name == "_karatsuba" else (a, a, slot)
+                row[name.lstrip("_") + "_s"] = best_of(repeat, kernel, *args)
+            row["four_over_two_point"] = row["kronecker_four_point_s"] / row["kronecker_two_point_s"]
+            row["four_over_karatsuba"] = row["kronecker_four_point_s"] / row["karatsuba_s"]
             rows.append(row)
     return rows
 
@@ -408,7 +408,7 @@ def main(argv=None):
             "coeff_bits": SQUARE_COEFF_BITS,
             "rows": square_table(args.repeat),
         },
-        "four_point_band": {
+        "decimal_kernels": {
             "leaf_max_bits": intpoly.LEAF_MAX_BITS,
             "rows": band_table(args.repeat),
         },

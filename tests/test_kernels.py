@@ -397,13 +397,14 @@ def test_four_point_under_a_lowered_digit_limit(monkeypatch, paths_taken, limit)
     assert paths_taken == (split | {"_kronecker_binary"} if limit < 1508 else split)
 
 
-def decimal_peak_ratio(count, kernel=intpoly._kronecker_two_point):
+def decimal_peak_ratio(count, kernel=intpoly._kronecker_two_point, caps=2):
     # traced peak of one square of `count` coefficients of 5,162 bits,
-    # reproduce's top-level width, over the packed operand
+    # reproduce's top-level width, over the packed operand, which must lie
+    # within `caps` leaf caps, the kernel's own range
     rng = random.Random(count)
     a = [rng.getrandbits(5162) | 1 << 5161 for _ in range(count)]
     slot = leaf_slot(a, a)
-    assert intpoly.BINARY_MAX_BITS < count * slot <= 4 * intpoly.LEAF_MAX_BITS
+    assert intpoly.BINARY_MAX_BITS < count * slot <= caps * intpoly.LEAF_MAX_BITS
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -434,7 +435,7 @@ def test_four_point_peak_memory():
     # 900 coefficients, 9.3 Mbit, the size of reproduce's two top-level
     # squares: past twice the leaf cap; measured 3.9x, against 6.3x for two
     # points just past the cap
-    ratio, packed = decimal_peak_ratio(900, intpoly._kronecker_four_point)
+    ratio, packed = decimal_peak_ratio(900, intpoly._kronecker_four_point, caps=4)
     assert 2 * intpoly.LEAF_MAX_BITS < packed
     assert ratio < 4.7
 

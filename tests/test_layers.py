@@ -27,7 +27,7 @@ def test_layer_tables_run(monkeypatch, capsys):
     monkeypatch.setattr(layers, "SQUARE_SIZES", (1 << 20, 1 << 21))
     monkeypatch.setattr(layers, "LEAF_CAPS", (1 << 19,))
     monkeypatch.setattr(layers, "BAND_BITS", (64,))
-    monkeypatch.setattr(layers, "BAND_CAPS", (3,))
+    monkeypatch.setattr(layers, "BAND_CAPS", (1.5, 3))
     monkeypatch.setattr(layers, "GRID_COUNTS", (64,))
     monkeypatch.setattr(layers, "GRID_BITS", (64,))
     monkeypatch.setattr(layers, "SEARCH_SIZES", (26,))
@@ -52,14 +52,19 @@ def test_layer_tables_run(monkeypatch, capsys):
     assert [(row["packed_bits"], row["leaf_cap_bits"]) for row in rows] == [(1043431, 1 << 19), (2087064, 1 << 19)]
     assert all(row["s"] > 0 and row["peak_mb"] > 0 for row in rows)
     assert [row["paths"] for row in rows] == [["_kronecker_two_point"], ["_kronecker_four_point"]]
-    # one square of 677 coefficients of 64 bits, 93,426 packed bits, in
-    # three times a cap of 2^15
+    # squares of 64-bit coefficients in 1.5 and 3 times a cap of 2^18: at
+    # two points as shipped, then at four; each timed in all three kernels
     with monkeypatch.context() as patch:
-        patch.setattr(intpoly, "LEAF_MAX_BITS", 1 << 15)
-        (row,) = layers.band_table(1)
-    assert (row["coeff_bits"], row["count"], row["packed_bits"]) == (64, 677, 93426)
-    assert row["four_point_s"] > 0 and row["karatsuba_s"] > 0 and row["four_over_karatsuba"] > 0
-    assert row["four_point_paths"] == ["_kronecker_four_point"]
+        patch.setattr(intpoly, "LEAF_MAX_BITS", 1 << 18)
+        rows = layers.band_table(1)
+    assert [(row["coeff_bits"], row["count"], row["packed_bits"], row["leaf_caps"]) for row in rows] == [
+        (64, 2674, 374360, 1.5),
+        (64, 5313, 749133, 3),
+    ]
+    assert [row["paths"] for row in rows] == [["_kronecker_two_point"], ["_kronecker_four_point"]]
+    for row in rows:
+        assert all(row[name.lstrip("_") + "_s"] > 0 for name in layers.BAND_KERNELS)
+        assert row["four_over_two_point"] > 0 and row["four_over_karatsuba"] > 0
     (row,) = layers.convolution_grid(1)
     assert (row["count"], row["bits"], row["paths"]) == (64, 64, ["_kronecker_binary"]) and row["s"] > 0
     (row,) = layers.search_sample_table(1)
