@@ -226,7 +226,7 @@ def cmd_oracle(args):
     # a spec is sized from its parameters, before it is built
     n = tree.n if spec is None else spec.vertex_count()
     if n > ORACLE_MAX_VERTICES:
-        raise ValueError("tree has %d vertices, limit is %d" % (n, ORACLE_MAX_VERTICES))
+        raise ValueError("tree has %s vertices, limit is %d" % (int_to_str(n), ORACLE_MAX_VERTICES))
     tree = tree or build_family(spec)
     dp = indpoly_tree(tree)
     orc = indpoly_oracle(tree)

@@ -38,6 +38,7 @@ computed.
 from __future__ import annotations
 
 import decimal
+import re
 import sys
 from decimal import Decimal
 from itertools import repeat
@@ -84,17 +85,17 @@ def int_to_str(c: int) -> str:
 
 
 def str_to_int(s: str) -> int:
-    """int(s) for a decimal integer string of any length.
+    """The int that int_to_str wrote as s, for a string of any length.
 
-    Strings int() rejects for their syntax are still rejected with its
-    ValueError; only strings past the digit limit go through Decimal.
+    Only that text is read: an optional "-", then ASCII digits with no
+    leading zero ("0" alone, never "-0"); anything else raises ValueError.
+    Strings past the int/str digit limit go through Decimal.
     """
+    if not (type(s) is str and re.fullmatch("0|-?[1-9][0-9]*", s)):
+        raise ValueError("not a decimal integer as int_to_str writes it: %r" % (s,))
     try:
         return int(s)
     except ValueError:
-        digits = s[1:] if s[:1] in ("+", "-") else s
-        if not (digits.isascii() and digits.isdigit()):
-            raise
         return int(Decimal(s))
 
 

@@ -5,6 +5,8 @@ number generators"), written out in full so that sampled trees can be
 regenerated bit-for-bit on any platform from (seed, index) alone.
 """
 
+from .intpoly import int_to_str
+
 MASK64 = (1 << 64) - 1
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -33,22 +35,14 @@ class SplitMix64:
         return mix64(self._state)
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n), bias-free via rejection sampling."""
-        if n <= 0:
-            raise ValueError("randbelow needs n >= 1, got %d" % n)
-        if n == 1:
-            return 0
-        limit = ((1 << 64) // n) * n
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % n
+        """Uniform integer in [0, n): randbelow_many's one-draw case."""
+        return self.randbelow_many(n, 1)[0]
 
     def randbelow_many(self, n: int, k: int) -> list:
-        """[randbelow(n) for _ in range(k)], leaving the stream in the same
-        state; with mix64 inlined, a draw costs about half as much."""
-        if n <= 0:
-            raise ValueError("randbelow needs n >= 1, got %d" % n)
+        """k uniform integers in [0, n), 1 <= n <= 2**64, by rejection (past
+        2**64 none passes); n == 1 draws nothing.  mix64 inlined halves a draw."""
+        if not 1 <= n <= 1 << 64:
+            raise ValueError("randbelow needs 1 <= n <= 2**64, got %s" % int_to_str(n))
         if k < 0:
             raise ValueError("draw count must be >= 0, got %d" % k)
         if n == 1:

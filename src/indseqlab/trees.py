@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .intpoly import int_to_str
 from .rng import SplitMix64
 
 
@@ -177,7 +178,7 @@ class FamilySpec:
         _check_params(self)
 
     def __str__(self):
-        return "%s:%s" % (self.family, ",".join(str(p) for p in self.params))
+        return "%s:%s" % (self.family, ",".join(map(int_to_str, self.params)))
 
     def sst_counts(self):
         """Per-level child counts when the family is spherically symmetric

@@ -161,11 +161,14 @@ def test_oracle_budget(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "oracle", "Tmt1:4,4")
     assert code == 2
     assert "37 vertices" in err
-    for spec, n in (("Path:2000000", 2000000), ("SST:" + ",".join(["10"] * 7), 11111111),
-                    ("Rand:200000,1", 200000), ("Cat:200000", 200001)):
+    # SST:1000,...,1000 with 1,500 levels has 1 + 1000 + ... + 1000**1500
+    # vertices, 4,501 digits, past the int/str digit limit
+    for spec, n in (("Path:2000000", "2000000"), ("SST:" + ",".join(["10"] * 7), "11111111"),
+                    ("Rand:200000,1", "200000"), ("Cat:200000", "200001"),
+                    ("SST:" + ",".join(["1000"] * 1500), "1" + "001" * 1500)):
         code, out, err = run_cli(capsys, "oracle", spec)
         assert (code, out) == (2, "")
-        assert err.endswith("tree has %d vertices, limit is 22\n" % n)
+        assert err == "oracle: tree has %s vertices, limit is 22\n" % n
     assert built == []
 
 
@@ -230,6 +233,20 @@ def test_search_cli(capsys, tmp_path):
         "--seed", "1", "--out", str(out_path),
     )
     assert code == 2 and "n-min" in err
+
+
+def test_search_refuses_sizes_past_2_64(tmp_path):
+    # n-min..n-max holds 2**64 + 1 sizes, more than the sampler's range: one
+    # stderr line and exit 2 at once; a rejection loop with no range check
+    # would never accept a draw, so this runs under a timeout
+    argv = ["search", "--n-min", "2", "--n-max", str(2**64 + 2), "--samples", "1",
+            "--seed", "1", "--threads", "1", "--out", "x.jsonl"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "indseqlab.cli", *argv], capture_output=True, text=True,
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "search: randbelow needs 1 <= n <= 2**64, got %d\n" % (2**64 + 1)
 
 
 def test_internal_failure_exit_code(capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 from indseqlab import seqcheck
 from indseqlab.indpoly import indpoly_sst, indpoly_tree
-from indseqlab.intpoly import IntPolynomial, mul
+from indseqlab.intpoly import IntPolynomial, int_to_str, mul, str_to_int
 from indseqlab.seqcheck import (
     analyze,
     analyze_sequence,
@@ -250,6 +250,21 @@ def test_report_json_roundtrip_past_the_str_digit_limit():
     assert report_to_json(back) == text
     with pytest.raises(ValueError):
         report_from_json(text.replace('"1", "1', '"1", "x1'))
+
+
+def test_report_from_json_reads_only_what_report_to_json_writes():
+    # a coefficient is exactly what int_to_str writes: int() reads some of
+    # these ("1_0" as 10, "05" as 5), but each would re-serialize to other text
+    obj = json.loads(report_to_json(analyze(tmt1(3, 4))))
+    big = "1" * 5000
+    for bad in ["1_0", "\u0661", "\uff15", " 5", "5 ", "5\n", "+5", "05", "00", "-0", "-05",
+                "", "-", "0x5", "1e3", "5.0", 5, 5.0, None, True, ["5"],
+                "0" + big, "+" + big, big + "_1", big + " "]:
+        text = json.dumps(dict(obj, coeffs=obj["coeffs"][:1] + [bad] + obj["coeffs"][2:]))
+        with pytest.raises(ValueError, match="^not a decimal integer as int_to_str writes it: "):
+            report_from_json(text)
+    for c in (0, 1, -1, 10, -(10**5000), 10**5000 + 1):
+        assert str_to_int(int_to_str(c)) == c
 
 
 def random_log_concave(rng, max_len=24):

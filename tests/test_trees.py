@@ -1,6 +1,7 @@
 """Tree construction, parsing, random generation, independence number."""
 
 import collections
+import contextlib
 import copy
 import hashlib
 import heapq
@@ -9,6 +10,7 @@ import json
 import pickle
 import random
 import re
+import signal
 
 import pytest
 
@@ -144,6 +146,11 @@ def test_family_spec_checked_when_built():
                                 ("Nope", (1,), "Nope:1: unknown family")]:
         with pytest.raises(ValueError, match="^" + re.escape(msg)):
             FamilySpec(family, params)
+    # a parameter past the int/str digit limit is named in full, as int_to_str writes it
+    big = "1" + "0" * 5000
+    with pytest.raises(ValueError, match="^Tmt1:%s: expected parameters m,t$" % big):
+        FamilySpec("Tmt1", (10**5000,))
+    assert str(FamilySpec("Path", (10**5000,))) == "Path:" + big
     # parameters are ints: a bool, float or str is refused by name, not
     # built (Path:True was one vertex) or left to raise TypeError later
     for family, params in [("Path", (True,)), ("Star", (True,)), ("Path", (3.5,)),
@@ -300,21 +307,71 @@ def test_decoding_is_a_children_first_order():
         assert edges == {frozenset(e) for e in random_tree(n, n).edges()}
 
 
+def rejection_draws(seed, n, k):
+    """k draws from [0, n) by a plain rejection loop over next_u64, and the
+    stream's next word after them; n == 1 takes no draw."""
+    rng = SplitMix64(seed)
+    out = []
+    while n > 1 and len(out) < k:
+        u = rng.next_u64()
+        if u < (1 << 64) - (1 << 64) % n:
+            out.append(u % n)
+    return out + [0] * (k - len(out)), rng.next_u64()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 2**63 + 1, 2**64 - 1])
 def test_randbelow_many_equals_repeated_randbelow(n):
     # 2**63 + 1 rejects almost half of all draws
     for seed in (0, 1, 2**64 - 1, 0x9E3779B97F4A7C15):
         for k in (0, 1, 7, 64):
+            draws, after = rejection_draws(seed, n, k)
             one, many = SplitMix64(seed), SplitMix64(seed)
-            assert many.randbelow_many(n, k) == [one.randbelow(n) for _ in range(k)]
-            assert many.next_u64() == one.next_u64()  # same state after
+            assert many.randbelow_many(n, k) == draws
+            assert [one.randbelow(n) for _ in range(k)] == draws
+            assert many.next_u64() == one.next_u64() == after  # same state after
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Raise TimeoutError in the block once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after %g s" % seconds)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_randbelow_many_validation():
     with pytest.raises(ValueError):
-        SplitMix64(1).randbelow_many(0, 3)
-    with pytest.raises(ValueError):
         SplitMix64(1).randbelow_many(5, -1)
+    # 1 <= n <= 2**64: at 2**64 every word is a draw; past it none would be
+    # accepted, so it is refused at once rather than looped on
+    for seed in (0, 5):
+        words = [SplitMix64(seed).next_u64()]
+        assert SplitMix64(seed).randbelow(2**64) == words[0]
+        assert SplitMix64(seed).randbelow_many(2**64, 1) == words
+    for n in (0, -1, -(2**64), 2**64 + 1, 2**65, 10**5000):
+        with within(5), pytest.raises(ValueError, match=r"needs 1 <= n <= 2\*\*64"):
+            SplitMix64(1).randbelow(n)
+        with within(5), pytest.raises(ValueError, match=r"needs 1 <= n <= 2\*\*64"):
+            SplitMix64(1).randbelow_many(n, 3)
+
+
+def test_randbelow_draws_pinned():
+    # SHA-256 of both methods' draws and the next word after them, one JSON
+    # line per (n, seed); recorded with each method's own rejection loop
+    h = hashlib.sha256()
+    for n in (1, 2, 3, 15, 2**63 + 1, 2**64 - 1, 2**64):
+        for seed in (0, 1, 7, 2**64 - 1, 0x9E3779B97F4A7C15):
+            rng = SplitMix64(seed)
+            draws = rng.randbelow_many(n, 33) + [rng.randbelow(n) for _ in range(33)]
+            h.update(json.dumps(draws + [rng.next_u64()]).encode() + b"\n")
+    assert h.hexdigest() == "18a14ad7c8c917926d60893c4c5922053b51f618ed9ccc0896221d6dbd3f4ebe"
 
 
 def test_prufer_validation():
