@@ -48,6 +48,10 @@ after.  The Decimal-kernel table calls each kernel by name.
   building the tree, the tree DP and printing.  16 is the largest n the
   bitsets sweep alone, 17 the first with a vertex enumerated beside
   them, and 20 the largest random trees of the oracle acceptance test.
+  A second set of rows times the sweep's preparation alone at n =
+  17..22, `_sweep_order` and `_relabelled`, in microseconds per call over
+  the trees of `Rand:n,1..16`: the fixed cost the oracle pays before its
+  first bitset from n = 17 on.
 - `seqcheck.lc_breaks` on log-concave sequences of 8..2,048 entries,
   every entry of 32..5,162 bits: microseconds per call by the exact scan
   alone and with the floating-point screen, and their ratio.  It is the
@@ -135,6 +139,10 @@ SEARCH_SAMPLES = 200
 # the oracle table: vertex counts, and calls timed per count
 ORACLE_SIZES = (8, 14, 16, 17, 18, 20, 22)
 ORACLE_CALLS = 20
+# the sweep-preparation rows: vertex counts, and the seeds of the trees
+# Rand:n,seed prepared ORACLE_CALLS times each per timing
+PREP_SIZES = tuple(range(17, 23))
+PREP_SEEDS = range(1, 17)
 
 # the lc_breaks table: bits of every entry, entries per sequence, and
 # entries scanned per timing
@@ -347,6 +355,22 @@ def oracle_table(repeat):
     return rows
 
 
+def sweep_preparations(graphs):
+    for masks in graphs:
+        indpoly._relabelled(masks, indpoly._sweep_order(masks, len(masks) - indpoly._SWEEP_LOW))
+
+
+def sweep_prep_table(repeat):
+    """One row per vertex count: best microseconds per call of the subset
+    sweep's preparation, `_sweep_order` then `_relabelled`, on the trees
+    of `Rand:n,seed` for each seed in PREP_SEEDS."""
+    rows = []
+    for n in PREP_SIZES:
+        graphs = [random_tree(n, seed).neighbor_masks() for seed in PREP_SEEDS] * ORACLE_CALLS
+        rows.append({"n": n, "prep_us": best_of(repeat, sweep_preparations, graphs) / len(graphs) * 1e6})
+    return rows
+
+
 def concave_sequence(bits, length):
     """length entries of `bits` bits each, b + s k (length - 1 - k): a
     concave positive sequence, so log-concave with no ties."""
@@ -417,7 +441,11 @@ def main(argv=None):
             "rows": convolution_grid(args.repeat),
         },
         "search_sample": {"samples": SEARCH_SAMPLES, "rows": search_sample_table(args.repeat)},
-        "oracle": {"calls": ORACLE_CALLS, "rows": oracle_table(args.repeat)},
+        "oracle": {
+            "calls": ORACLE_CALLS,
+            "rows": oracle_table(args.repeat),
+            "prep_rows": sweep_prep_table(args.repeat),
+        },
         "lc_breaks": {"screen_min_bits": seqcheck._SCREEN_MIN_BITS, "rows": lc_breaks_table(args.repeat)},
         "spider_suite": {"rows": spider_suite_table(args.repeat)},
     }

@@ -29,7 +29,7 @@ from . import formulas, search
 from .indpoly import ORACLE_MAX_VERTICES, indpoly_oracle, indpoly_sst, indpoly_tree
 from .intpoly import int_to_str
 from .seqcheck import analyze_sequence, lc_breaks, report_to_json
-from .trees import build_family, parse_edge_list, parse_family
+from .trees import _ascii_int, build_family, parse_edge_list, parse_family
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -63,6 +63,14 @@ def _load_sequence(args):
             return spec.vertex_count(), indpoly_sst(counts).coeffs
         tree = build_family(spec)
     return tree.n, indpoly_tree(tree).coeffs
+
+
+def _int_option(text):
+    """An integer option, read as spec parameters are (trees._ascii_int)."""
+    try:
+        return _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
 
 
 def _add_tree_input(sub):
@@ -263,14 +271,14 @@ def build_parser():
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("search", help="seeded random-tree counterexample search")
-    p.add_argument("--n-min", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n-min", type=_int_option, required=True)
+    p.add_argument("--n-max", type=_int_option, required=True)
+    p.add_argument("--samples", type=_int_option, required=True)
+    p.add_argument("--seed", type=_int_option, required=True)
     p.add_argument("--out", metavar="FILE", required=True, help="JSONL output path")
     p.add_argument(
         "--threads",
-        type=int,
+        type=_int_option,
         default=None,
         help="processes that examine trees: this one and THREADS - 1 spawned workers"
         " (default: machine parallelism)",
@@ -278,8 +286,8 @@ def build_parser():
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="run the formula verification suite")
-    p.add_argument("--t-max", type=int, default=300)
-    p.add_argument("--grid-max", type=int, default=8)
+    p.add_argument("--t-max", type=_int_option, default=300)
+    p.add_argument("--grid-max", type=_int_option, default=8)
     p.add_argument("--json", metavar="FILE", help="write a JSON summary")
     p.set_defaults(func=cmd_verify)
 

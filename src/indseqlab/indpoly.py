@@ -51,6 +51,7 @@ from .intpoly import (
     _lpow,
     _unpack_slots,
     convolve,
+    int_to_str,
 )
 from .trees import RootedTree, _level_counts, tree_from_edges
 
@@ -244,7 +245,7 @@ def root_split(tree: RootedTree, v: int) -> RootSplit:
     Both are the DP's (out, in) pair at the root once v and 0 swap labels.
     """
     if not 0 <= v < tree.n:
-        raise ValueError("vertex %d out of range" % v)
+        raise ValueError("vertex %s out of range" % int_to_str(v))
 
     def swap(u):
         return 0 if u == v else v if u == 0 else u
@@ -311,37 +312,22 @@ def _sweep_order(neighbor_masks, high):
     of theirs has smaller largest independent sets than as many vertices
     taken at random, so fewer bitset levels fill: random trees on 16
     vertices sweep in 0.68-0.79x the time of their labels as given
-    (BENCH_22.json, "low_vertex_order")."""
+    (BENCH_22.json, "low_vertex_order").
+
+    One walk: visit(v) takes v's highest unseen neighbour while one remains,
+    and returns the subtrees found, longest first, then v; n <= 22 deep."""
     n = len(neighbor_masks)
-    size = [1] * n
-    children = [[] for _ in range(n)]
-    roots = []
     unseen = (1 << n) - 1
-    for root in range(n):
-        if not unseen >> root & 1:
-            continue
-        unseen ^= 1 << root
-        roots.append(root)
-        stack = [root]
-        while stack:
-            fresh = neighbor_masks[stack[-1]] & unseen
-            if fresh:
-                u = fresh.bit_length() - 1
-                unseen ^= 1 << u
-                stack.append(u)
-            else:
-                v = stack.pop()
-                if stack:
-                    size[stack[-1]] += size[v]
-                    children[stack[-1]].append(v)
-    # the pre-order that takes the smaller subtree first, which is the
-    # post-order wanted reversed
-    order = []
-    while roots:
-        v = roots.pop()
-        order.append(v)
-        roots += sorted(children[v], key=size.__getitem__, reverse=True)
-    post = order[::-1]
+
+    def visit(v):
+        nonlocal unseen
+        unseen ^= 1 << v
+        subtrees = []
+        while fresh := neighbor_masks[v] & unseen:
+            subtrees.append(visit(fresh.bit_length() - 1))
+        return sum(sorted(subtrees, key=len, reverse=True), []) + [v]
+
+    post = [u for root in range(n) if unseen >> root & 1 for u in visit(root)]
     return post[high:] + post[:high]
 
 

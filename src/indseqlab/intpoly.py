@@ -84,6 +84,14 @@ def int_to_str(c: int) -> str:
         return str(Decimal(c))
 
 
+def int_repr(x):
+    """repr(x), writing ints, bare or in a list or tuple, by int_to_str."""
+    if type(x) in (list, tuple):
+        items = ", ".join(map(int_repr, x)) + ("," if type(x) is tuple and len(x) == 1 else "")
+        return ("[%s]" if type(x) is list else "(%s)") % items
+    return int_to_str(x) if type(x) is int else repr(x)
+
+
 def str_to_int(s: str) -> int:
     """The int that int_to_str wrote as s, for a string of any length.
 
@@ -439,7 +447,7 @@ class IntPolynomial:
     def coeff(self, k: int) -> int:
         """Coefficient of x^k; 0 beyond the degree."""
         if k < 0:
-            raise ValueError("coefficient index must be >= 0, got %d" % k)
+            raise ValueError("coefficient index must be >= 0, got %s" % int_to_str(k))
         return self._coeffs[k] if k < len(self._coeffs) else 0
 
     def __iter__(self):
@@ -540,7 +548,7 @@ def _lpow(u, e):
 def poly_pow(p: IntPolynomial, e: int) -> IntPolynomial:
     """p**e by binary exponentiation; p**0 == 1 for every p."""
     if e < 0:
-        raise ValueError("exponent must be >= 0, got %d" % e)
+        raise ValueError("exponent must be >= 0, got %s" % int_to_str(e))
     if e == 0:
         return ONE
     return IntPolynomial._raw(_lpow(p.coeffs, e))

@@ -44,7 +44,7 @@ class SplitMix64:
         if not 1 <= n <= 1 << 64:
             raise ValueError("randbelow needs 1 <= n <= 2**64, got %s" % int_to_str(n))
         if k < 0:
-            raise ValueError("draw count must be >= 0, got %d" % k)
+            raise ValueError("draw count must be >= 0, got %s" % int_to_str(k))
         if n == 1:
             return [0] * k
         limit = ((1 << 64) // n) * n
@@ -68,5 +68,5 @@ def derive_seed(master: int, index: int) -> int:
     forever so persisted search records stay replayable.
     """
     if index < 0:
-        raise ValueError("sample index must be >= 0, got %d" % index)
+        raise ValueError("sample index must be >= 0, got %s" % int_to_str(index))
     return mix64(mix64(master) ^ (((index + 1) * GOLDEN_GAMMA) & MASK64))

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .indpoly import indpoly_tree
-from .intpoly import int_to_str, str_to_int
+from .intpoly import int_repr, int_to_str, str_to_int
 from .trees import RootedTree, independence_number
 
 
@@ -51,7 +51,7 @@ def lc_breaks(seq):
         raise ValueError("sequence must be nonempty")
     for v in a:
         if v <= 0:
-            raise ValueError("sequence entries must be positive, got %r" % (v,))
+            raise ValueError("sequence entries must be positive, got %s" % int_repr(v))
     if a[len(a) // 2].bit_length() <= _SCREEN_MIN_BITS:
         return [k for k in range(1, len(a) - 1) if a[k] * a[k] < a[k - 1] * a[k + 1]]
     logs = list(map(math.log2, a))
@@ -98,9 +98,7 @@ def tail_monotone(seq, alpha: int) -> bool:
     """
     a = list(seq)
     if alpha != len(a) - 1:
-        raise ValueError(
-            "alpha must equal len(seq)-1, got alpha=%d len=%d" % (alpha, len(a))
-        )
+        raise ValueError("alpha must equal len(seq)-1, got alpha=%s len=%d" % (int_to_str(alpha), len(a)))
     return all(a[k] >= a[k + 1] for k in range(tail_start(alpha), alpha))
 
 
@@ -148,20 +146,18 @@ def analyze(tree: RootedTree) -> AnalysisReport:
     return report
 
 
-# the JSON form keeps the dataclass's field order; coefficient values are
-# decimal strings
-_JSON_FIELDS = tuple(f.name for f in fields(AnalysisReport))
-
-
 def report_to_json(report: AnalysisReport) -> str:
     """Serialize a report; big integers become decimal strings."""
     return json.dumps(dict(vars(report), coeffs=[int_to_str(c) for c in report.coeffs]))
 
 
 def report_from_json(text: str) -> AnalysisReport:
-    """Inverse of report_to_json; round-trips byte-identically."""
+    """Inverse of report_to_json, byte-identical: the report is rebuilt from n
+    and the coefficients, and refused unless it serializes to the object read."""
     obj = json.loads(text)
-    if tuple(obj) != _JSON_FIELDS:
-        raise ValueError("unexpected report fields: %r" % list(obj))
-    obj.update(coeffs=tuple(map(str_to_int, obj["coeffs"])), breaks=tuple(obj["breaks"]))
-    return AnalysisReport(**obj)
+    if type(obj) is not dict or type(obj.get("n")) is not int or type(obj.get("coeffs")) is not list:
+        raise ValueError("a report needs an int n and a list of coefficients")
+    report = analyze_sequence(obj["n"], map(str_to_int, obj["coeffs"]))
+    if report_to_json(report) != json.dumps(obj):
+        raise ValueError("report fields disagree with its n and coefficients")
+    return report

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intpoly import int_to_str
+from .intpoly import int_repr, int_to_str
 from .rng import SplitMix64
 
 
@@ -40,7 +40,7 @@ class RootedTree:
         for v in range(1, n):
             p = par[v]
             if not 0 <= p < n:
-                raise ValueError("parent of %d out of range: %d" % (v, p))
+                raise ValueError("parent of %d out of range: %s" % (v, int_to_str(p)))
             if p == v:
                 raise ValueError("vertex %d is its own parent" % v)
             kids[p].append(v)
@@ -77,7 +77,7 @@ class RootedTree:
     def neighbors(self, v: int):
         """Sorted neighbor list of v."""
         if not 0 <= v < self.n:
-            raise ValueError("vertex %d out of range" % v)
+            raise ValueError("vertex %s out of range" % int_to_str(v))
         nb = list(self.children[v])
         if v != self.root:
             nb.append(self.parent[v])
@@ -265,7 +265,7 @@ def _check_params(spec):
             raise ValueError("%s: %s" % (spec, msg))
 
     if type(ps) is not tuple or any(type(p) is not int for p in ps):
-        raise ValueError("%s: parameters must be a tuple of ints, got %r" % (fam, ps))
+        raise ValueError("%s: parameters must be a tuple of ints, got %s" % (fam, int_repr(ps)))
     if fam == "Tmt1":
         need(len(ps) == 2, "expected parameters m,t")
         need(ps[0] >= 1 and ps[1] >= 1, "m and t must be >= 1")
@@ -297,7 +297,7 @@ def _level_counts(child_counts):
     if not counts:
         raise ValueError("child-count list must be nonempty")
     if any(c < 1 for c in counts):
-        raise ValueError("child counts must be >= 1, got %r" % (counts,))
+        raise ValueError("child counts must be >= 1, got %s" % int_repr(counts))
     n = width = 1
     for c in counts:
         width *= c
@@ -407,10 +407,10 @@ def prufer_decode(sequence, n: int):
     if n < 2:
         raise ValueError("Pruefer decoding needs n >= 2")
     if len(seq) != n - 2:
-        raise ValueError("sequence length must be n-2 = %d, got %d" % (n - 2, len(seq)))
+        raise ValueError("sequence length must be n-2 = %s, got %d" % (int_to_str(n - 2), len(seq)))
     for s in seq:
         if not 0 <= s < n:
-            raise ValueError("sequence entry %r out of range 0..%d" % (s, n - 1))
+            raise ValueError("sequence entry %s out of range 0..%s" % (int_repr(s), int_to_str(n - 1)))
     parent, order = _decoded(seq, n)
     return [(v, parent[v]) for v in order[:-1]]
 
@@ -427,7 +427,7 @@ def tree_from_edges(n: int, edge_pairs) -> RootedTree:
     count = 0
     for u, v in edge_pairs:
         if not (0 <= u < n and 0 <= v < n):
-            raise TreeParseError("edge %r out of range 0..%d" % ((u, v), n - 1))
+            raise TreeParseError("edge %s out of range 0..%s" % (int_repr((u, v)), int_to_str(n - 1)))
         adj[u].append(v)
         adj[v].append(u)
         count += 1

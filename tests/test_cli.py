@@ -249,6 +249,27 @@ def test_search_refuses_sizes_past_2_64(tmp_path):
     assert proc.stderr == "search: randbelow needs 1 <= n <= 2**64, got %d\n" % (2**64 + 1)
 
 
+SEARCH_ARGV = ["search", "--n-min", "26", "--n-max", "40", "--samples", "10", "--seed", "1",
+               "--threads", "1", "--out", "x.jsonl"]
+VERIFY_ARGV = ["verify", "--t-max", "5", "--grid-max", "2"]
+
+
+@pytest.mark.parametrize("bad", ["1_0", "\u0664"])
+@pytest.mark.parametrize("argv,option", [(SEARCH_ARGV, o) for o in SEARCH_ARGV[1:11:2]]
+                         + [(VERIFY_ARGV, o) for o in VERIFY_ARGV[1::2]])
+def test_integer_options_read_ascii_digits_only(capsys, monkeypatch, tmp_path, argv, option, bad):
+    # int() reads underscores and non-ASCII digits; an integer option, like
+    # a spec parameter, may not, and argparse names the option it refused
+    monkeypatch.chdir(tmp_path)
+    argv = list(argv)
+    argv[argv.index(option) + 1] = bad
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "indseqlab %s: error: argument %s: invalid int value: %r" % (argv[0], option, bad))
+
+
 def test_internal_failure_exit_code(capsys, monkeypatch):
     # an internal failure is neither a mismatch (1) nor a usage error (2)
     def exhausted(counts):

@@ -14,9 +14,15 @@ from indseqlab.intpoly import (
     add,
     coeff,
     convolve,
+    int_repr,
+    int_to_str,
     mul,
     poly_pow,
 )
+from indseqlab.indpoly import indpoly_sst, root_split
+from indseqlab.rng import SplitMix64, derive_seed
+from indseqlab.seqcheck import lc_breaks, tail_monotone
+from indseqlab.trees import FamilySpec, RootedTree, path, prufer_decode, sst, tree_from_edges
 
 
 def P(*cs):
@@ -143,3 +149,40 @@ def test_repr_past_the_str_digit_limit():
     big = 10**5000 + 1
     assert repr(P(1, big)) == "IntPolynomial([1, 1%s1])" % ("0" * 4999)
     assert repr(P(*([big] * 9))).endswith(", ... deg=8])")
+
+
+def test_int_repr_is_repr_with_ints_past_the_digit_limit():
+    big = 10**5000
+    for value in (0, -7, True, 2.5, "5", None, [], (), (3,), (True,), [3, 2.5, "x"], (2.0, 1), [(1, [2])], {1: 2}):
+        assert int_repr(value) == repr(value)
+    assert int_repr([-big, (big,)]) == "[-%s, (%s,)]" % (int_to_str(big), int_to_str(big))
+
+
+# B = 10**5000 has 5,001 digits; each message names it through int_to_str
+# rather than raising str()'s digit-limit error in its place
+B = 10**5000
+DIGITS = "1" + "0" * 5000
+LIMIT_MESSAGES = [
+    (lambda: FamilySpec("Path", [B]), "Path: parameters must be a tuple of ints, got [%s]" % DIGITS),
+    (lambda: RootedTree([-1, B]), "parent of 1 out of range: %s" % DIGITS),
+    (lambda: path(3).neighbors(B), "vertex %s out of range" % DIGITS),
+    (lambda: prufer_decode([B, 0], 4), "sequence entry %s out of range 0..3" % DIGITS),
+    (lambda: prufer_decode([], B), "sequence length must be n-2 = %s, got 0" % int_to_str(B - 2)),
+    (lambda: tree_from_edges(2, [(0, B)]), "edge (0, %s) out of range 0..1" % DIGITS),
+    (lambda: sst([B, 0]), "child counts must be >= 1, got [%s, 0]" % DIGITS),
+    (lambda: indpoly_sst([B, 0]), "child counts must be >= 1, got [%s, 0]" % DIGITS),
+    (lambda: ONE.coeff(-B), "coefficient index must be >= 0, got -%s" % DIGITS),
+    (lambda: poly_pow(ONE, -B), "exponent must be >= 0, got -%s" % DIGITS),
+    (lambda: derive_seed(1, -B), "sample index must be >= 0, got -%s" % DIGITS),
+    (lambda: SplitMix64(1).randbelow_many(3, -B), "draw count must be >= 0, got -%s" % DIGITS),
+    (lambda: tail_monotone([1, 1], B), "alpha must equal len(seq)-1, got alpha=%s len=2" % DIGITS),
+    (lambda: lc_breaks([1, -B]), "sequence entries must be positive, got -%s" % DIGITS),
+    (lambda: root_split(path(3), B), "vertex %s out of range" % DIGITS),
+]
+
+
+@pytest.mark.parametrize("call,message", LIMIT_MESSAGES, ids=[m[1][:24] for m in LIMIT_MESSAGES])
+def test_messages_name_ints_past_the_digit_limit(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

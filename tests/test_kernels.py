@@ -605,6 +605,66 @@ def test_high_vertices_border_one_sweep_vertex(spec):
     assert border.bit_count() == 1
 
 
+def reference_sweep_order(neighbor_masks, high):
+    # the sweep order built in two passes, kept apart from the code under
+    # test: a depth-first search recording subtree sizes and child lists,
+    # then the pre-order taking the smaller subtree first, reversed
+    n = len(neighbor_masks)
+    size = [1] * n
+    children = [[] for _ in range(n)]
+    roots = []
+    unseen = (1 << n) - 1
+    for root in range(n):
+        if not unseen >> root & 1:
+            continue
+        unseen ^= 1 << root
+        roots.append(root)
+        stack = [root]
+        while stack:
+            fresh = neighbor_masks[stack[-1]] & unseen
+            if fresh:
+                u = fresh.bit_length() - 1
+                unseen ^= 1 << u
+                stack.append(u)
+            else:
+                v = stack.pop()
+                if stack:
+                    size[stack[-1]] += size[v]
+                    children[stack[-1]].append(v)
+    order = []
+    while roots:
+        v = roots.pop()
+        order.append(v)
+        roots += sorted(children[v], key=size.__getitem__, reverse=True)
+    post = order[::-1]
+    return post[high:] + post[:high]
+
+
+def test_sweep_order_matches_the_two_pass_reference():
+    # Rand:n,1..64, paths, stars and caterpillars as built and shuffled,
+    # and random simple graphs with cycles and several components, for
+    # every n up to 22 and every high count from 0 to n - 16
+    rng = random.Random(27)
+    graphs = []
+    for n in range(1, ORACLE_MAX_VERTICES + 1):
+        shapes = [random_tree(n, seed) for seed in range(1, 65)]
+        shapes += [build_family(parse_family("%s:%d" % (fam, n))) for fam in ("Path", "Star")]
+        for _ in range(8):
+            spine = rng.randint(1, n)
+            pendants = [0] * spine
+            for _ in range(n - spine):
+                pendants[rng.randrange(spine)] += 1
+            shapes.append(build_family(parse_family("Cat:" + ",".join(map(str, pendants)))))
+        for tree in shapes:
+            masks = tree.neighbor_masks()
+            graphs += [masks, shuffled(rng, masks)]
+        graphs += [random_graph_masks(rng, n, p) for p in (0.05, 0.1, 0.2, 0.4) for _ in range(20)]
+    assert len(graphs) == 5016
+    for masks in graphs:
+        for high in range(max(len(masks) - 16, 0) + 1):
+            assert indpoly._sweep_order(masks, high) == reference_sweep_order(masks, high), (masks, high)
+
+
 def test_subset_sweep_refuses_malformed_masks():
     # each answer would depend on which end of an edge the sweep reads
     with pytest.raises(ValueError, match="edge 0-1 is listed at 0 only"):

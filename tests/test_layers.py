@@ -34,6 +34,8 @@ def test_layer_tables_run(monkeypatch, capsys):
     monkeypatch.setattr(layers, "SEARCH_SAMPLES", 2)
     monkeypatch.setattr(layers, "ORACLE_SIZES", (8,))
     monkeypatch.setattr(layers, "ORACLE_CALLS", 1)
+    monkeypatch.setattr(layers, "PREP_SIZES", (17,))
+    monkeypatch.setattr(layers, "PREP_SEEDS", range(1, 3))
     monkeypatch.setattr(layers, "LC_BITS", (200,))
     monkeypatch.setattr(layers, "LC_LENGTHS", (16,))
     monkeypatch.setattr(layers, "LC_ENTRIES", 32)
@@ -71,6 +73,8 @@ def test_layer_tables_run(monkeypatch, capsys):
     assert row["n"] == 26 and row["us"] > 0
     (row,) = layers.oracle_table(1)
     assert row["n"] == 8 and row["oracle_us"] > 0 and row["cli_us"] > 0
+    (row,) = layers.sweep_prep_table(1)
+    assert row["n"] == 17 and row["prep_us"] > 0
     (row,) = layers.lc_breaks_table(1)
     assert (row["bits"], row["length"]) == (200, 16) and row["exact_us"] > 0 and row["screen_us"] > 0
     sequence = layers.concave_sequence(200, 16)

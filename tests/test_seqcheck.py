@@ -267,6 +267,21 @@ def test_report_from_json_reads_only_what_report_to_json_writes():
         assert str_to_int(int_to_str(c)) == c
 
 
+def test_report_from_json_rebuilds_from_n_and_the_coefficients():
+    # each field is what n and the coefficients give, in report_to_json's
+    # order: "11145" would read as the coefficients (1, 1, 1, 4, 5), "9"
+    # as n = '9' and "12" as breaks ('1', '2')
+    obj = json.loads(report_to_json(analyze(tmt1(3, 4))))
+    assert report_to_json(report_from_json(json.dumps(obj))) == json.dumps(obj)
+    bad = [dict(obj, coeffs="11145"), dict(obj, n="9"), dict(obj, breaks="12"), dict(obj, n=True),
+           dict(obj, n=9.0), dict(obj, breaks=[99]), dict(obj, is_log_concave=1), dict(obj, alpha=4),
+           dict(obj, mode_lo=None), dict(obj, extra=1), dict(reversed(obj.items())),
+           {k: v for k, v in obj.items() if k != "tail_start"}, [obj], "report", None]
+    for value in bad:
+        with pytest.raises(ValueError):
+            report_from_json(json.dumps(value))
+
+
 def random_log_concave(rng, max_len=24):
     """Positive log-concave sequence with no internal zeros: pointwise
     product of a binomial row and 2^(concave integer sequence)."""
