@@ -5,7 +5,7 @@ Run from the repository root:
 
     python3 benchmarks/layers.py [--repeat 5]
 
-It regenerates nine tables, each case timed best-of-N.  They time the
+It regenerates ten tables, each case timed best-of-N.  They time the
 code as shipped, except where a table retunes one of its constants: the
 tree-DP table forces `indpoly._SLOTS_FROM_N_MAX_VERTICES` and
 `indpoly._PACKED_MAX_BITS`, the square table `intpoly.LEAF_MAX_BITS`, the
@@ -13,6 +13,12 @@ tree-DP table forces `indpoly._SLOTS_FROM_N_MAX_VERTICES` and
 each spy on a kernel path, is patched in with `unittest.mock` and put back
 after.  The Decimal-kernel table calls each kernel by name.
 
+- The search pool: `run_search` at n = 26..40 with 4,000 samples (the
+  benchmark's search pass), pooled on max(2, cpu count) workers: the
+  first pooled call in the process, which starts the fork server, the
+  best later pooled call, whose workers fork from it, and the best call
+  with threads=1, all in seconds.  It runs before every other table, so
+  that no pool ran before its first call.
 - `indpoly_sst` on spiders, stars, T(2^8 1^27) and Tmt1:60,60: best
   seconds.  The last two have coefficients of thousands of bits, and
   the leaf cap was tuned on them (BENCH_9.json).
@@ -74,6 +80,7 @@ import platform
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from time import perf_counter
 from unittest import mock
@@ -84,6 +91,11 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from indseqlab import cli, formulas, indpoly, intpoly, search, seqcheck  # noqa: E402
 from indseqlab.rng import derive_seed  # noqa: E402
 from indseqlab.trees import caterpillar, path, random_tree, spider, star  # noqa: E402
+
+# the search-pool table: run_search's vertex counts and samples, as in
+# the benchmark's search pass, and the workers of its pooled calls
+POOL_N_MIN, POOL_N_MAX, POOL_SAMPLES = 26, 40, 4000
+POOL_THREADS = max(2, os.cpu_count() or 1)
 
 # (label, per-level child counts)
 SST_CASES = (
@@ -184,6 +196,24 @@ def best_of(repeat, fn, *args):
         fn(*args)
         best = min(best, perf_counter() - start)
     return best
+
+
+def search_pool_table(repeat):
+    """One row: seconds of the first pooled `run_search` in this process,
+    the best of `repeat` later pooled calls and the best of `repeat` calls
+    with threads=1.  The first call includes starting the fork server only
+    if no pool ran in this process before it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "search.jsonl")
+
+        def run(threads):
+            search.run_search(POOL_N_MIN, POOL_N_MAX, POOL_SAMPLES, 1, out, threads=threads)
+
+        first = best_of(1, run, POOL_THREADS)
+        later = best_of(repeat, run, POOL_THREADS)
+        inline = best_of(repeat, run, 1)
+    return [{"n_min": POOL_N_MIN, "n_max": POOL_N_MAX, "samples": POOL_SAMPLES, "threads": POOL_THREADS,
+             "first_pooled_s": first, "later_pooled_s": later, "inline_s": inline}]
 
 
 def sst_table(repeat):
@@ -421,6 +451,8 @@ def main(argv=None):
             "cpus": os.cpu_count(),
         },
         "repeat": args.repeat,
+        # first: its first pooled call must be the first pool in the process
+        "search_pool": {"rows": search_pool_table(args.repeat)},
         "sst": {"rows": sst_table(args.repeat)},
         "tree_dp": {
             "slots_from_n_max_vertices": indpoly._SLOTS_FROM_N_MAX_VERTICES,

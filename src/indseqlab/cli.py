@@ -27,9 +27,9 @@ from fractions import Fraction
 
 from . import formulas, search
 from .indpoly import ORACLE_MAX_VERTICES, indpoly_oracle, indpoly_sst, indpoly_tree
-from .intpoly import int_to_str
+from .intpoly import int_to_str, str_to_int
 from .seqcheck import analyze_sequence, lc_breaks, report_to_json
-from .trees import _ascii_int, build_family, parse_edge_list, parse_family
+from .trees import build_family, parse_edge_list, parse_family
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -66,9 +66,9 @@ def _load_sequence(args):
 
 
 def _int_option(text):
-    """An integer option, read as spec parameters are (trees._ascii_int)."""
+    """An integer option, read as spec parameters are (intpoly.str_to_int)."""
     try:
-        return _ascii_int(text)
+        return str_to_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
 
@@ -280,8 +280,9 @@ def build_parser():
         "--threads",
         type=_int_option,
         default=None,
-        help="processes that examine trees: this one and THREADS - 1 spawned workers"
-        " (default: machine parallelism)",
+        help="processes that examine trees: this one and THREADS - 1 workers, forked from"
+        " a fork server that has indseqlab.search imported and that the first pooled run"
+        " starts (default: machine parallelism)",
     )
     p.set_defaults(func=cmd_search)
 

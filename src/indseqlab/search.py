@@ -14,10 +14,19 @@ are those of the coefficient list; the edge list is written only for a
 recorded sample, and it is the same text as that of the replayed tree.
 
 The sample indices are cut into contiguous ranges of CHUNK indices.  With
-more than one worker and more than one chunk, the parent spawns one fewer
+more than one worker and more than one chunk, the parent starts one fewer
 worker process and examines ranges itself while they start and run; it
 writes all records in index order, so the output is byte-identical no
 matter how many workers ran the search.
+
+Workers fork from multiprocessing's fork server, a fresh single-threaded
+process that has this module imported (set_forkserver_preload, whose list
+is process-wide).  The first pooled run in a process starts the server, at
+about the cost of one spawned interpreter; later runs fork their workers
+from it in milliseconds.  Where there is no fork server (Windows) workers
+are spawned.  Either way each worker imports the caller's main module, so
+a script that runs several workers needs its `if __name__ == "__main__":`
+guard.
 """
 
 from __future__ import annotations
@@ -135,7 +144,7 @@ def _ignore_sigint():
 
 def _pooled_lines(seed, samples, n_min, n_max, emit_all, workers):
     """Record lines of all samples in index order, examined by workers - 1
-    spawned processes and by this one.
+    worker processes and by this one.
 
     The chunks not yet yielded wait, oldest first, in one deque: futures of
     the pool, and line lists this process examined itself.  While the
@@ -155,8 +164,13 @@ def _pooled_lines(seed, samples, n_min, n_max, emit_all, workers):
     def chunk(lo):
         return seed, lo, min(lo + CHUNK, samples), n_min, n_max, emit_all
 
-    # spawn, not fork: forking a caller that runs threads can deadlock
-    ctx = multiprocessing.get_context("spawn")
+    # not fork: forking a caller that runs threads can deadlock; the fork
+    # server is a fresh single-threaded process (see the module docstring)
+    if "forkserver" in multiprocessing.get_all_start_methods():
+        ctx = multiprocessing.get_context("forkserver")
+        ctx.set_forkserver_preload([__name__])
+    else:
+        ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(workers - 1, mp_context=ctx, initializer=_ignore_sigint) as pool:
         try:
             pending = deque()
@@ -195,13 +209,16 @@ def run_search(
     records, each line whole; with one worker, the records of every sample
     examined before the stop.  The file content is independent of
     `threads`, the number of processes that examine trees (default:
-    os.cpu_count()): threads - 1 spawned worker processes plus this one,
-    which examines chunks while they start.  One worker, or a run that
-    fits in one chunk, runs in this process alone.  Workers are spawned,
-    so a script that runs several must guard its entry point with
-    `if __name__ == "__main__":`.  With emit_all every sample is
-    recorded, breaks or not; the command line never sets that, but tests
-    do.  Returns the number of records written.
+    os.cpu_count()): threads - 1 worker processes plus this one, which
+    examines chunks while they start.  One worker, or a run that fits in
+    one chunk, runs in this process alone.  Workers fork from a fork server
+    that has this module imported; the first pooled run in a process starts
+    it, and it exits with this process.  Its preload list is process-wide.
+    Each worker still imports the caller's main module (spawned ones too,
+    where there is no fork server), so a script that runs several must
+    guard its entry point with `if __name__ == "__main__":`.  With
+    emit_all every sample is recorded, breaks or not; the command line
+    never sets that, but tests do.  Returns the number of records written.
     """
     if n_min < 2:
         raise ValueError("n-min must be >= 2")

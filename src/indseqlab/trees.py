@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intpoly import int_repr, int_to_str
+from .intpoly import int_repr, int_to_str, str_to_int
 from .rng import SplitMix64
 
 
@@ -212,7 +212,8 @@ def parse_family(text: str) -> FamilySpec:
     """Parse the CLI family syntax, e.g. "Tmt1:4,3" or "SST:2,2,1".
 
     Syntax: Tmt1:m,t  SST:c0,c1,...  Spider:t[,len]  Cat:p1,p2,...
-    Path:n  Star:n  Rand:n,seed
+    Path:n  Star:n  Rand:n,seed.  Each parameter is an integer as str()
+    writes it (intpoly.str_to_int), so str() of the spec gives the text back.
     """
     name, sep, rest = text.partition(":")
     if not sep or name not in FAMILIES:
@@ -220,17 +221,10 @@ def parse_family(text: str) -> FamilySpec:
             "unknown family spec %r (expected one of %s)" % (text, ", ".join(FAMILIES))
         )
     try:
-        params = tuple(map(_ascii_int, rest.split(","))) if rest else ()
+        params = tuple(map(str_to_int, rest.split(","))) if rest else ()
     except ValueError:
         raise ValueError("non-integer parameter in %r" % text) from None
     return FamilySpec(name, params)
-
-
-def _ascii_int(token):
-    """int(token), refusing the underscores and non-ASCII digits it reads."""
-    if not token.isascii() or "_" in token:
-        raise ValueError("not an ASCII decimal: %r" % token)
-    return int(token)
 
 
 def build_family(spec: FamilySpec) -> RootedTree:
@@ -470,7 +464,8 @@ def random_tree(n: int, seed: int) -> RootedTree:
 def parse_edge_list(text: str) -> RootedTree:
     """Parse edge-list text: one "u v" pair per line, '#' comments ignored.
 
-    Vertices must be 0..n-1 (n inferred from the largest label).  The tree
+    Vertices must be 0..n-1 (n inferred from the largest label), each
+    written as str() writes it (intpoly.str_to_int).  The tree
     is rooted at vertex 0.  Diagnoses self-loops, duplicate edges, cycles,
     disconnected input, and out-of-range indices.
     """
@@ -482,7 +477,7 @@ def parse_edge_list(text: str) -> RootedTree:
         if len(parts) != 2:
             raise TreeParseError("line %d: expected 'u v', got %r" % (lineno, line))
         try:
-            u, v = _ascii_int(parts[0]), _ascii_int(parts[1])
+            u, v = str_to_int(parts[0]), str_to_int(parts[1])
         except ValueError:
             raise TreeParseError(
                 "line %d: non-integer vertex in %r" % (lineno, line)

@@ -270,6 +270,16 @@ def test_integer_options_read_ascii_digits_only(capsys, monkeypatch, tmp_path, a
         "indseqlab %s: error: argument %s: invalid int value: %r" % (argv[0], option, bad))
 
 
+@pytest.mark.parametrize("bad", [" +3", "+3", "03", "-0", "3 "])
+@pytest.mark.parametrize("argv,option", [(SEARCH_ARGV, o) for o in SEARCH_ARGV[1:11:2]]
+                         + [(VERIFY_ARGV, o) for o in VERIFY_ARGV[1::2]])
+def test_integer_options_read_only_as_str_writes_them(capsys, monkeypatch, tmp_path, argv,
+                                                       option, bad):
+    # int() reads a sign, spaces and leading zeros too; an option is read as
+    # str() writes an int, as spec parameters are
+    test_integer_options_read_ascii_digits_only(capsys, monkeypatch, tmp_path, argv, option, bad)
+
+
 def test_internal_failure_exit_code(capsys, monkeypatch):
     # an internal failure is neither a mismatch (1) nor a usage error (2)
     def exhausted(counts):

@@ -1,13 +1,15 @@
 """Smoke test of benchmarks/layers.py, which times the code as shipped and
 patches indpoly's bounds and intpoly's leaf cap and paths by name where it
-retunes or spies on them: its SST, tree-DP, leaf-square, four-point band,
-convolution-grid, search-sample, oracle, lc_breaks and spider-suite tables
-run on one or two small cases each, and put back every value they force."""
+retunes or spies on them: its search-pool, SST, tree-DP, leaf-square,
+four-point band, convolution-grid, search-sample, oracle, lc_breaks and
+spider-suite tables run on one or two small cases each, and put back every
+value they force."""
 
 import importlib.util
+import multiprocessing
 import os
 
-from indseqlab import indpoly, intpoly, seqcheck
+from indseqlab import indpoly, intpoly, search, seqcheck
 
 SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks", "layers.py")
 
@@ -17,6 +19,7 @@ def test_layer_tables_run(monkeypatch, capsys):
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     assert layers.indpoly is indpoly
+    monkeypatch.setattr(layers, "POOL_SAMPLES", 2 * search.CHUNK + 1)
     monkeypatch.setattr(layers, "SST_CASES", layers.SST_CASES[:1])
     monkeypatch.setattr(layers, "TREE_SHAPES", [s for s in layers.TREE_SHAPES if s[0] == "Star"])
     monkeypatch.setattr(layers, "TREE_SIZES", (26,))
@@ -45,6 +48,11 @@ def test_layer_tables_run(monkeypatch, capsys):
     bounds = [getattr(indpoly, name) for name in names]
     kernel_names = ("LEAF_MAX_BITS",) + layers.KERNEL_PATHS
     kernel = [getattr(intpoly, name) for name in kernel_names]
+    (row,) = layers.search_pool_table(1)
+    assert (row["n_min"], row["n_max"], row["samples"]) == (26, 40, 2 * search.CHUNK + 1)
+    assert row["threads"] >= 2
+    assert row["first_pooled_s"] > 0 and row["later_pooled_s"] > 0 and row["inline_s"] > 0
+    assert multiprocessing.active_children() == []
     (row,) = layers.sst_table(1)
     assert row["tree"] == layers.SST_CASES[0][0] and row["s"] > 0
     (row,) = layers.tree_dp_table(1)

@@ -1,10 +1,15 @@
 """Seeded search: determinism across runs and worker counts, replayability,
 chunking and interrupted runs."""
 
+import glob
 import hashlib
 import json
 import multiprocessing
+import os
 import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -22,6 +27,7 @@ from indseqlab.search import (
 from indseqlab.seqcheck import analyze
 from indseqlab.trees import _edge_text, edge_list_text
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # SHA-256 of a 600-sample emit-all run at n = 26..40, seed 5, recorded with
 # the coefficient-list DP and a heap-based Pruefer decoder; neither the
 # sampled trees nor their analysis may drift by a byte
@@ -149,6 +155,59 @@ def test_chunked_output_identical_across_worker_counts(tmp_path, samples):
     assert [record_from_json(line).sample_index for line in lines] == list(range(samples))
 
 
+def test_two_pooled_runs_in_one_process(tmp_path):
+    # the second run forks its workers from the fork server the first one
+    # started; both write what one process writes
+    samples = 3 * CHUNK + 7
+    want = tmp_path / "inline.jsonl"
+    run_search(4, 9, samples, 41, want, threads=1, emit_all=True)
+    for i in range(2):
+        out = tmp_path / ("pooled%d.jsonl" % i)
+        assert run_search(4, 9, samples, 41, out, threads=2, emit_all=True) == samples
+        assert out.read_bytes() == want.read_bytes()
+        assert multiprocessing.active_children() == []
+
+
+def _session_processes(sid):
+    """(pid, state) of every process in session `sid`, from /proc."""
+    found = []
+    for stat in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(stat) as fh:
+                text = fh.read()
+        except OSError:
+            continue  # gone between the listing and the read
+        # the command name may hold spaces and parentheses; the fields
+        # after its last ')' are state, ppid, pgrp, session, ...
+        fields = text[text.rindex(")") + 2:].split()
+        if int(fields[3]) == sid:
+            found.append((int(text.split(None, 1)[0]), fields[0]))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_no_process_outlives_a_pooled_cli_run(tmp_path):
+    # the fork server and the resource tracker exit with the run that
+    # started them; a zombie counts as gone, since only its reaper is late
+    argv = ["search", "--n-min", "4", "--n-max", "9", "--samples", str(3 * CHUNK + 7),
+            "--seed", "1", "--threads", "2", "--out", "x.jsonl"]
+    # files, not pipes: a process left running would hold a pipe open
+    with open(tmp_path / "err.txt", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "indseqlab.cli", *argv], stdout=subprocess.DEVNULL,
+            stderr=err, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+            start_new_session=True,
+        )
+        assert proc.wait(timeout=60) == 0, (tmp_path / "err.txt").read_text()
+    deadline = time.monotonic() + 10
+    while True:
+        alive = [p for p in _session_processes(proc.pid) if p[1] != "Z"]
+        if not alive or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert alive == []
+
+
 def test_fewer_samples_than_workers(tmp_path):
     out = tmp_path / "few.jsonl"
     assert run_search(4, 9, 3, 5, out, threads=8, emit_all=True) == 3
@@ -227,13 +286,15 @@ def test_failure_in_a_chunk_this_process_examines(tmp_path, monkeypatch, exc):
 
 @pytest.mark.parametrize("threads", [2, 3, 8])
 def test_threads_count_this_process(tmp_path, monkeypatch, threads):
-    # threads = k spawns k - 1 worker processes, and this process examines
+    # threads = k starts k - 1 worker processes, and this process examines
     # at least one chunk: the last, which the pool never takes
     samples = 8 * CHUNK + 7
     want = tmp_path / "inline.jsonl"
     run_search(4, 9, samples, 21, want, threads=1, emit_all=True)
     started, examined = [], []
-    start, examine = multiprocessing.context.SpawnProcess.start, search._examine
+    method = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+    process_class = multiprocessing.get_context(method).Process
+    start, examine = process_class.start, search._examine
 
     def spy_start(process):
         started.append(process)
@@ -243,7 +304,7 @@ def test_threads_count_this_process(tmp_path, monkeypatch, threads):
         examined.append((lo, hi))
         return examine(seed, lo, hi, *args)
 
-    monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", spy_start)
+    monkeypatch.setattr(process_class, "start", spy_start)
     monkeypatch.setattr(search, "_examine", spy_examine)
     out = tmp_path / "pooled.jsonl"
     assert run_search(4, 9, samples, 21, out, threads=threads, emit_all=True) == samples

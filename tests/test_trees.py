@@ -138,6 +138,23 @@ def test_family_rejects_bad_parameters():
         parse_family("Star:-1")
 
 
+def test_family_parameters_read_only_as_str_writes_them():
+    # int() reads each of these, and str() of the spec would write other
+    # text back (Path:5, Rand:5,0); a parameter is read as str() writes it
+    for bad in ["Path: 5", "Path:+5", "Path:5 ", "Path:05", "Rand:5,-0", "Path:1_0",
+                "Path:\u0664"]:
+        with pytest.raises(ValueError, match="^non-integer parameter in "):
+            parse_family(bad)
+    for good in ["Path:5", "Rand:5,0", "Cat:0,3", "Rand:12,-7"]:
+        assert str(parse_family(good)) == good
+
+
+def test_edge_list_vertices_read_only_as_str_writes_them():
+    for text in ["+0 01", "0 01", "-0 1", "0 +1", "0 1_0", "\u0664 1"]:
+        with pytest.raises(TreeParseError, match="^line 1: non-integer vertex in "):
+            parse_edge_list(text)
+
+
 def test_family_spec_checked_when_built():
     # a spec built directly is checked too, before any method can see it
     for family, params, msg in [("Tmt1", (3,), "Tmt1:3: expected parameters m,t"),
