@@ -5,13 +5,14 @@ Run from the repository root:
 
     python3 benchmarks/layers.py [--repeat 5]
 
-It regenerates ten tables, each case timed best-of-N.  They time the
+It regenerates eleven tables, each case timed best-of-N.  They time the
 code as shipped, except where a table retunes one of its constants: the
 tree-DP table forces `indpoly._SLOTS_FROM_N_MAX_VERTICES` and
 `indpoly._PACKED_MAX_BITS`, the square table `intpoly.LEAF_MAX_BITS`, the
-`lc_breaks` table `seqcheck._SCREEN_MIN_BITS`.  Each forced value, and
-each spy on a kernel path, is patched in with `unittest.mock` and put back
-after.  The Decimal-kernel table calls each kernel by name.
+`lc_breaks` table `seqcheck._SCREEN_MIN_BITS`, and the draws table
+`rng._LANE_BLOCK` with its lane constants `rng._LANES`.  Each forced
+value, and each spy on a kernel path, is patched in with `unittest.mock`
+and put back after.  The Decimal-kernel table calls each kernel by name.
 
 - The search pool: `run_search` at n = 26..40 with 4,000 samples (the
   benchmark's search pass), pooled on max(2, cpu count) workers: the
@@ -44,6 +45,12 @@ after.  The Decimal-kernel table calls each kernel by name.
 - `convolve` on two operands of 16..4,096 coefficients of 64, 1,024 and
   5,162 bits: best seconds, and the kernel paths the product enters, in
   the order first entered.
+- `SplitMix64.randbelow_many(k + 2, k)`, a Pruefer sequence of a tree on
+  k + 2 vertices, at k = 1, 2, 4, 12, 24, 38, 100 and 400 draws: best
+  microseconds per call over 2,000 seeded streams, as shipped and under
+  each candidate lane block, with the traced size of each block's lane
+  constants.  It is the measurement behind `rng._LANE_BLOCK`; search
+  draws k = 1 (the vertex count) and k = 24..38 (the tree) per sample.
 - `search.examine_sample` at each n = 26..40, in microseconds per sample.
   (The route through a `RootedTree` and `seqcheck.analyze` that it
   replaced is in BENCH_17.json.)
@@ -88,8 +95,8 @@ from unittest import mock
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from indseqlab import cli, formulas, indpoly, intpoly, search, seqcheck  # noqa: E402
-from indseqlab.rng import derive_seed  # noqa: E402
+from indseqlab import cli, formulas, indpoly, intpoly, rng, search, seqcheck  # noqa: E402
+from indseqlab.rng import SplitMix64, derive_seed  # noqa: E402
 from indseqlab.trees import caterpillar, path, random_tree, spider, star  # noqa: E402
 
 # the search-pool table: run_search's vertex counts and samples, as in
@@ -143,6 +150,12 @@ GRID_COUNTS = (16, 64, 256, 1024, 4096)
 GRID_BITS = (64, 1024, 5162)
 # the kernel's multiplication paths, spied on by name
 KERNEL_PATHS = ("_schoolbook", "_kronecker_binary", "_kronecker_two_point", "_kronecker_four_point", "_karatsuba")
+
+# the draws table: draws per call, candidate values of rng._LANE_BLOCK,
+# and the seeded streams that each timing draws from once
+DRAW_COUNTS = (1, 2, 4, 12, 24, 38, 100, 400)
+DRAW_BLOCKS = (16, 32, 64, 128, 256)
+DRAW_SEEDS = 2000
 
 # the search-sample table: vertex counts, and samples timed per count
 SEARCH_SIZES = tuple(range(26, 41))
@@ -351,6 +364,36 @@ def convolution_grid(repeat):
     return rows
 
 
+def draw_from_streams(streams, k):
+    for stream in streams:
+        stream.randbelow_many(k + 2, k)
+
+
+def draws_table(repeat):
+    """One row per draw count k: best microseconds per
+    `randbelow_many(k + 2, k)` call as shipped, and with the lane block
+    forced to each of DRAW_BLOCKS."""
+    modes = [("shipped", {})] + [
+        ("block_%d" % block, {"_LANE_BLOCK": block, "_LANES": rng._lane_table(block)}) for block in DRAW_BLOCKS
+    ]
+    rows = []
+    for k in DRAW_COUNTS:
+        best = {column: float("inf") for column, _ in modes}
+        # the modes take turns, so a slow phase of the host hits all alike
+        for _ in range(repeat):
+            for column, forced in modes:
+                streams = [SplitMix64(seed) for seed in range(DRAW_SEEDS)]
+                with mock.patch.multiple(rng, **forced) if forced else contextlib.nullcontext():
+                    best[column] = min(best[column], best_of(1, draw_from_streams, streams, k))
+        rows.append({"k": k, **{column + "_us": s / DRAW_SEEDS * 1e6 for column, s in best.items()}})
+    return rows
+
+
+def lane_table_sizes():
+    """One row per block of DRAW_BLOCKS: the traced KB of its lane constants."""
+    return [{"block": block, "lanes_kb": traced_peak_mb(rng._lane_table, block) * 1e3} for block in DRAW_BLOCKS]
+
+
 def examine_samples(n):
     for index in range(SEARCH_SAMPLES):
         search.examine_sample(1, index, n, n)
@@ -471,6 +514,12 @@ def main(argv=None):
         "convolution_grid": {
             "leaf_max_bits": intpoly.LEAF_MAX_BITS,
             "rows": convolution_grid(args.repeat),
+        },
+        "draws": {
+            "lane_block": rng._LANE_BLOCK,
+            "seeds": DRAW_SEEDS,
+            "rows": draws_table(args.repeat),
+            "lane_tables": lane_table_sizes(),
         },
         "search_sample": {"samples": SEARCH_SAMPLES, "rows": search_sample_table(args.repeat)},
         "oracle": {

@@ -49,18 +49,27 @@ def _tree_input(args):
         return None, parse_edge_list(fh.read())
 
 
+def _sized(n, limit):
+    """n, the vertex count of the requested tree; ValueError past limit."""
+    if n > limit:
+        raise ValueError("tree has %s vertices, limit is %s" % (int_to_str(n), int_to_str(limit)))
+    return n
+
+
 def _load_sequence(args):
     """(n, coefficient tuple) for the requested tree.
 
-    Spherically symmetric families go through the per-level fast path and
-    are never materialized; everything else builds the tree and runs the
-    generic DP.
+    A spec is sized from its parameters first, and refused past
+    sys.maxsize vertices.  Spherically symmetric families go through the
+    per-level fast path and are never materialized; everything else builds
+    the tree and runs the generic DP.
     """
     spec, tree = _tree_input(args)
     if spec is not None:
+        n = _sized(spec.vertex_count(), sys.maxsize)
         counts = spec.sst_counts()
         if counts is not None:
-            return spec.vertex_count(), indpoly_sst(counts).coeffs
+            return n, indpoly_sst(counts).coeffs
         tree = build_family(spec)
     return tree.n, indpoly_tree(tree).coeffs
 
@@ -232,9 +241,7 @@ def cmd_search(args):
 def cmd_oracle(args):
     spec, tree = _tree_input(args)
     # a spec is sized from its parameters, before it is built
-    n = tree.n if spec is None else spec.vertex_count()
-    if n > ORACLE_MAX_VERTICES:
-        raise ValueError("tree has %s vertices, limit is %d" % (int_to_str(n), ORACLE_MAX_VERTICES))
+    _sized(tree.n if spec is None else spec.vertex_count(), ORACLE_MAX_VERTICES)
     tree = tree or build_family(spec)
     dp = indpoly_tree(tree)
     orc = indpoly_oracle(tree)

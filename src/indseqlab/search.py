@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass, fields
 
 from .indpoly import _root_pair
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, derive_from_mixed, derive_seed, mix64
 from .seqcheck import lc_breaks
 from .trees import RootedTree, _edge_text, _independence_number, _random_decoded, random_tree
 
@@ -75,15 +75,15 @@ def tree_seed_for(master: int, index: int) -> int:
     return derive_seed(master, 2 * index + 1)
 
 
-def _sample_n(master, index, n_min, n_max):
-    """The vertex count of the sample at `index`."""
-    rng = SplitMix64(derive_seed(master, 2 * index))
-    return n_min + rng.randbelow(n_max - n_min + 1)
+def _sample_n(n_seed, n_min, n_max):
+    """The vertex count of a sample whose count stream is seeded n_seed."""
+    return n_min + SplitMix64(n_seed).randbelow(n_max - n_min + 1)
 
 
 def sample_tree(master: int, index: int, n_min: int, n_max: int) -> RootedTree:
     """The tree examined at `index` in a run keyed by `master`."""
-    return random_tree(_sample_n(master, index, n_min, n_max), tree_seed_for(master, index))
+    n = _sample_n(derive_seed(master, 2 * index), n_min, n_max)
+    return random_tree(n, tree_seed_for(master, index))
 
 
 def replay_record(rec: SearchRecord) -> RootedTree:
@@ -99,9 +99,11 @@ def examine_sample(master: int, index: int, n_min: int, n_max: int):
     The DP runs on the decoding in its removal order, with no RootedTree
     and no reroot, since the polynomial does not depend on the root.  As in
     analyze, a polynomial degree other than alpha raises RuntimeError.
+    Both seeds are derive_seed's, from one mix64(master).
     """
-    n = _sample_n(master, index, n_min, n_max)
-    parent, order = _random_decoded(n, tree_seed_for(master, index))
+    mixed = mix64(master)
+    n = _sample_n(derive_from_mixed(mixed, 2 * index), n_min, n_max)
+    parent, order = _random_decoded(n, derive_from_mixed(mixed, 2 * index + 1))
     (ins, outs), coeffs = _root_pair(parent, order)
     cs = coeffs(ins, outs)
     alpha = len(cs) - 1

@@ -199,13 +199,18 @@ class FamilySpec:
         return None
 
     def vertex_count(self):
-        """Vertex count from the parameters, without building the tree: from
-        the level counts when spherically symmetric, spine plus pendants for
-        Cat, and n for Rand:n,seed, Path:1 and Star:1."""
-        counts = self.sst_counts()
-        if counts is not None:
-            return _level_counts(counts)[1]
-        return len(self.params) + sum(self.params) if self.family == "Cat" else self.params[0]
+        """Vertex count from the parameters, without building the tree or
+        its level counts when one parameter alone sizes it: n for Path,
+        Star and Rand, 1 + t * len for Spider, spine plus pendants for Cat,
+        and from the level counts for Tmt1 and SST."""
+        fam, ps = self.family, self.params
+        if fam in ("Path", "Star", "Rand"):
+            return ps[0]
+        if fam == "Spider":
+            return 1 + ps[0] * (ps[1] if len(ps) == 2 else 2)
+        if fam == "Cat":
+            return len(ps) + sum(ps)
+        return _level_counts(self.sst_counts())[1]
 
 
 def parse_family(text: str) -> FamilySpec:

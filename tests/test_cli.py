@@ -249,6 +249,31 @@ def test_search_refuses_sizes_past_2_64(tmp_path):
     assert proc.stderr == "search: randbelow needs 1 <= n <= 2**64, got %d\n" % (2**64 + 1)
 
 
+BIG = 10**3000  # a 3,001-digit count
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["poly", "Path:%d" % 10**19], 10**19),
+    (["poly", "Path:%d" % BIG], BIG),
+    (["poly", "Spider:3,%d" % BIG], 1 + 3 * BIG),
+    (["analyze", "SST:%d" % BIG], 1 + BIG),
+    (["analyze", "Rand:%d,1" % (sys.maxsize + 1)], sys.maxsize + 1),
+    (["oracle", "Path:%d" % BIG], BIG),
+], ids=["poly-Path-1e19", "poly-Path-1e3000", "poly-Spider-legs-1e3000", "analyze-SST-1e3000",
+        "analyze-Rand-maxsize+1", "oracle-Path-1e3000"])
+def test_specs_past_maxsize_vertices_refused_unbuilt(tmp_path, argv, n):
+    # sized from the parameters alone: one stderr line and exit 2, with no
+    # level list of n - 1 entries and no polynomial of a 3,001-digit degree
+    # built, so each runs under a timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "indseqlab.cli", *argv], capture_output=True, text=True,
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+    )
+    limit = 22 if argv[0] == "oracle" else sys.maxsize
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "%s: tree has %d vertices, limit is %d\n" % (argv[0], n, limit)
+
+
 SEARCH_ARGV = ["search", "--n-min", "26", "--n-max", "40", "--samples", "10", "--seed", "1",
                "--threads", "1", "--out", "x.jsonl"]
 VERIFY_ARGV = ["verify", "--t-max", "5", "--grid-max", "2"]

@@ -1,15 +1,15 @@
 """Smoke test of benchmarks/layers.py, which times the code as shipped and
 patches indpoly's bounds and intpoly's leaf cap and paths by name where it
 retunes or spies on them: its search-pool, SST, tree-DP, leaf-square,
-four-point band, convolution-grid, search-sample, oracle, lc_breaks and
-spider-suite tables run on one or two small cases each, and put back every
-value they force."""
+four-point band, convolution-grid, draws, search-sample, oracle, lc_breaks
+and spider-suite tables run on one or two small cases each, and put back
+every value they force."""
 
 import importlib.util
 import multiprocessing
 import os
 
-from indseqlab import indpoly, intpoly, search, seqcheck
+from indseqlab import indpoly, intpoly, rng, search, seqcheck
 
 SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks", "layers.py")
 
@@ -33,6 +33,9 @@ def test_layer_tables_run(monkeypatch, capsys):
     monkeypatch.setattr(layers, "BAND_CAPS", (1.5, 3))
     monkeypatch.setattr(layers, "GRID_COUNTS", (64,))
     monkeypatch.setattr(layers, "GRID_BITS", (64,))
+    monkeypatch.setattr(layers, "DRAW_COUNTS", (1, 17))
+    monkeypatch.setattr(layers, "DRAW_BLOCKS", (16,))
+    monkeypatch.setattr(layers, "DRAW_SEEDS", 3)
     monkeypatch.setattr(layers, "SEARCH_SIZES", (26,))
     monkeypatch.setattr(layers, "SEARCH_SAMPLES", 2)
     monkeypatch.setattr(layers, "ORACLE_SIZES", (8,))
@@ -48,6 +51,7 @@ def test_layer_tables_run(monkeypatch, capsys):
     bounds = [getattr(indpoly, name) for name in names]
     kernel_names = ("LEAF_MAX_BITS",) + layers.KERNEL_PATHS
     kernel = [getattr(intpoly, name) for name in kernel_names]
+    lanes = rng._LANE_BLOCK, rng._LANES
     (row,) = layers.search_pool_table(1)
     assert (row["n_min"], row["n_max"], row["samples"]) == (26, 40, 2 * search.CHUNK + 1)
     assert row["threads"] >= 2
@@ -77,6 +81,12 @@ def test_layer_tables_run(monkeypatch, capsys):
         assert row["four_over_two_point"] > 0 and row["four_over_karatsuba"] > 0
     (row,) = layers.convolution_grid(1)
     assert (row["count"], row["bits"], row["paths"]) == (64, 64, ["_kronecker_binary"]) and row["s"] > 0
+    # 17 draws take two rounds under a block of 16
+    rows = layers.draws_table(1)
+    assert [row["k"] for row in rows] == [1, 17]
+    assert all(row["shipped_us"] > 0 and row["block_16_us"] > 0 for row in rows)
+    (row,) = layers.lane_table_sizes()
+    assert row["block"] == 16 and row["lanes_kb"] > 0
     (row,) = layers.search_sample_table(1)
     assert row["n"] == 26 and row["us"] > 0
     (row,) = layers.oracle_table(1)
@@ -95,3 +105,4 @@ def test_layer_tables_run(monkeypatch, capsys):
     assert [getattr(indpoly, name) for name in names] == bounds
     assert [getattr(intpoly, name) for name in kernel_names] == kernel
     assert seqcheck._SCREEN_MIN_BITS == gate
+    assert (rng._LANE_BLOCK, rng._LANES) == lanes

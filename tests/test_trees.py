@@ -11,12 +11,14 @@ import pickle
 import random
 import re
 import signal
+import sys
+import tracemalloc
 
 import pytest
 
 from indseqlab import indpoly
 from indseqlab.indpoly import indpoly_oracle, indpoly_tree, root_split
-from indseqlab.rng import SplitMix64
+from indseqlab.rng import _LANE_BLOCK, SplitMix64
 from indseqlab.seqcheck import analyze
 from indseqlab.trees import (
     FamilySpec,
@@ -336,16 +338,31 @@ def rejection_draws(seed, n, k):
     return out + [0] * (k - len(out)), rng.next_u64()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 2**63 + 1, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 2**63 + 1, 2**64 - 1, 2**64])
 def test_randbelow_many_equals_repeated_randbelow(n):
-    # 2**63 + 1 rejects almost half of all draws
+    # 2**63 + 1 rejects almost half of all draws, so its rounds of lanes
+    # fall short; the counts lie below, at and past one round, and span
+    # several
     for seed in (0, 1, 2**64 - 1, 0x9E3779B97F4A7C15):
-        for k in (0, 1, 7, 64):
+        for k in (0, 1, 2, 7, 64, _LANE_BLOCK - 1, _LANE_BLOCK, _LANE_BLOCK + 1, 3 * _LANE_BLOCK + 5):
             draws, after = rejection_draws(seed, n, k)
             one, many = SplitMix64(seed), SplitMix64(seed)
             assert many.randbelow_many(n, k) == draws
             assert [one.randbelow(n) for _ in range(k)] == draws
             assert many.next_u64() == one.next_u64() == after  # same state after
+
+
+def test_randbelow_many_peak_memory():
+    # a round has at most _LANE_BLOCK lanes, so 200,000 draws from [0, 3),
+    # cached small ints, peak at about the list they return
+    tracemalloc.start()
+    try:
+        draws = SplitMix64(1).randbelow_many(3, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(draws) == 200_000 and set(draws) == {0, 1, 2}
+    assert peak <= 1.02 * sys.getsizeof(draws)
 
 
 @contextlib.contextmanager
