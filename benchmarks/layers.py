@@ -10,9 +10,9 @@ code as shipped, except where a table retunes one of its constants: the
 tree-DP table forces `indpoly._SLOTS_FROM_N_MAX_VERTICES` and
 `indpoly._PACKED_MAX_BITS`, the square table `intpoly.LEAF_MAX_BITS`, the
 `lc_breaks` table `seqcheck._SCREEN_MIN_BITS`, and the draws table
-`rng._LANE_BLOCK` with its lane constants `rng._LANES`.  Each forced
-value, and each spy on a kernel path, is patched in with `unittest.mock`
-and put back after.  The Decimal-kernel table calls each kernel by name.
+`rng._LANE_BLOCK`.  Each forced value, and each spy on a kernel path, is
+patched in with `unittest.mock` and put back after.  The Decimal-kernel
+table calls each kernel by name.
 
 - The search pool: `run_search` at n = 26..40 with 4,000 samples (the
   benchmark's search pass), pooled on max(2, cpu count) workers: the
@@ -48,9 +48,14 @@ and put back after.  The Decimal-kernel table calls each kernel by name.
 - `SplitMix64.randbelow_many(k + 2, k)`, a Pruefer sequence of a tree on
   k + 2 vertices, at k = 1, 2, 4, 12, 24, 38, 100 and 400 draws: best
   microseconds per call over 2,000 seeded streams, as shipped and under
-  each candidate lane block, with the traced size of each block's lane
-  constants.  It is the measurement behind `rng._LANE_BLOCK`; search
-  draws k = 1 (the vertex count) and k = 24..38 (the tree) per sample.
+  each candidate lane block, with the traced size of the lane constants
+  of every lane count up to each block (`rng._lanes.__wrapped__`).  It is
+  the measurement behind `rng._LANE_BLOCK`; search draws k = 1 (the
+  vertex count) and k = 24..38 (the tree) per sample.  Two more rows
+  count the lane counts whose constants one pass builds (`rng._lanes`
+  cleared first) and the rounds it draws: the benchmark's search pass,
+  its 4,000 samples examined in this process, and its oracle pass,
+  `cli.main(["oracle", "Rand:n,1"])` at n = 14..22.
 - `search.examine_sample` at each n = 26..40, in microseconds per sample.
   (The route through a `RootedTree` and `seqcheck.analyze` that it
   replaced is in BENCH_17.json.)
@@ -156,6 +161,8 @@ KERNEL_PATHS = ("_schoolbook", "_kronecker_binary", "_kronecker_two_point", "_kr
 DRAW_COUNTS = (1, 2, 4, 12, 24, 38, 100, 400)
 DRAW_BLOCKS = (16, 32, 64, 128, 256)
 DRAW_SEEDS = 2000
+# the lane-count rows: the vertex counts of the oracle pass
+LANE_ORACLE_SIZES = tuple(range(14, 23))
 
 # the search-sample table: vertex counts, and samples timed per count
 SEARCH_SIZES = tuple(range(26, 41))
@@ -373,9 +380,7 @@ def draws_table(repeat):
     """One row per draw count k: best microseconds per
     `randbelow_many(k + 2, k)` call as shipped, and with the lane block
     forced to each of DRAW_BLOCKS."""
-    modes = [("shipped", {})] + [
-        ("block_%d" % block, {"_LANE_BLOCK": block, "_LANES": rng._lane_table(block)}) for block in DRAW_BLOCKS
-    ]
+    modes = [("shipped", {})] + [("block_%d" % block, {"_LANE_BLOCK": block}) for block in DRAW_BLOCKS]
     rows = []
     for k in DRAW_COUNTS:
         best = {column: float("inf") for column, _ in modes}
@@ -389,9 +394,38 @@ def draws_table(repeat):
     return rows
 
 
+def build_lanes(block):
+    return [rng._lanes.__wrapped__(m) for m in range(1, block + 1)]
+
+
 def lane_table_sizes():
-    """One row per block of DRAW_BLOCKS: the traced KB of its lane constants."""
-    return [{"block": block, "lanes_kb": traced_peak_mb(rng._lane_table, block) * 1e3} for block in DRAW_BLOCKS]
+    """One row per block of DRAW_BLOCKS: the traced KB of the lane
+    constants of every lane count up to it."""
+    return [{"block": block, "lanes_kb": traced_peak_mb(build_lanes, block) * 1e3} for block in DRAW_BLOCKS]
+
+
+def search_pass():
+    for index in range(POOL_SAMPLES):
+        search.examine_sample(1, index, POOL_N_MIN, POOL_N_MAX)
+
+
+def oracle_pass():
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        for n in LANE_ORACLE_SIZES:
+            cli.main(["oracle", "Rand:%d,1" % n])
+
+
+def lane_counts_table():
+    """One row per pass: the lane counts whose constants it builds, and
+    the rounds of lanes it draws, from `rng._lanes.cache_info()` after
+    `cache_clear()`."""
+    rows = []
+    for name, run in (("search", search_pass), ("oracle", oracle_pass)):
+        rng._lanes.cache_clear()
+        run()
+        info = rng._lanes.cache_info()
+        rows.append({"pass": name, "lane_counts": info.currsize, "rounds": info.hits + info.misses})
+    return rows
 
 
 def examine_samples(n):
@@ -520,6 +554,7 @@ def main(argv=None):
             "seeds": DRAW_SEEDS,
             "rows": draws_table(args.repeat),
             "lane_tables": lane_table_sizes(),
+            "lane_counts": lane_counts_table(),
         },
         "search_sample": {"samples": SEARCH_SAMPLES, "rows": search_sample_table(args.repeat)},
         "oracle": {

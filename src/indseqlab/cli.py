@@ -41,37 +41,36 @@ EXIT_INTERNAL = 4
 # -- input handling -----------------------------------------------------------
 
 
-def _tree_input(args):
-    """(spec, None) for a family spec, or (None, tree) read from --edges."""
+def _tree_input(args, limit):
+    """(n, spec, None) for a family spec, or (n, None, tree) read from
+    --edges, where n is the vertex count; ValueError past limit.  A spec
+    is sized from its parameters, before anything is built."""
     if args.edges is None:
-        return parse_family(args.spec), None
-    with open(args.edges, "r", encoding="utf-8") as fh:
-        return None, parse_edge_list(fh.read())
-
-
-def _sized(n, limit):
-    """n, the vertex count of the requested tree; ValueError past limit."""
+        spec, tree = parse_family(args.spec), None
+    else:
+        with open(args.edges, "r", encoding="utf-8") as fh:
+            spec, tree = None, parse_edge_list(fh.read())
+    n = spec.vertex_count() if tree is None else tree.n
     if n > limit:
         raise ValueError("tree has %s vertices, limit is %s" % (int_to_str(n), int_to_str(limit)))
-    return n
+    return n, spec, tree
 
 
 def _load_sequence(args):
-    """(n, coefficient tuple) for the requested tree.
+    """(n, coefficient tuple) for the requested tree, of at most
+    sys.maxsize vertices.
 
-    A spec is sized from its parameters first, and refused past
-    sys.maxsize vertices.  Spherically symmetric families go through the
-    per-level fast path and are never materialized; everything else builds
-    the tree and runs the generic DP.
+    Spherically symmetric families go through the per-level fast path and
+    are never materialized; everything else builds the tree and runs the
+    generic DP.
     """
-    spec, tree = _tree_input(args)
+    n, spec, tree = _tree_input(args, sys.maxsize)
     if spec is not None:
-        n = _sized(spec.vertex_count(), sys.maxsize)
         counts = spec.sst_counts()
         if counts is not None:
             return n, indpoly_sst(counts).coeffs
         tree = build_family(spec)
-    return tree.n, indpoly_tree(tree).coeffs
+    return n, indpoly_tree(tree).coeffs
 
 
 def _int_option(text):
@@ -239,9 +238,7 @@ def cmd_search(args):
 
 
 def cmd_oracle(args):
-    spec, tree = _tree_input(args)
-    # a spec is sized from its parameters, before it is built
-    _sized(tree.n if spec is None else spec.vertex_count(), ORACLE_MAX_VERTICES)
+    _n, spec, tree = _tree_input(args, ORACLE_MAX_VERTICES)
     tree = tree or build_family(spec)
     dp = indpoly_tree(tree)
     orc = indpoly_oracle(tree)

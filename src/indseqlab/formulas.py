@@ -22,7 +22,7 @@ from math import comb
 from operator import add, lshift, mul, sub
 
 from .indpoly import indpoly_sst
-from .intpoly import IntPolynomial, _binomial_row, int_to_str, poly_pow
+from .intpoly import IntPolynomial, _binomial_row, int_repr, int_to_str, poly_pow
 from .seqcheck import lc_breaks
 
 
@@ -260,14 +260,14 @@ def break_sufficient(m: int, t: int) -> bool:
 
 
 def _audit_repr(self):
-    """The dataclass repr, with ints and Fractions of any size written
-    through int_to_str: repr() refuses ints past the int/str digit limit,
-    and the terms and ratios of a paper-scale audit pass it."""
+    """The dataclass repr, each int, bare or in a tuple, and each Fraction
+    written through int_to_str: repr() refuses ints past the int/str digit
+    limit, and the terms and ratios of a paper-scale audit pass it."""
 
     def shown(value):
         if isinstance(value, Fraction):
             return "Fraction(%s, %s)" % (int_to_str(value.numerator), int_to_str(value.denominator))
-        return int_to_str(value) if isinstance(value, int) else repr(value)
+        return int_repr(value)
 
     values = ("%s=%s" % (f.name, shown(getattr(self, f.name))) for f in fields(self))
     return "%s(%s)" % (type(self).__qualname__, ", ".join(values))

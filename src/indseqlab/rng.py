@@ -14,9 +14,12 @@ multiply, and a value below 2**64 times a 64-bit constant stays below
 2**128.  The last xor-shift's spill into the high half is never read, as
 the words are the low 8 bytes of each lane.  Each lane is therefore the
 word next_u64 returns at that step, and every draw, and the state after
-it, is that of a plain rejection loop over next_u64.
+it, is that of a plain rejection loop over next_u64.  A round's lane
+constants are built for its lane count the first time a round of that
+count runs, so a process that draws nothing builds none.
 """
 
+import functools
 import struct
 
 from .intpoly import int_to_str
@@ -32,21 +35,15 @@ _MIX2 = 0x94D049BB133111EB
 _LANE_BLOCK = 64
 
 
-def _lane_table(block):
-    """Indexed by the lane count m = 1..block: (ones, ramp, low, unpack),
-    with 1, (i + 1) * GOLDEN_GAMMA mod 2**64 and 2**64 - 1 in each lane i,
-    and the unpack of every lane's low word from m * 16 little-endian
-    bytes."""
-    table = [None]
-    ones = ramp = 0
-    for m in range(1, block + 1):
-        ones |= 1 << (128 * m - 128)
-        ramp |= ((m * GOLDEN_GAMMA) & MASK64) << (128 * m - 128)
-        table.append((ones, ramp, ones * MASK64, struct.Struct("<" + "Q8x" * m).unpack))
-    return table
-
-
-_LANES = _lane_table(_LANE_BLOCK)
+@functools.cache
+def _lanes(m):
+    """(ones, ramp, low, unpack) for a round of m lanes, built the first
+    time a round of that size runs: 1, (i + 1) * GOLDEN_GAMMA mod 2**64
+    and 2**64 - 1 in each lane i, and the unpack of every lane's low word
+    from m * 16 little-endian bytes."""
+    ones = sum(1 << (128 * i) for i in range(m))
+    ramp = sum((((i + 1) * GOLDEN_GAMMA) & MASK64) << (128 * i) for i in range(m))
+    return ones, ramp, ones * MASK64, struct.Struct("<" + "Q8x" * m).unpack
 
 
 def mix64(z: int) -> int:
@@ -90,7 +87,7 @@ class SplitMix64:
         need = k
         while need:
             m = need if need < _LANE_BLOCK else _LANE_BLOCK
-            ones, ramp, low, unpack = _LANES[m]
+            ones, ramp, low, unpack = _lanes(m)
             z = (state * ones + ramp) & low
             z = ((z ^ (z >> 30)) & low) * _MIX1 & low
             z = ((z ^ (z >> 27)) & low) * _MIX2 & low

@@ -7,6 +7,7 @@ tree, byte for byte.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .intpoly import int_repr, int_to_str, str_to_int
@@ -422,16 +423,19 @@ def tree_from_edges(n: int, edge_pairs) -> RootedTree:
     """
     if n < 1:
         raise TreeParseError("a tree has at least one vertex")
-    adj = [[] for _ in range(n)]
-    count = 0
-    for u, v in edge_pairs:
+    edges = list(edge_pairs)
+    # n adjacency lists only for n - 1 edges; a wrong count is reported
+    # after every edge's range is checked, as a right one would be
+    adj = [[] for _ in range(n)] if len(edges) == n - 1 else defaultdict(list)
+    for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise TreeParseError("edge %s out of range 0..%s" % (int_repr((u, v)), int_to_str(n - 1)))
         adj[u].append(v)
         adj[v].append(u)
-        count += 1
-    if count != n - 1:
-        raise TreeParseError("expected %d edges for %d vertices, got %d" % (n - 1, n, count))
+    if len(edges) != n - 1:
+        raise TreeParseError(
+            "expected %s edges for %s vertices, got %d" % (int_to_str(n - 1), int_to_str(n), len(edges))
+        )
     parent = [-2] * n
     parent[0] = -1
     order = [0]

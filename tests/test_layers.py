@@ -1,9 +1,9 @@
 """Smoke test of benchmarks/layers.py, which times the code as shipped and
 patches indpoly's bounds and intpoly's leaf cap and paths by name where it
 retunes or spies on them: its search-pool, SST, tree-DP, leaf-square,
-four-point band, convolution-grid, draws, search-sample, oracle, lc_breaks
-and spider-suite tables run on one or two small cases each, and put back
-every value they force."""
+four-point band, convolution-grid, draws, lane-count, search-sample,
+oracle, lc_breaks and spider-suite tables run on one or two small cases
+each, and put back every value they force."""
 
 import importlib.util
 import multiprocessing
@@ -36,6 +36,7 @@ def test_layer_tables_run(monkeypatch, capsys):
     monkeypatch.setattr(layers, "DRAW_COUNTS", (1, 17))
     monkeypatch.setattr(layers, "DRAW_BLOCKS", (16,))
     monkeypatch.setattr(layers, "DRAW_SEEDS", 3)
+    monkeypatch.setattr(layers, "LANE_ORACLE_SIZES", (14,))
     monkeypatch.setattr(layers, "SEARCH_SIZES", (26,))
     monkeypatch.setattr(layers, "SEARCH_SAMPLES", 2)
     monkeypatch.setattr(layers, "ORACLE_SIZES", (8,))
@@ -51,7 +52,7 @@ def test_layer_tables_run(monkeypatch, capsys):
     bounds = [getattr(indpoly, name) for name in names]
     kernel_names = ("LEAF_MAX_BITS",) + layers.KERNEL_PATHS
     kernel = [getattr(intpoly, name) for name in kernel_names]
-    lanes = rng._LANE_BLOCK, rng._LANES
+    block = rng._LANE_BLOCK
     (row,) = layers.search_pool_table(1)
     assert (row["n_min"], row["n_max"], row["samples"]) == (26, 40, 2 * search.CHUNK + 1)
     assert row["threads"] >= 2
@@ -87,6 +88,12 @@ def test_layer_tables_run(monkeypatch, capsys):
     assert all(row["shipped_us"] > 0 and row["block_16_us"] > 0 for row in rows)
     (row,) = layers.lane_table_sizes()
     assert row["block"] == 16 and row["lanes_kb"] > 0
+    # each sample draws its vertex count in a round of one lane, and its
+    # tree of 26..40 vertices in a round of 24..38; Rand:14,1 draws 12
+    search_row, oracle_row = layers.lane_counts_table()
+    assert search_row["pass"] == "search" and 2 <= search_row["lane_counts"] <= 16
+    assert search_row["rounds"] >= 2 * layers.POOL_SAMPLES
+    assert oracle_row == {"pass": "oracle", "lane_counts": 1, "rounds": 1}
     (row,) = layers.search_sample_table(1)
     assert row["n"] == 26 and row["us"] > 0
     (row,) = layers.oracle_table(1)
@@ -105,4 +112,4 @@ def test_layer_tables_run(monkeypatch, capsys):
     assert [getattr(indpoly, name) for name in names] == bounds
     assert [getattr(intpoly, name) for name in kernel_names] == kernel
     assert seqcheck._SCREEN_MIN_BITS == gate
-    assert (rng._LANE_BLOCK, rng._LANES) == lanes
+    assert rng._LANE_BLOCK == block

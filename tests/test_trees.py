@@ -7,16 +7,18 @@ import hashlib
 import heapq
 import itertools
 import json
+import os
 import pickle
 import random
 import re
 import signal
+import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
-from indseqlab import indpoly
+from indseqlab import indpoly, rng as rng_module
 from indseqlab.indpoly import indpoly_oracle, indpoly_tree, root_split
 from indseqlab.rng import _LANE_BLOCK, SplitMix64
 from indseqlab.seqcheck import analyze
@@ -352,6 +354,37 @@ def test_randbelow_many_equals_repeated_randbelow(n):
             assert many.next_u64() == one.next_u64() == after  # same state after
 
 
+@pytest.mark.parametrize("block", [16, 128])
+def test_randbelow_many_under_any_lane_block(monkeypatch, block):
+    # _LANE_BLOCK alone sets a round's size: each lane count's constants
+    # are built when a round of that count first runs
+    monkeypatch.setattr(rng_module, "_LANE_BLOCK", block)
+    for n in (5, 2**63 + 1):
+        for seed in (0, 1, 0x9E3779B97F4A7C15):
+            for k in (block - 1, block, block + 1, 200):
+                draws, after = rejection_draws(seed, n, k)
+                many = SplitMix64(seed)
+                assert many.randbelow_many(n, k) == draws
+                assert many.next_u64() == after
+
+
+def test_lane_constants_built_on_first_use():
+    # a fresh interpreter: importing the package draws nothing and builds
+    # no lane constants; random_tree(26, 1) draws its 24-entry Pruefer
+    # sequence in one round of 24 lanes
+    probe = (
+        "import indseqlab\n"
+        "from indseqlab import rng, trees\n"
+        "print(rng._lanes.cache_info().currsize)\n"
+        "trees.random_tree(26, 1)\n"
+        "print(rng._lanes.cache_info().currsize)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0\n1\n")
+
+
 def test_randbelow_many_peak_memory():
     # a round has at most _LANE_BLOCK lanes, so 200,000 draws from [0, 3),
     # cached small ints, peak at about the list they return
@@ -425,6 +458,26 @@ def test_tree_from_edges_validation():
     with pytest.raises(TreeParseError, match="at least one vertex"):
         tree_from_edges(0, [])
     assert tree_from_edges(1, []).n == 1
+
+
+def test_tree_from_edges_checks_the_count_before_allocating():
+    # a million claimed vertices and no edge: refused before n adjacency
+    # lists are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(TreeParseError, match="^expected 999999 edges for 1000000 vertices, got 0$"):
+            tree_from_edges(10**6, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    with pytest.raises(TreeParseError, match="^expected 9{5000} edges for 10{5000} vertices, got 0$"):
+        tree_from_edges(10**5000, [])
+    # an edge out of range is still named before a wrong count
+    with pytest.raises(TreeParseError, match=r"^edge \(0, 5\) out of range 0\.\.2$"):
+        tree_from_edges(3, [(0, 5)])
+    with pytest.raises(TreeParseError, match="^expected 2 edges for 3 vertices, got 3$"):
+        tree_from_edges(3, [(0, 1), (1, 2), (2, 0)])
 
 
 def test_random_tree_determinism():
