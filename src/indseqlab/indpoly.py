@@ -8,7 +8,9 @@ The generic route is the DP carrying per-vertex pairs (in, out) =
 
 with the tree's polynomial being in(root) + out(root).  The DP reads only a
 parent array and an order listing every vertex after its children, so a
-Pruefer decoding feeds it as it comes, rooted at n-1.  Spherically
+Pruefer decoding feeds it as it comes, rooted at n-1; each finished vertex
+is multiplied into its parent's two running products, which on coefficient
+lists gather their factors until read (see _evaluate).  Spherically
 symmetric trees get a per-level fast path, indpoly_sst, that never
 materializes the tree and runs on coefficient lists.
 
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import math
 import operator
 from dataclasses import dataclass
 
@@ -97,20 +98,31 @@ def _lproduct(factors):
     return heap[0][2]
 
 
-def _lshift(p):
-    return [0] + p
+def _lread(product):
+    """Coefficient list of a product gathered as nested pairs by the list
+    table's mul, multiplied out smallest pair first.  The last factor, a
+    leaf fold's row if any, comes first: convolve runs faster with it outer."""
+    if type(product) is not tuple:
+        return product
+    factors = []
+    while type(product) is tuple:
+        product, factor = product
+        factors.append(factor)
+    factors.append(product)
+    return _lproduct(factors)
 
 
 # The tree DP's arithmetic in one representation of polynomials, as (one,
-# add, times_x, product of a list, L -> (1 + x)^L): on coefficient lists
-# here, and on packed ints by _packed.
-_ON_LISTS = ([1], _ladd, _lshift, _lproduct, _binomial_row)
+# add, times x, mul, read, L -> (1 + x)^L); read turns what mul built into a
+# polynomial.  Here on coefficient lists, where mul only gathers the pair;
+# on packed ints by _packed, where mul multiplies and read is +v, v itself.
+_ON_LISTS = ([1], _ladd, lambda p: [0] + p, lambda *pair: pair, _lread, _binomial_row)
 
 
 def _packed(shift):
     """The tree DP's arithmetic on ints standing for polynomials evaluated
     at x = 2**shift, so that times x is a shift; shift 0 counts the sets."""
-    return 1, operator.add, shift.__rlshift__, math.prod, ((1 << shift) + 1).__pow__
+    return 1, operator.add, shift.__rlshift__, operator.mul, operator.pos, ((1 << shift) + 1).__pow__
 
 
 def _evaluate(parent, order, arithmetic):
@@ -118,45 +130,37 @@ def _evaluate(parent, order, arithmetic):
     after its children and the root (parent -1) last, computed with
     `arithmetic`, one of the tables above.
 
-    Each finished vertex pushes out and in + out into its parent and is
-    dropped.  Leaves are never stored: a leaf contributes out = 1 to its
-    parent's in, which is skipped, and in + out = 1 + x to its out, so L
-    leaf children fold into one (1 + x)^L factor, kept per distinct L.
+    Each finished vertex multiplies its out into its parent's running
+    product for in and its in + out into the one for out, and is dropped.
+    Leaves are never stored: a leaf contributes out = 1 to its parent's
+    in, which is skipped, and in + out = 1 + x to its out, so L leaf
+    children fold into one (1 + x)^L factor, kept per distinct L.
     """
-    one, add, times_x, prod, binomial = arithmetic
+    one, add, times_x, mul, read, binomial = arithmetic
     n = len(parent)
     leaves = [0] * n
-    child_outs = [None] * n
-    totals = [None] * n
+    ins, outs = [None] * n, [None] * n  # products over non-leaf children
     rows = {}
     for v in order:
-        outs = child_outs[v]
-        count = leaves[v]
-        p = parent[v]
-        if outs is None:
-            if not count:
-                if p < 0:
-                    return times_x(one), one
-                leaves[p] += 1
-                continue
-            outs, total = [], []
-        else:
-            total = totals[v]
-            child_outs[v] = totals[v] = None
+        in_v, count, p = ins[v], leaves[v], parent[v]
+        if in_v is not None:
+            out_v = outs[v]
+            ins[v] = outs[v] = None
+        elif not count:
+            if p < 0:
+                return times_x(one), one
+            leaves[p] += 1
+            continue
         if count:
-            row = rows.get(count)
-            if row is None:
-                row = rows[count] = binomial(count)
-            total.append(row)
-        in_v = times_x(prod(outs))
-        out_v = prod(total)
+            row = rows.get(count) or rows.setdefault(count, binomial(count))
+            in_v, out_v = (one, row) if in_v is None else (in_v, mul(out_v, row))
+        in_v, out_v = times_x(read(in_v)), read(out_v)
         if p < 0:
             return in_v, out_v
-        if child_outs[p] is None:
-            child_outs[p], totals[p] = [out_v], [add(in_v, out_v)]
+        if ins[p] is None:
+            ins[p], outs[p] = out_v, add(in_v, out_v)
         else:
-            child_outs[p].append(out_v)
-            totals[p].append(add(in_v, out_v))
+            ins[p], outs[p] = mul(ins[p], out_v), mul(outs[p], add(in_v, out_v))
 
 
 def _unpack(value, w):
@@ -197,7 +201,7 @@ def _levels(counts):
     inp, outp = [0, 1], [1]
     for c in reversed(counts):
         # the larger out first, while the smaller new in does not exist yet
-        outp, inp = _lpow(_ladd(inp, outp), c), _lshift(_lpow(outp, c))
+        outp, inp = _lpow(_ladd(inp, outp), c), [0] + _lpow(outp, c)
     return inp, outp
 
 

@@ -494,7 +494,7 @@ def parse_edge_list(text: str) -> RootedTree:
         if u < 0 or v < 0:
             raise TreeParseError("line %d: negative vertex index" % lineno)
         if u == v:
-            raise TreeParseError("line %d: self-loop at vertex %d" % (lineno, u))
+            raise TreeParseError("line %d: self-loop at vertex %s" % (lineno, int_to_str(u)))
         edges.append((u, v))
     if not edges:
         return RootedTree([-1])
@@ -503,16 +503,11 @@ def parse_edge_list(text: str) -> RootedTree:
     for u, v in edges:
         key = (u, v) if u < v else (v, u)
         if key in seen:
-            raise TreeParseError("duplicate edge %d %d" % key)
+            raise TreeParseError("duplicate edge %s %s" % tuple(map(int_to_str, key)))
         seen.add(key)
-    if len(edges) > n - 1:
-        raise TreeParseError(
-            "%d edges on %d vertices: input contains a cycle" % (len(edges), n)
-        )
-    if len(edges) < n - 1:
-        raise TreeParseError(
-            "%d edges on %d vertices: input is disconnected" % (len(edges), n)
-        )
+    if len(edges) != n - 1:
+        fault = "contains a cycle" if len(edges) > n - 1 else "is disconnected"
+        raise TreeParseError("%d edges on %s vertices: input %s" % (len(edges), int_to_str(n), fault))
     return tree_from_edges(n, edges)
 
 

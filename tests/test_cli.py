@@ -105,6 +105,18 @@ def test_poly_edges_diagnostics(capsys, tmp_path):
     assert code == 2
 
 
+def test_edge_faults_name_vertices_past_the_str_digit_limit(capsys, tmp_path):
+    # a 5,001-digit vertex is named in the fault, not a conversion error
+    big = "1" + "0" * 5000
+    cases = [("0 1\n1 %s\n" % big, "2 edges on 1%s1 vertices: input is disconnected" % ("0" * 4999)),
+             ("0 %s\n%s 0\n" % (big, big), "duplicate edge 0 %s" % big),
+             ("2 %s\n%s %s\n" % (big, big, big), "line 2: self-loop at vertex %s" % big)]
+    f = tmp_path / "bad.txt"
+    for text, message in cases:
+        f.write_text(text)
+        assert run_cli(capsys, "poly", "--edges", str(f)) == (2, "", "poly: %s\n" % message)
+
+
 def test_analyze_break_exit_code(capsys, tmp_path):
     report_path = tmp_path / "r.json"
     code, out, _ = run_cli(capsys, "analyze", "Tmt1:4,4", "--json", str(report_path))

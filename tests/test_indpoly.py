@@ -242,6 +242,21 @@ def test_leaf_folding_stars():
     for n in range(2, 23):
         want = poly_pow(P(1, 1), n - 1) + P(0, 1)
         assert indpoly_tree(star(n)) == want == indpoly_oracle(star(n))
+    # a spider hub 0 with t two-edge legs and `leaves` leaves of its own
+    # multiplies t non-leaf children's products beside its leaf fold:
+    # (1+2x)^t (1+x)^leaves + x (1+x)^t, rooted at the hub and, relabelled,
+    # at the tip of leg 1, which puts the hub under a parent
+    for t, leaves in ((2, 1), (3, 4), (5, 2), (7, 7), (40, 3), (60, 100)):
+        edges = [(0, i) for i in range(1, t + 1)] + [(i, t + i) for i in range(1, t + 1)]
+        edges += [(0, 2 * t + j) for j in range(1, leaves + 1)]
+        n = 2 * t + leaves + 1
+        swap = {0: t + 1, t + 1: 0}
+        tip_rooted = [(swap.get(u, u), swap.get(w, w)) for u, w in edges]
+        want = poly_pow(P(1, 2), t) * poly_pow(P(1, 1), leaves) + P(0, 1) * poly_pow(P(1, 1), t)
+        for tree in (tree_from_edges(n, edges), tree_from_edges(n, tip_rooted)):
+            assert indpoly_tree(tree) == want, (t, leaves)
+            if n <= 22:
+                assert indpoly_oracle(tree) == want, (t, leaves)
 
 
 @each_representation

@@ -747,6 +747,7 @@ def test_subset_sweep_shares_no_code_with_the_dp():
     # the oracle checks the tree DP only while it is written apart from it
     names = names_reached(independent_set_counts, indpoly)
     assert {"_fault", "_sweep_order", "_relabelled", "_avoid_patterns"} <= names
-    dp = {"_evaluate", "_root_pair", "_packed", "_ON_LISTS", "_lproduct", "_levels",
+    # _ON_LISTS holds the list table's mul, a lambda; _lread is its read
+    dp = {"_evaluate", "_root_pair", "_packed", "_ON_LISTS", "_lread", "_lproduct", "_levels",
           "_unpack", "convolve", "tree_from_edges", "RootedTree"}
     assert not names & dp

@@ -21,7 +21,8 @@ def test_layer_tables_run(monkeypatch, capsys):
     assert layers.indpoly is indpoly
     monkeypatch.setattr(layers, "POOL_SAMPLES", 2 * search.CHUNK + 1)
     monkeypatch.setattr(layers, "SST_CASES", layers.SST_CASES[:1])
-    monkeypatch.setattr(layers, "TREE_SHAPES", [s for s in layers.TREE_SHAPES if s[0] == "Star"])
+    # a Spider's hub gathers several non-leaf children's products; a Star's has none
+    monkeypatch.setattr(layers, "TREE_SHAPES", [s for s in layers.TREE_SHAPES if s[0] in ("Spider", "Star")])
     monkeypatch.setattr(layers, "TREE_SIZES", (26,))
     monkeypatch.setattr(layers, "TREE_CALLS", 1)
     # squares of 101 and 202 coefficients, 1,043,431 and 2,087,064 packed
@@ -60,9 +61,9 @@ def test_layer_tables_run(monkeypatch, capsys):
     assert multiprocessing.active_children() == []
     (row,) = layers.sst_table(1)
     assert row["tree"] == layers.SST_CASES[0][0] and row["s"] > 0
-    (row,) = layers.tree_dp_table(1)
-    assert row["tree"] == "Star" and row["n"] == 26
-    assert all(row[column + "_s"] > 0 for column, _ in layers.TREE_MODES)
+    rows = layers.tree_dp_table(1)
+    assert [(row["tree"], row["n"]) for row in rows] == [("Spider", 25), ("Star", 26)]
+    assert all(row[column + "_s"] > 0 for row in rows for column, _ in layers.TREE_MODES)
     rows = layers.square_table(1)
     assert [(row["packed_bits"], row["leaf_cap_bits"]) for row in rows] == [(1043431, 1 << 19), (2087064, 1 << 19)]
     assert all(row["s"] > 0 and row["peak_mb"] > 0 for row in rows)
