@@ -5,14 +5,15 @@ Run from the repository root:
 
     python3 benchmarks/layers.py [--repeat 5]
 
-It regenerates eleven tables, each case timed best-of-N.  They time the
+It regenerates twelve tables, each case timed best-of-N.  They time the
 code as shipped, except where a table retunes one of its constants: the
-tree-DP table forces `indpoly._SLOTS_FROM_N_MAX_VERTICES` and
+SST table forces `indpoly._OFFLOAD_MIN_BITS`, the tree-DP
+table `indpoly._SLOTS_FROM_N_MAX_VERTICES` and
 `indpoly._PACKED_MAX_BITS`, the square table `intpoly.LEAF_MAX_BITS`, the
 `lc_breaks` table `seqcheck._SCREEN_MIN_BITS`, and the draws table
-`rng._LANE_BLOCK`.  Each forced value, and each spy on a kernel path, is
-patched in with `unittest.mock` and put back after.  The Decimal-kernel
-table calls each kernel by name.
+`rng._LANE_BLOCK`.  Each forced value, and each spy on a kernel path or
+on the SST helper, is patched in with `unittest.mock` and put back after.
+The Decimal-kernel table calls each kernel by name.
 
 - The search pool: `run_search` at n = 26..40 with 4,000 samples (the
   benchmark's search pass), pooled on max(2, cpu count) workers: the
@@ -20,9 +21,19 @@ table calls each kernel by name.
   best later pooled call, whose workers fork from it, and the best call
   with threads=1, all in seconds.  It runs before every other table, so
   that no pool ran before its first call.
-- `indpoly_sst` on spiders, stars, T(2^8 1^27) and Tmt1:60,60: best
-  seconds.  The last two have coefficients of thousands of bits, and
-  the leaf cap was tuned on them (BENCH_9.json).
+- `indpoly_sst` on spiders, stars, T(2^7 1^23), T(2^8 1^27), Tmt1:40,50
+  and Tmt1:60,60: best seconds as shipped and inline (no level sent to a
+  helper process), and the helper's peak RSS in MB (VmHWM, read from
+  /proc before it is closed), which the calling process's own peak RSS
+  does not include.  T(2^8 1^27) and Tmt1:60,60 have coefficients of
+  thousands of bits, and the leaf cap was tuned on them (BENCH_9.json).
+- The SST levels of T(2^6 1^17), T(2^7 1^23), T(2^8 1^27) and Tmt1:40,50
+  of size c^2 len(out) bits(max(out)) from 2^19 on: best seconds of the
+  level's two powers with the power of out sent to a running helper
+  process, and both inline; and the seconds from starting a helper to its
+  first power, which each `indpoly_sst` call that sends a level pays once.
+  The helper imports the caller's main module, this script, as it starts.
+  It is the measurement behind `indpoly._OFFLOAD_MIN_BITS` (BENCH_32.json).
 - `indpoly_tree` on Rand, Path, Cat, Spider and Star trees of n = 26..400
   vertices: packed with w = ceil(n/8) byte slots, packed with slots from
   the count pass at x = 1, and on lists; plus the rule as shipped.  It is
@@ -87,6 +98,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import platform
 import random
@@ -113,8 +125,21 @@ POOL_THREADS = max(2, os.cpu_count() or 1)
 SST_CASES = (
     tuple(("spider t=%d" % t, [t, 1]) for t in (55, 150, 300, 404, 405))
     + tuple(("star t=%d" % t, [t]) for t in (111, 255, 700, 1000))
-    + (("T(2^8 1^27)", [2] * 8 + [1] * 27), ("Tmt1:60,60", [60, 60, 1]))
+    + (("T(2^7 1^23)", [2] * 7 + [1] * 23), ("T(2^8 1^27)", [2] * 8 + [1] * 27))
+    + (("Tmt1:40,50", [40, 50, 1]), ("Tmt1:60,60", [60, 60, 1]))
 )
+# an indpoly._OFFLOAD_MIN_BITS past every level: the SST walk inline
+NO_OFFLOAD = 1 << 62
+# the offload table: the levels of these trees whose c**2 len(out)
+# bits(max(out)), the size indpoly._OFFLOAD_MIN_BITS bounds, is at least
+# OFFLOAD_FROM_BITS; reproduce's deep trees and a Tmt1 between them
+OFFLOAD_CASES = (
+    ("T(2^6 1^17)", [2] * 6 + [1] * 17),
+    ("T(2^7 1^23)", [2] * 7 + [1] * 23),
+    ("T(2^8 1^27)", [2] * 8 + [1] * 27),
+    ("Tmt1:40,50", [40, 50, 1]),
+)
+OFFLOAD_FROM_BITS = 1 << 19
 
 TREE_SIZES = (26, 32, 40, 48, 64, 80, 96, 112, 120, 128, 136, 144, 160, 192, 224, 256, 320, 400)
 # random trees timed per size, reported per tree
@@ -236,9 +261,92 @@ def search_pool_table(repeat):
              "first_pooled_s": first, "later_pooled_s": later, "inline_s": inline}]
 
 
+def vm_hwm_mb(pid):
+    """Peak RSS in MB of a running process, from /proc; None without it."""
+    try:
+        with open("/proc/%d/status" % pid, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024 / 1e6
+    except OSError:
+        pass
+    return None
+
+
 def sst_table(repeat):
-    """One row per case: best seconds of `indpoly_sst` as shipped."""
-    return [{"tree": label, "s": best_of(repeat, indpoly.indpoly_sst, counts)} for label, counts in SST_CASES]
+    """One row per case: best seconds of `indpoly_sst` as shipped and
+    inline (`_OFFLOAD_MIN_BITS` forced past every level), taking turns, and
+    the largest peak RSS in MB of a helper process the shipped calls
+    started, read just before each is closed (None if none started)."""
+    rows = []
+    close = indpoly._PowerHelper.close
+    for label, counts in SST_CASES:
+        peaks = []
+
+        def spy(helper, kill):
+            peaks.append(vm_hwm_mb(helper.process.pid))
+            return close(helper, kill)
+
+        shipped = inline = float("inf")
+        for _ in range(repeat):
+            with mock.patch.object(indpoly._PowerHelper, "close", spy):
+                shipped = min(shipped, best_of(1, indpoly.indpoly_sst, counts))
+            with mock.patch.object(indpoly, "_OFFLOAD_MIN_BITS", NO_OFFLOAD):
+                inline = min(inline, best_of(1, indpoly.indpoly_sst, counts))
+        rows.append({"tree": label, "s": shipped, "inline_s": inline,
+                     "helper_peak_mb": max(filter(None, peaks), default=None)})
+    return rows
+
+
+def start_helper():
+    helper = indpoly._PowerHelper(indpoly._helper_context())
+    helper.send([1, 1, 1], 2)
+    helper.recv()
+    return helper
+
+
+def offload_table(repeat):
+    """(start_s, rows): the best seconds from starting an SST helper to its
+    first power, of a 3-coefficient base, which a call pays once, at its
+    first level sent; and one row per level of OFFLOAD_CASES from
+    OFFLOAD_FROM_BITS: its size c**2 len(out) bits(max(out)) as a power of
+    2, and the best seconds of its two powers with the power of out sent to
+    a running helper (out sent, this process's power, the helper's
+    received) and inline, taking turns, and their ratio.  It is the
+    measurement behind `indpoly._OFFLOAD_MIN_BITS`.  With one core or no
+    fork server, (None, [])."""
+    if indpoly._helper_context() is None:
+        return None, []
+    start_s = float("inf")
+    for _ in range(repeat):
+        start = perf_counter()
+        start_helper().close(kill=False)
+        start_s = min(start_s, perf_counter() - start)
+    helper = start_helper()
+    rows = []
+    try:
+        for label, counts in OFFLOAD_CASES:
+            inp, outp = [0, 1], [1]
+            for c in reversed(counts):
+                size = c * c * len(outp) * max(outp).bit_length()
+                if c > 1 and len(outp) > 2 and size >= OFFLOAD_FROM_BITS:
+                    sent = inline = float("inf")
+                    for _ in range(repeat):
+                        start = perf_counter()
+                        helper.send(outp, c)
+                        intpoly._lpow(intpoly._ladd(inp, outp), c)
+                        helper.recv()
+                        sent = min(sent, perf_counter() - start)
+                        start = perf_counter()
+                        intpoly._lpow(intpoly._ladd(inp, outp), c)
+                        intpoly._lpow(outp, c)
+                        inline = min(inline, perf_counter() - start)
+                    rows.append({"tree": label, "c": c, "log2_size": round(math.log2(size), 2),
+                                 "sent_s": sent, "inline_s": inline, "sent_over_inline": sent / inline})
+                outp, inp = intpoly._lpow(intpoly._ladd(inp, outp), c), [0] + intpoly._lpow(outp, c)
+    finally:
+        helper.close(kill=False)
+    return start_s, rows
 
 
 def time_trees(trees):
@@ -530,7 +638,9 @@ def main(argv=None):
         "repeat": args.repeat,
         # first: its first pooled call must be the first pool in the process
         "search_pool": {"rows": search_pool_table(args.repeat)},
-        "sst": {"rows": sst_table(args.repeat)},
+        "sst": {"offload_min_bits": indpoly._OFFLOAD_MIN_BITS, "rows": sst_table(args.repeat)},
+        "offload": dict(zip(("offload_min_bits", "start_s", "rows"),
+                            (indpoly._OFFLOAD_MIN_BITS, *offload_table(args.repeat)))),
         "tree_dp": {
             "slots_from_n_max_vertices": indpoly._SLOTS_FROM_N_MAX_VERTICES,
             "packed_max_bits": indpoly._PACKED_MAX_BITS,

@@ -12,7 +12,11 @@ Pruefer decoding feeds it as it comes, rooted at n-1; each finished vertex
 is multiplied into its parent's two running products, which on coefficient
 lists gather their factors until read (see _evaluate).  Spherically
 symmetric trees get a per-level fast path, indpoly_sst, that never
-materializes the tree and runs on coefficient lists.
+materializes the tree and runs on coefficient lists.  A level's powers of
+in + out and of out do not depend on each other; at a large level the
+power of out is computed in a helper process forked from the package's
+fork server (_fork_context, shared with search's pool) while this process
+computes the other (see _levels).
 
 The tree DP runs on plain ints by one width rule, in _root_pair.  Every
 coefficient the DP ever holds counts the independent sets of some
@@ -43,6 +47,8 @@ from __future__ import annotations
 import functools
 import heapq
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 from .intpoly import (
@@ -71,6 +77,18 @@ _PACKED_MAX_BITS = 1 << 16
 # trees lose (up to 1.11x), and past 160 most shapes do (up to 1.41x).  A
 # multiple of 8, so a star at the bound fills its slots exactly.
 _SLOTS_FROM_N_MAX_VERTICES = 112
+# An SST level sends its power of out to a helper process when c**2 *
+# len(out) * bits(max(out)) is at least this (see _levels), about 2**22.3.
+# Measured (benchmarks/layers.py, BENCH_32.json "offload"), a level sent to
+# a running helper took 0.52-0.68x its inline time at 2**22.6 and 2**24.2
+# in both of two runs; from 2**19.8 to 2**22.2, 0.52-0.72x in one run and
+# 1.01-1.06x in the other, when the 2-core host gave two busy processes
+# little more than one core.  A helper's start costs a call 5-45 ms more.
+# Of reproduce's trees, only T(2^8 1^27)'s top level is sent.
+_OFFLOAD_MIN_BITS = 5 << 20
+# the directory that holds this package, for the fork server (_fork_context)
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SERVER_START = threading.Lock()
 
 
 # raw coefficient-list helpers; IntPolynomial wraps only the final results
@@ -100,8 +118,7 @@ def _lproduct(factors):
 
 def _lread(product):
     """Coefficient list of a product gathered as nested pairs by the list
-    table's mul, multiplied out smallest pair first.  The last factor, a
-    leaf fold's row if any, comes first: convolve runs faster with it outer."""
+    table's mul, multiplied out smallest pair first."""
     if type(product) is not tuple:
         return product
     factors = []
@@ -195,13 +212,148 @@ def indpoly_tree(tree: RootedTree) -> IntPolynomial:
     return IntPolynomial._raw(coeffs(ins, outs))
 
 
+def _fork_context():
+    """multiprocessing's fork-server context, its server running, or None
+    where there is no fork server.  search's pool workers and indpoly_sst's
+    helper fork from it.  The preload list is process-wide, so it is set
+    here alone: whichever of them comes first starts the server with
+    indseqlab.search, and so this module, imported.
+
+    Python 3.11's server is handed the caller's sys.path but never sets
+    it, so it finds the package only on PYTHONPATH, and a failed preload is
+    silent: each child would import the package itself, about 30 ms.  So
+    the package's root is put on PYTHONPATH while the server starts.
+    """
+    import multiprocessing
+    from multiprocessing import forkserver
+
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return None
+    ctx = multiprocessing.get_context("forkserver")
+    ctx.set_forkserver_preload([__package__ + ".search"])
+    with _SERVER_START:
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_PACKAGE_ROOT, saved)))
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
+    return ctx
+
+
+def _ignore_sigint():
+    # Ctrl-C reaches the whole process group; the parent alone handles it
+    # and stops its workers and helper, so they print no tracebacks
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _serve_powers(conn):
+    """The helper's loop: _lpow(u, e) for each (u, e) received on conn,
+    until end of file."""
+    _ignore_sigint()
+    with conn:
+        while True:
+            try:
+                u, e = conn.recv()
+            except EOFError:
+                return
+            conn.send(_lpow(u, e))
+
+
+class _PowerHelper:
+    """A helper process, forked from the fork server, that computes one
+    power at a time for _levels over a pipe."""
+
+    def __init__(self, ctx):
+        self._conn, child = ctx.Pipe()
+        self.process = ctx.Process(target=_serve_powers, args=(child,), daemon=True)
+        self.process.start()
+        child.close()  # so that the helper's end closes when it exits
+
+    def send(self, u, e):
+        try:
+            self._conn.send((u, e))
+        except OSError as exc:
+            raise self._exited() from exc
+
+    def recv(self):
+        """The power last sent, once the helper returns it."""
+        try:
+            return self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._exited() from exc
+
+    def _exited(self):
+        self.process.join()
+        return RuntimeError("indpoly_sst's helper process exited with code %s before returning its power"
+                            % self.process.exitcode)
+
+    def close(self, kill):
+        """Close the pipe, at whose end the helper exits, or kill it, and
+        join it."""
+        self._conn.close()
+        if kill:
+            self.process.kill()
+        self.process.join()
+
+
+def _helper_context():
+    """The context a _PowerHelper starts from, its fork server running, or
+    None where _levels runs inline: on one core, without a fork server, or
+    in a daemonic process, which may have no children."""
+    import multiprocessing
+
+    if (os.cpu_count() or 1) < 2 or multiprocessing.current_process().daemon:
+        return None
+    return _fork_context()
+
+
 def _levels(counts):
     """(in, out) at the root of the spherically symmetric tree with the
-    given per-level child counts, as coefficient lists."""
+    given per-level child counts, as coefficient lists.
+
+    A level's two powers, of in + out and of out, do not depend on each
+    other.  At a large level, one whose c**2 * len(out) * bits(max(out))
+    (about the bits its squarings of out multiply) is at least
+    _OFFLOAD_MIN_BITS, with c >= 2 and out of more than 2 coefficients,
+    out and c go over a pipe to a helper process, which computes the power
+    of out while this process computes that of in + out; the helper's
+    power is received only then, so that its unpickling never overlaps
+    this process's own product.  The same _lpow runs on the same ints, so
+    the result is the inline one.  One helper serves the walk: it starts
+    at the first large level and is joined when the walk ends, or killed
+    if it fails.  The fork server, if not yet running, is started at the
+    first level of at least a quarter of the bound, so that it starts while
+    the levels up to the first large one run.  On one core, without a fork
+    server or in a daemonic process, _helper_context gives no context, and
+    every level runs inline.  A helper that exits before returning its
+    power raises RuntimeError.
+    """
     inp, outp = [0, 1], [1]
-    for c in reversed(counts):
-        # the larger out first, while the smaller new in does not exist yet
-        outp, inp = _lpow(_ladd(inp, outp), c), [0] + _lpow(outp, c)
+    ctx = helper = None
+    try:
+        for c in reversed(counts):
+            size = c * c * len(outp) * max(outp).bit_length() if c > 1 and len(outp) > 2 else 0
+            if ctx is None and size >= _OFFLOAD_MIN_BITS >> 2:
+                ctx = _helper_context() or False
+            if ctx and size >= _OFFLOAD_MIN_BITS:
+                helper = helper or _PowerHelper(ctx)
+                helper.send(outp, c)
+                outp, inp = _lpow(_ladd(inp, outp), c), [0] + helper.recv()
+            else:
+                # the larger out first, while the smaller new in does not exist yet
+                outp, inp = _lpow(_ladd(inp, outp), c), [0] + _lpow(outp, c)
+    except BaseException:
+        if helper:
+            helper.close(kill=True)
+        raise
+    if helper:
+        helper.close(kill=False)
     return inp, outp
 
 
@@ -214,8 +366,11 @@ def indpoly_sst(child_counts) -> IntPolynomial:
     children below, in = x * out_below^c and out = (in_below + out_below)^c.
     The pass runs on coefficient lists, so each product's slots fit its
     operands (`intpoly.convolve`), and a power of a base of degree at most
-    1 comes from its binomial row (`intpoly._lpow`).  Agrees with
-    indpoly_tree on the materialized tree.
+    1 comes from its binomial row (`intpoly._lpow`).  At a large level
+    the power of out is computed in a helper process (see _levels), which
+    imports the caller's main module as it starts, so a script that calls
+    this on a large tree needs its `if __name__ == "__main__":` guard.
+    Agrees with indpoly_tree on the materialized tree.
     """
     return IntPolynomial._raw(_ladd(*_levels(_level_counts(child_counts)[0])))
 

@@ -143,6 +143,8 @@ def _split_signs(a):
 
 
 def _schoolbook(a, b):
+    if len(b) < len(a):
+        a, b = b, a  # the Python-level outer loop over the shorter operand
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ai:
@@ -278,16 +280,28 @@ def _kronecker_four_point(a, b, slot):
     if 0 < _digit_limit() < width:
         return _karatsuba(a, b)
 
+    field = "%%0%dd" % width
+
     def halves(coeffs):
-        even = _EXACT.add(_decimal_pack(coeffs[0::4], width), _decimal_pack(coeffs[2::4], width, 2 * r))
-        odd = _EXACT.add(_decimal_pack(coeffs[1::4], width, r), _decimal_pack(coeffs[3::4], width, 3 * r))
-        return even, odd
+        # E(X^2) and X O(X^2) of coeffs and of its reversal, each in a
+        # one-item list for _plus_minus_x to take: phase k, coeffs[k::4],
+        # is written in digits once, and its fields read lowest first are
+        # phase (m - 1 - k) % 4 of the reversal
+        m = len(coeffs)
+        sums = [Decimal(0)] * 4
+        for k in range(4):
+            fields = list(map(field.__mod__, coeffs[k::4]))
+            j = (m - 1 - k) % 4
+            sums[k & 1] = _EXACT.add(sums[k & 1], _EXACT.scaleb(Decimal("".join(reversed(fields))), k * r))
+            sums[2 + (j & 1)] = _EXACT.add(sums[2 + (j & 1)], _EXACT.scaleb(Decimal("".join(fields)), j * r))
+        return [tuple(sums[:2])], [tuple(sums[2:])]
 
     n = len(a) + len(b) - 1
-    ra = a[::-1]
+    ha, hra = halves(a)
+    hb, hrb = (ha, hra) if b is a else halves(b)
     digits = []
-    for x, y in ((a, b), (ra, ra if b is a else b[::-1])):
-        even, odd = _plus_minus_x(x, y, halves)
+    for x, y in ((ha, hb), (hra, hrb)):
+        even, odd = _plus_minus_x(x, y, list.pop)
         digits.append(_decimal_slots(even, 2 * r, ((n + 1) >> 1) + 1))
         digits.append(_decimal_slots(odd, 2 * r, (n >> 1) + 1, r))
     low_even, low_odd, high_even, high_odd = digits

@@ -20,13 +20,14 @@ writes all records in index order, so the output is byte-identical no
 matter how many workers ran the search.
 
 Workers fork from multiprocessing's fork server, a fresh single-threaded
-process that has this module imported (set_forkserver_preload, whose list
-is process-wide).  The first pooled run in a process starts the server, at
-about the cost of one spawned interpreter; later runs fork their workers
-from it in milliseconds.  Where there is no fork server (Windows) workers
-are spawned.  Either way each worker imports the caller's main module, so
-a script that runs several workers needs its `if __name__ == "__main__":`
-guard.
+process that has this module imported; indpoly._fork_context gives its
+context to this module and to indpoly_sst's helper, and sets its
+process-wide preload list.  Whichever of them comes first in a process
+starts the server, at about the cost of one spawned interpreter; later
+runs fork their workers from it in milliseconds.  Where there is no fork
+server (Windows) workers are spawned.  Either way each worker imports the
+caller's main module, so a script that runs several workers needs its
+`if __name__ == "__main__":` guard.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, fields
 
-from .indpoly import _root_pair
+from .indpoly import _fork_context, _ignore_sigint, _root_pair
 from .rng import SplitMix64, derive_from_mixed, derive_seed, mix64
 from .seqcheck import lc_breaks
 from .trees import RootedTree, _edge_text, _independence_number, _random_decoded, random_tree
@@ -136,14 +137,6 @@ def _examine_range(seed, lo, hi, n_min, n_max, emit_all):
     return list(_examine(seed, lo, hi, n_min, n_max, emit_all))
 
 
-def _ignore_sigint():
-    # Ctrl-C reaches the whole process group; the parent alone handles it
-    # and shuts the pool down, so workers print no tracebacks
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
 def _pooled_lines(seed, samples, n_min, n_max, emit_all, workers):
     """Record lines of all samples in index order, examined by workers - 1
     worker processes and by this one.
@@ -168,11 +161,7 @@ def _pooled_lines(seed, samples, n_min, n_max, emit_all, workers):
 
     # not fork: forking a caller that runs threads can deadlock; the fork
     # server is a fresh single-threaded process (see the module docstring)
-    if "forkserver" in multiprocessing.get_all_start_methods():
-        ctx = multiprocessing.get_context("forkserver")
-        ctx.set_forkserver_preload([__name__])
-    else:
-        ctx = multiprocessing.get_context("spawn")
+    ctx = _fork_context() or multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(workers - 1, mp_context=ctx, initializer=_ignore_sigint) as pool:
         try:
             pending = deque()
@@ -214,8 +203,9 @@ def run_search(
     os.cpu_count()): threads - 1 worker processes plus this one, which
     examines chunks while they start.  One worker, or a run that fits in
     one chunk, runs in this process alone.  Workers fork from a fork server
-    that has this module imported; the first pooled run in a process starts
-    it, and it exits with this process.  Its preload list is process-wide.
+    that has this module imported (indpoly._fork_context); the first pooled
+    run or SST helper in a process starts it, and it exits with this
+    process.  Its preload list is process-wide.
     Each worker still imports the caller's main module (spawned ones too,
     where there is no fork server), so a script that runs several must
     guard its entry point with `if __name__ == "__main__":`.  With

@@ -1,9 +1,9 @@
 """Smoke test of benchmarks/layers.py, which times the code as shipped and
 patches indpoly's bounds and intpoly's leaf cap and paths by name where it
-retunes or spies on them: its search-pool, SST, tree-DP, leaf-square,
-four-point band, convolution-grid, draws, lane-count, search-sample,
-oracle, lc_breaks and spider-suite tables run on one or two small cases
-each, and put back every value they force."""
+retunes or spies on them: its search-pool, SST, offload, tree-DP,
+leaf-square, four-point band, convolution-grid, draws, lane-count,
+search-sample, oracle, lc_breaks and spider-suite tables run on one or two
+small cases each, and put back every value they force."""
 
 import importlib.util
 import multiprocessing
@@ -49,7 +49,7 @@ def test_layer_tables_run(monkeypatch, capsys):
     monkeypatch.setattr(layers, "LC_ENTRIES", 32)
     monkeypatch.setattr(layers, "SPIDER_T_MAX", 5)
     gate = seqcheck._SCREEN_MIN_BITS
-    names = ("_SLOTS_FROM_N_MAX_VERTICES", "_PACKED_MAX_BITS")
+    names = ("_SLOTS_FROM_N_MAX_VERTICES", "_PACKED_MAX_BITS", "_OFFLOAD_MIN_BITS")
     bounds = [getattr(indpoly, name) for name in names]
     kernel_names = ("LEAF_MAX_BITS",) + layers.KERNEL_PATHS
     kernel = [getattr(intpoly, name) for name in kernel_names]
@@ -60,7 +60,23 @@ def test_layer_tables_run(monkeypatch, capsys):
     assert row["first_pooled_s"] > 0 and row["later_pooled_s"] > 0 and row["inline_s"] > 0
     assert multiprocessing.active_children() == []
     (row,) = layers.sst_table(1)
-    assert row["tree"] == layers.SST_CASES[0][0] and row["s"] > 0
+    assert row["tree"] == layers.SST_CASES[0][0] and row["s"] > 0 and row["inline_s"] > 0
+    assert row["helper_peak_mb"] is None  # no spider level is ever sent
+    # with every level sent, Tmt1:3,3's top level starts a helper
+    with monkeypatch.context() as patch:
+        patch.setattr(indpoly, "_OFFLOAD_MIN_BITS", 0)
+        patch.setattr(layers, "SST_CASES", (("Tmt1:3,3", [3, 3, 1]),))
+        (row,) = layers.sst_table(1)
+        assert indpoly._OFFLOAD_MIN_BITS == 0
+    assert row["s"] > 0 and row["inline_s"] > 0
+    if os.path.isdir("/proc/self"):
+        assert row["helper_peak_mb"] > 0
+    monkeypatch.setattr(layers, "OFFLOAD_CASES", (("Tmt1:3,3", [3, 3, 1]),))
+    monkeypatch.setattr(layers, "OFFLOAD_FROM_BITS", 0)
+    start_s, (row,) = layers.offload_table(1)
+    assert start_s > 0 and (row["tree"], row["c"]) == ("Tmt1:3,3", 3)
+    assert row["sent_s"] > 0 and row["inline_s"] > 0
+    assert multiprocessing.active_children() == []
     rows = layers.tree_dp_table(1)
     assert [(row["tree"], row["n"]) for row in rows] == [("Spider", 25), ("Star", 26)]
     assert all(row[column + "_s"] > 0 for row in rows for column, _ in layers.TREE_MODES)
