@@ -279,7 +279,7 @@ def sst_table(repeat):
     the largest peak RSS in MB of a helper process the shipped calls
     started, read just before each is closed (None if none started)."""
     rows = []
-    close = indpoly._PowerHelper.close
+    close = indpoly._Helper.close
     for label, counts in SST_CASES:
         peaks = []
 
@@ -289,7 +289,7 @@ def sst_table(repeat):
 
         shipped = inline = float("inf")
         for _ in range(repeat):
-            with mock.patch.object(indpoly._PowerHelper, "close", spy):
+            with mock.patch.object(indpoly._Helper, "close", spy):
                 shipped = min(shipped, best_of(1, indpoly.indpoly_sst, counts))
             with mock.patch.object(indpoly, "_OFFLOAD_MIN_BITS", NO_OFFLOAD):
                 inline = min(inline, best_of(1, indpoly.indpoly_sst, counts))
@@ -299,8 +299,8 @@ def sst_table(repeat):
 
 
 def start_helper():
-    helper = indpoly._PowerHelper(indpoly._helper_context())
-    helper.send([1, 1, 1], 2)
+    helper = indpoly._Helper(indpoly._helper_context())
+    helper.send(intpoly._lpow, ([1, 1, 1], 2))
     helper.recv()
     return helper
 
@@ -315,7 +315,7 @@ def offload_table(repeat):
     received) and inline, taking turns, and their ratio.  It is the
     measurement behind `indpoly._OFFLOAD_MIN_BITS`.  With one core or no
     fork server, (None, [])."""
-    if indpoly._helper_context() is None:
+    if (os.cpu_count() or 1) < 2 or indpoly._helper_context() is None:
         return None, []
     start_s = float("inf")
     for _ in range(repeat):
@@ -333,7 +333,7 @@ def offload_table(repeat):
                     sent = inline = float("inf")
                     for _ in range(repeat):
                         start = perf_counter()
-                        helper.send(outp, c)
+                        helper.send(intpoly._lpow, (outp, c))
                         intpoly._lpow(intpoly._ladd(inp, outp), c)
                         helper.recv()
                         sent = min(sent, perf_counter() - start)

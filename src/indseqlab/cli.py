@@ -286,7 +286,7 @@ def build_parser():
         default=None,
         help="processes that examine trees: this one and THREADS - 1 workers, forked from"
         " a fork server that has indseqlab.search imported and that the first pooled run"
-        " starts (default: machine parallelism)",
+        " starts, each sent its chunks of samples over a pipe (default: machine parallelism)",
     )
     p.set_defaults(func=cmd_search)
 

@@ -15,8 +15,8 @@ symmetric trees get a per-level fast path, indpoly_sst, that never
 materializes the tree and runs on coefficient lists.  A level's powers of
 in + out and of out do not depend on each other; at a large level the
 power of out is computed in a helper process forked from the package's
-fork server (_fork_context, shared with search's pool) while this process
-computes the other (see _levels).
+fork server (_fork_context) while this process computes the other (see
+_levels); search's workers are the same pipe-served helpers (_Helper).
 
 The tree DP runs on plain ints by one width rule, in _root_pair.  Every
 coefficient the DP ever holds counts the independent sets of some
@@ -48,6 +48,7 @@ import functools
 import heapq
 import operator
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -214,7 +215,7 @@ def indpoly_tree(tree: RootedTree) -> IntPolynomial:
 
 def _fork_context():
     """multiprocessing's fork-server context, its server running, or None
-    where there is no fork server.  search's pool workers and indpoly_sst's
+    where there is no fork server.  search's workers and indpoly_sst's
     helper fork from it.  The preload list is process-wide, so it is set
     here alone: whichever of them comes first starts the server with
     indseqlab.search, and so this module, imported.
@@ -222,7 +223,10 @@ def _fork_context():
     Python 3.11's server is handed the caller's sys.path but never sets
     it, so it finds the package only on PYTHONPATH, and a failed preload is
     silent: each child would import the package itself, about 30 ms.  So
-    the package's root is put on PYTHONPATH while the server starts.
+    the package's root is put on PYTHONPATH while the server starts.  A
+    process made by a plain os.fork() of one whose server runs inherits
+    the server's pid but is not its parent, so it cannot check the server:
+    there it has none.
     """
     import multiprocessing
     from multiprocessing import forkserver
@@ -236,6 +240,8 @@ def _fork_context():
         os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_PACKAGE_ROOT, saved)))
         try:
             forkserver.ensure_running()
+        except ChildProcessError:
+            return None
         finally:
             if saved is None:
                 del os.environ["PYTHONPATH"]
@@ -244,54 +250,87 @@ def _fork_context():
     return ctx
 
 
+def _helper_context(spawn=False):
+    """The context that _Helper processes start from, or None where the
+    caller runs inline instead: in a daemonic process, which may have no
+    children, and where a child could not import the caller's main module,
+    which multiprocessing runs first in every child, because its __file__
+    names no file (a script read from stdin).  Otherwise the fork server's
+    context, its server running (_fork_context); where there is none,
+    spawn's if `spawn`, else None."""
+    import multiprocessing
+
+    main = getattr(sys.modules["__main__"], "__file__", None)
+    if multiprocessing.current_process().daemon or (main is not None and not os.path.isfile(main)):
+        return None
+    return _fork_context() or (multiprocessing.get_context("spawn") if spawn else None)
+
+
 def _ignore_sigint():
     # Ctrl-C reaches the whole process group; the parent alone handles it
-    # and stops its workers and helper, so they print no tracebacks
+    # and stops its helpers, so they print no tracebacks
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _serve_powers(conn):
-    """The helper's loop: _lpow(u, e) for each (u, e) received on conn,
-    until end of file."""
+def _serve(conn):
+    """A helper's loop: for each (function, args) received on conn, reply
+    (True, function(*args)), or (False, the exception it raised), until
+    end of file."""
     _ignore_sigint()
     with conn:
         while True:
             try:
-                u, e = conn.recv()
+                function, args = conn.recv()
             except EOFError:
                 return
-            conn.send(_lpow(u, e))
+            try:
+                reply = True, function(*args)
+            except Exception as exc:
+                reply = False, exc
+            conn.send(reply)
 
 
-class _PowerHelper:
-    """A helper process, forked from the fork server, that computes one
-    power at a time for _levels over a pipe."""
+class _Helper:
+    """A daemonic process, started from `ctx`, that runs one call at a time
+    for its caller over a pipe: search's workers and indpoly_sst's helper.
+    Calls run in the order sent, and their replies come back in that
+    order.  A daemonic process may have no children, so a helper never
+    starts helpers of its own."""
 
     def __init__(self, ctx):
         self._conn, child = ctx.Pipe()
-        self.process = ctx.Process(target=_serve_powers, args=(child,), daemon=True)
+        self.process = ctx.Process(target=_serve, args=(child,), daemon=True)
         self.process.start()
         child.close()  # so that the helper's end closes when it exits
 
-    def send(self, u, e):
+    def send(self, function, args):
+        """Have the helper run function(*args) once the calls sent before
+        have run."""
         try:
-            self._conn.send((u, e))
+            self._conn.send((function, args))
         except OSError as exc:
             raise self._exited() from exc
 
+    def poll(self):
+        """Whether recv would return or raise now, without waiting."""
+        return self._conn.poll()
+
     def recv(self):
-        """The power last sent, once the helper returns it."""
+        """The value of the oldest call not yet received, once the helper
+        returns it; an exception raised by that call is raised here."""
         try:
-            return self._conn.recv()
+            ok, value = self._conn.recv()
         except (EOFError, OSError) as exc:
             raise self._exited() from exc
+        if not ok:
+            raise value
+        return value
 
     def _exited(self):
         self.process.join()
-        return RuntimeError("indpoly_sst's helper process exited with code %s before returning its power"
-                            % self.process.exitcode)
+        return RuntimeError("a helper process exited with code %s before it replied" % self.process.exitcode)
 
     def close(self, kill):
         """Close the pipe, at whose end the helper exits, or kill it, and
@@ -302,17 +341,6 @@ class _PowerHelper:
         self.process.join()
 
 
-def _helper_context():
-    """The context a _PowerHelper starts from, its fork server running, or
-    None where _levels runs inline: on one core, without a fork server, or
-    in a daemonic process, which may have no children."""
-    import multiprocessing
-
-    if (os.cpu_count() or 1) < 2 or multiprocessing.current_process().daemon:
-        return None
-    return _fork_context()
-
-
 def _levels(counts):
     """(in, out) at the root of the spherically symmetric tree with the
     given per-level child counts, as coefficient lists.
@@ -321,16 +349,17 @@ def _levels(counts):
     other.  At a large level, one whose c**2 * len(out) * bits(max(out))
     (about the bits its squarings of out multiply) is at least
     _OFFLOAD_MIN_BITS, with c >= 2 and out of more than 2 coefficients,
-    out and c go over a pipe to a helper process, which computes the power
-    of out while this process computes that of in + out; the helper's
-    power is received only then, so that its unpickling never overlaps
-    this process's own product.  The same _lpow runs on the same ints, so
-    the result is the inline one.  One helper serves the walk: it starts
-    at the first large level and is joined when the walk ends, or killed
-    if it fails.  The fork server, if not yet running, is started at the
-    first level of at least a quarter of the bound, so that it starts while
-    the levels up to the first large one run.  On one core, without a fork
-    server or in a daemonic process, _helper_context gives no context, and
+    the call _lpow(out, c) goes over a pipe to a helper process (_Helper),
+    which computes the power of out while this process computes that of
+    in + out; the helper's power is received only then, so that its
+    unpickling never overlaps this process's own product.  The same _lpow
+    runs on the same ints, so the result is the inline one.  One helper
+    serves the walk: it starts at the first large level and is joined when
+    the walk ends, or killed if it fails.  The fork server, if not yet
+    running, is started at the first level of at least a quarter of the
+    bound, so that it starts while the levels up to the first large one
+    run.  On one core, and where _helper_context gives no context (no fork
+    server, a daemonic process, a caller's main module read from stdin),
     every level runs inline.  A helper that exits before returning its
     power raises RuntimeError.
     """
@@ -340,10 +369,10 @@ def _levels(counts):
         for c in reversed(counts):
             size = c * c * len(outp) * max(outp).bit_length() if c > 1 and len(outp) > 2 else 0
             if ctx is None and size >= _OFFLOAD_MIN_BITS >> 2:
-                ctx = _helper_context() or False
+                ctx = (os.cpu_count() or 1) > 1 and _helper_context() or False
             if ctx and size >= _OFFLOAD_MIN_BITS:
-                helper = helper or _PowerHelper(ctx)
-                helper.send(outp, c)
+                helper = helper or _Helper(ctx)
+                helper.send(_lpow, (outp, c))
                 outp, inp = _lpow(_ladd(inp, outp), c), [0] + helper.recv()
             else:
                 # the larger out first, while the smaller new in does not exist yet
@@ -369,8 +398,9 @@ def indpoly_sst(child_counts) -> IntPolynomial:
     1 comes from its binomial row (`intpoly._lpow`).  At a large level
     the power of out is computed in a helper process (see _levels), which
     imports the caller's main module as it starts, so a script that calls
-    this on a large tree needs its `if __name__ == "__main__":` guard.
-    Agrees with indpoly_tree on the materialized tree.
+    this on a large tree needs its `if __name__ == "__main__":` guard; a
+    script read from stdin runs every level inline.  Agrees with
+    indpoly_tree on the materialized tree.
     """
     return IntPolynomial._raw(_ladd(*_levels(_level_counts(child_counts)[0])))
 

@@ -19,15 +19,23 @@ worker process and examines ranges itself while they start and run; it
 writes all records in index order, so the output is byte-identical no
 matter how many workers ran the search.
 
-Workers fork from multiprocessing's fork server, a fresh single-threaded
-process that has this module imported; indpoly._fork_context gives its
-context to this module and to indpoly_sst's helper, and sets its
-process-wide preload list.  Whichever of them comes first in a process
-starts the server, at about the cost of one spawned interpreter; later
-runs fork their workers from it in milliseconds.  Where there is no fork
-server (Windows) workers are spawned.  Either way each worker imports the
-caller's main module, so a script that runs several workers needs its
-`if __name__ == "__main__":` guard.
+Workers are the helper processes that indpoly_sst also uses
+(indpoly._Helper): each runs the calls the parent writes to its pipe, one
+at a time, and writes back each call's lines, or the exception it raised,
+which the parent raises again.  The parent itself writes each worker's
+next chunks before it examines one of its own, so no thread of the
+parent's stands between a worker and its next chunk.  They fork from
+multiprocessing's fork server, a fresh single-threaded process that has
+this module imported; indpoly._fork_context gives its context to this
+module and to indpoly_sst, and sets its process-wide preload list.
+Whichever of them comes first in a process starts the server, at about
+the cost of one spawned interpreter; later runs fork their workers from it
+in milliseconds.  Where there is no fork server (Windows, or a plain
+os.fork() child of a process whose server runs) workers are spawned.
+Either way each worker imports the caller's main module, so a script that
+runs several workers needs its `if __name__ == "__main__":` guard; a
+script read from stdin, which no worker could import, and a daemonic
+process, which may have no children, run the search in one process.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, fields
 
-from .indpoly import _fork_context, _ignore_sigint, _root_pair
+from .indpoly import _Helper, _helper_context, _root_pair
 from .rng import SplitMix64, derive_from_mixed, derive_seed, mix64
 from .seqcheck import lc_breaks
 from .trees import RootedTree, _edge_text, _independence_number, _random_decoded, random_tree
@@ -137,51 +145,63 @@ def _examine_range(seed, lo, hi, n_min, n_max, emit_all):
     return list(_examine(seed, lo, hi, n_min, n_max, emit_all))
 
 
-def _pooled_lines(seed, samples, n_min, n_max, emit_all, workers):
+def _pooled_lines(seed, samples, n_min, n_max, emit_all, workers, ctx):
     """Record lines of all samples in index order, examined by workers - 1
-    worker processes and by this one.
+    helper processes started from ctx (indpoly._Helper) and by this one.
 
-    The chunks not yet yielded wait, oldest first, in one deque: futures of
-    the pool, and line lists this process examined itself.  While the
-    oldest is not back and chunks remain, this process examines the next
-    chunk rather than wait, so it works while the pool starts.  The pool
-    has at most 2 * (workers - 1) chunks in flight and never takes the
-    last chunk, which this process examines while the pool finishes.  The
-    deque holds at most 4 * workers chunks, so memory stays
-    O(workers * CHUNK) whatever the sample count.
+    The chunks not yet yielded wait, oldest first, in one deque of boxes
+    [lines, helper]: lines is None until the helper's reply is received,
+    and helper is None for a chunk this process examined.  Each pass
+    first receives every reply that has come back, then sends chunks, each
+    to the helper with the fewest, so that each has at most 2 and the deque
+    at most 4 * workers chunks (memory stays O(workers * CHUNK) whatever
+    the sample count); the helpers never take the last chunk, which this
+    process examines while they finish.  Then this process yields the
+    oldest chunk if it is back, else examines the next chunk while one
+    remains and the deque has room, else waits for the oldest.  So it
+    writes a helper's next chunks to its pipe before each chunk of its
+    own, and works while the helpers start.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    in_flight_max = 2 * (workers - 1)
     pending_max = 4 * workers
 
     def chunk(lo):
         return seed, lo, min(lo + CHUNK, samples), n_min, n_max, emit_all
 
-    # not fork: forking a caller that runs threads can deadlock; the fork
-    # server is a fresh single-threaded process (see the module docstring)
-    ctx = _fork_context() or multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(workers - 1, mp_context=ctx, initializer=_ignore_sigint) as pool:
-        try:
-            pending = deque()
-            lo = 0
-            while pending or lo < samples:
-                in_flight = sum(not isinstance(e, list) and not e.done() for e in pending)
-                while lo + CHUNK < samples and in_flight < in_flight_max and len(pending) < pending_max:
-                    pending.append(pool.submit(_examine_range, *chunk(lo)))
-                    lo += CHUNK
-                    in_flight += 1
-                if pending and isinstance(pending[0], list):
-                    yield from pending.popleft()
-                elif lo < samples and len(pending) < pending_max and not (pending and pending[0].done()):
-                    pending.append(_examine_range(*chunk(lo)))
-                    lo += CHUNK
-                else:
-                    yield from pending.popleft().result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            helpers.append(_Helper(ctx))
+        sent = {helper: deque() for helper in helpers}  # boxes awaiting a reply
+        pending = deque()
+        lo = 0
+        while pending or lo < samples:
+            for helper, boxes in sent.items():
+                while boxes and helper.poll():
+                    boxes.popleft()[0] = helper.recv()
+            while lo + CHUNK < samples and len(pending) < pending_max:
+                helper = min(sent, key=lambda h: len(sent[h]))
+                if len(sent[helper]) == 2:
+                    break
+                helper.send(_examine_range, chunk(lo))
+                box = [None, helper]
+                sent[helper].append(box)
+                pending.append(box)
+                lo += CHUNK
+            if pending and pending[0][0] is not None:
+                yield from pending.popleft()[0]
+            elif lo < samples and len(pending) < pending_max:
+                pending.append([_examine_range(*chunk(lo)), None])
+                lo += CHUNK
+            else:
+                _, helper = pending.popleft()
+                sent[helper].popleft()
+                yield from helper.recv()
+    except BaseException:
+        for helper in helpers:
+            helper.close(kill=True)
+        raise
+    for helper in helpers:
+        helper.close(kill=False)
 
 
 def run_search(
@@ -201,8 +221,12 @@ def run_search(
     examined before the stop.  The file content is independent of
     `threads`, the number of processes that examine trees (default:
     os.cpu_count()): threads - 1 worker processes plus this one, which
-    examines chunks while they start.  One worker, or a run that fits in
-    one chunk, runs in this process alone.  Workers fork from a fork server
+    examines chunks while they start.  Workers are helper processes served
+    over pipes (indpoly._Helper); an exception raised in one is raised
+    here with its type, and a worker that dies raises RuntimeError.  One
+    worker, or a run that fits in one chunk, runs in this process alone,
+    and so does a run from a script read from stdin or from a daemonic
+    process (indpoly._helper_context).  Workers fork from a fork server
     that has this module imported (indpoly._fork_context); the first pooled
     run or SST helper in a process starts it, and it exits with this
     process.  Its preload list is process-wide.
@@ -225,10 +249,13 @@ def run_search(
     else:
         workers = threads
     workers = min(workers, -(-samples // CHUNK))
-    if workers == 1:
+    # not fork: forking a caller that runs threads can deadlock; the fork
+    # server is a fresh single-threaded process (see the module docstring)
+    ctx = _helper_context(spawn=True) if workers > 1 else None
+    if ctx is None:
         lines = _examine(seed, 0, samples, n_min, n_max, emit_all)
     else:
-        lines = _pooled_lines(seed, samples, n_min, n_max, emit_all, workers)
+        lines = _pooled_lines(seed, samples, n_min, n_max, emit_all, workers, ctx)
     written = 0
     try:
         with open(out_path, "w", encoding="utf-8") as fh:

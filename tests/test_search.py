@@ -1,6 +1,7 @@
 """Seeded search: determinism across runs and worker counts, replayability,
 chunking and interrupted runs."""
 
+import collections
 import glob
 import hashlib
 import json
@@ -14,6 +15,7 @@ import time
 import pytest
 
 from indseqlab import search
+from indseqlab.indpoly import _Helper
 from indseqlab.search import (
     CHUNK,
     SearchRecord,
@@ -318,25 +320,33 @@ def test_threads_count_this_process(tmp_path, monkeypatch, threads):
 def test_last_chunk_after_the_pool_drains(tmp_path, monkeypatch):
     # every chunk of the pool comes back while this process examines one of
     # its own; it yields them all, and the deque is empty when this process
-    # still has the last chunk to examine
-    from concurrent.futures import process, wait
-
+    # still has the last chunk to examine.  A reply counts as back once this
+    # process holds it: the wait receives each into a stash, from which
+    # poll and recv serve the pass, as a pool's finished futures would
     samples = 3 * CHUNK + 7
     want = tmp_path / "inline.jsonl"
     run_search(4, 9, samples, 31, want, threads=1, emit_all=True)
-    futures = []
-    submit, examine = process.ProcessPoolExecutor.submit, search._examine
+    awaited, stash = collections.Counter(), collections.defaultdict(collections.deque)
+    send, poll, recv, examine = _Helper.send, _Helper.poll, _Helper.recv, search._examine
 
-    def spy_submit(pool, *args):
-        futures.append(submit(pool, *args))
-        return futures[-1]
+    def spy_send(helper, *call):
+        send(helper, *call)
+        awaited[helper] += 1
+
+    def spy_recv(helper):
+        awaited[helper] -= 1
+        return stash[helper].popleft() if stash[helper] else recv(helper)
 
     def examine_once_the_pool_is_done(*args):
-        wait(futures, timeout=60)
-        assert all(f.done() for f in futures)
+        for helper, count in awaited.items():
+            while len(stash[helper]) < count and helper._conn.poll(60):
+                stash[helper].append(recv(helper))
+        assert all(len(stash[helper]) == count for helper, count in awaited.items())
         return examine(*args)
 
-    monkeypatch.setattr(process.ProcessPoolExecutor, "submit", spy_submit)
+    monkeypatch.setattr(_Helper, "send", spy_send)
+    monkeypatch.setattr(_Helper, "poll", lambda helper: bool(stash[helper]) or poll(helper))
+    monkeypatch.setattr(_Helper, "recv", spy_recv)
     monkeypatch.setattr(search, "_examine", examine_once_the_pool_is_done)
     out = tmp_path / "pooled.jsonl"
     assert run_search(4, 9, samples, 31, out, threads=2, emit_all=True) == samples

@@ -1,6 +1,8 @@
-"""indpoly_sst's helper process: the power of out at a large level is
-computed in a process forked from the package's fork server, with the same
-result as inline; a helper that dies raises, and none outlives its call."""
+"""The helper processes of indpoly_sst and of search's pool: the power of
+out at a large level is computed in a process forked from the package's
+fork server, with the same result as inline; a helper that dies raises, an
+exception raised in one is raised in its caller with its type, none
+outlives its call, and where no helper can start the caller runs inline."""
 
 import contextlib
 import hashlib
@@ -10,6 +12,7 @@ import random
 import signal
 import subprocess
 import sys
+import traceback
 
 import pytest
 
@@ -27,14 +30,14 @@ def inline(counts):
 
 
 def spy_helpers(monkeypatch):
-    """The _PowerHelper instances started from now on."""
-    helpers, init = [], indpoly._PowerHelper.__init__
+    """The _Helper instances started from now on."""
+    helpers, init = [], indpoly._Helper.__init__
 
     def spy(helper, ctx):
         init(helper, ctx)
         helpers.append(helper)
 
-    monkeypatch.setattr(indpoly._PowerHelper, "__init__", spy)
+    monkeypatch.setattr(indpoly._Helper, "__init__", spy)
     return helpers
 
 
@@ -55,16 +58,14 @@ def deadline(seconds):
 
 
 def helpers_that_die(monkeypatch):
-    """Start helpers by fork, so that they see this process's patches, and
-    make each kill itself inside its first power."""
-    parent, real = os.getpid(), indpoly._lpow
+    """Start helpers by fork, so that they run this process's patches, and
+    make each kill itself once its first power has been sent to it."""
 
-    def lpow(u, e):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return real(u, e)
+    def serve(conn):
+        conn.recv()
+        os.kill(os.getpid(), signal.SIGKILL)
 
-    monkeypatch.setattr(indpoly, "_lpow", lpow)
+    monkeypatch.setattr(indpoly, "_serve", serve)
     monkeypatch.setattr(indpoly, "_fork_context", lambda: multiprocessing.get_context("fork"))
     monkeypatch.setattr(indpoly, "_OFFLOAD_MIN_BITS", 0)
 
@@ -88,13 +89,13 @@ def test_offloading_every_level_gives_the_inline_result(monkeypatch):
 def test_large_levels_alone_are_sent(monkeypatch):
     # T(2^7 1^23) sends its top level only: c**2 len(out) bits(max(out)) is
     # about 2**21.8 there and 2**19.8 one level down
-    sent, send = [], indpoly._PowerHelper.send
+    sent, send = [], indpoly._Helper.send
 
-    def spy(helper, u, e):
-        sent.append(e)
-        send(helper, u, e)
+    def spy(helper, function, args):
+        sent.append(args[1])
+        send(helper, function, args)
 
-    monkeypatch.setattr(indpoly._PowerHelper, "send", spy)
+    monkeypatch.setattr(indpoly._Helper, "send", spy)
     counts = [2] * 7 + [1] * 23
     monkeypatch.setattr(indpoly, "_OFFLOAD_MIN_BITS", 1 << 21)
     assert indpoly_sst(counts).coeffs == inline(counts)
@@ -128,15 +129,16 @@ def test_no_helper_outlives_a_return_or_an_exception(monkeypatch):
     assert indpoly_sst([3, 3, 1]).coeffs == inline([3, 3, 1])
     (done,) = helpers
     assert not done.process.is_alive() and done.process.exitcode == 0
-    # this process's own power fails while the helper holds its own
-    real = indpoly._lpow
+    # this process's own power fails while the helper holds its own: at
+    # the top level, the first whose out has more than 2 coefficients
+    real = indpoly._ladd
 
-    def lpow(u, e):
-        if len(u) > 2 and e == 4:
+    def ladd(u, v):
+        if len(v) > 2:
             raise RuntimeError("boom")
-        return real(u, e)
+        return real(u, v)
 
-    monkeypatch.setattr(indpoly, "_lpow", lpow)
+    monkeypatch.setattr(indpoly, "_ladd", ladd)
     with pytest.raises(RuntimeError, match="boom"):
         indpoly_sst([4, 3, 1])
     failed = helpers[1]
@@ -156,7 +158,7 @@ def test_inline_on_one_core(monkeypatch):
     def refuse(helper, ctx):
         raise AssertionError("a helper started")
 
-    monkeypatch.setattr(indpoly._PowerHelper, "__init__", refuse)
+    monkeypatch.setattr(indpoly._Helper, "__init__", refuse)
     monkeypatch.setattr(indpoly, "_OFFLOAD_MIN_BITS", 0)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert indpoly_sst([5, 4, 1]).coeffs == inline([5, 4, 1])
@@ -211,3 +213,94 @@ def test_sst_and_pooled_search_share_one_fork_server(tmp_path, first):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == want
+
+
+def forked_workers_that(monkeypatch, act):
+    """Start search's workers by fork, so that they run this process's
+    patches, and have each call `act` in its first sample."""
+    parent, real = os.getpid(), search.examine_sample
+
+    def examine_sample(*args):
+        if os.getpid() != parent:
+            act()
+        return real(*args)
+
+    monkeypatch.setattr(search, "examine_sample", examine_sample)
+    monkeypatch.setattr(indpoly, "_fork_context", lambda: multiprocessing.get_context("fork"))
+
+
+def test_a_worker_exception_is_raised_with_its_type(tmp_path, monkeypatch):
+    def fail():
+        raise LookupError("raised in a worker")
+
+    forked_workers_that(monkeypatch, fail)
+    with deadline(30), pytest.raises(LookupError, match="raised in a worker") as info:
+        search.run_search(4, 9, 3 * search.CHUNK + 7, 13, tmp_path / "x.jsonl", threads=2)
+    assert info.type is LookupError
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_killed_mid_run_raises(tmp_path, monkeypatch):
+    forked_workers_that(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with deadline(30), pytest.raises(RuntimeError, match="helper process exited with code -9"):
+        search.run_search(4, 9, 3 * search.CHUNK + 7, 13, tmp_path / "x.jsonl", threads=2)
+    assert multiprocessing.active_children() == []
+
+
+FROM_STDIN = """
+import filecmp, multiprocessing
+from indseqlab import indpoly, search
+
+
+def sst(bound):
+    indpoly._OFFLOAD_MIN_BITS = bound
+    return indpoly.indpoly_sst([6, 5, 1]).coeffs
+
+
+print(sst(0) == sst(1 << 62))
+for threads in (1, 2):
+    search.run_search(4, 9, 3 * search.CHUNK + 7, 41, "w%d.jsonl" % threads, threads=threads, emit_all=True)
+print(filecmp.cmp("w1.jsonl", "w2.jsonl", shallow=False))
+print(multiprocessing.active_children())
+"""
+
+
+def test_a_script_read_from_stdin_runs_inline(tmp_path):
+    # multiprocessing's children run the caller's main module first, and
+    # '<stdin>' names no file, so no helper could start
+    proc = subprocess.run(
+        [sys.executable, "-"], input=FROM_STDIN, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["True", "True", "[]", ""]
+
+
+@pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(), reason="needs a fork server")
+def test_a_plain_fork_after_a_pooled_run(tmp_path, monkeypatch):
+    # the child inherits the running fork server's pid but is not its
+    # parent: it starts no SST helper, and spawns search's workers
+    samples = 3 * search.CHUNK + 7
+    want = tmp_path / "inline.jsonl"
+    search.run_search(4, 9, samples, 41, want, threads=1, emit_all=True)
+    search.run_search(4, 9, samples, 41, tmp_path / "pooled.jsonl", threads=2, emit_all=True)
+    coeffs = inline([6, 5, 1])
+    helpers = spy_helpers(monkeypatch)
+    monkeypatch.setattr(indpoly, "_OFFLOAD_MIN_BITS", 0)
+    want_child = (True, [], True, ["SpawnProcess"], [])
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child reports through a file
+        try:
+            got = [indpoly_sst([6, 5, 1]).coeffs == coeffs, list(helpers)]
+            out = tmp_path / "child.jsonl"
+            search.run_search(4, 9, samples, 41, out, threads=2, emit_all=True)
+            got += [out.read_bytes() == want.read_bytes(), [type(h.process).__name__ for h in helpers],
+                    multiprocessing.active_children()]
+            (tmp_path / "child.txt").write_text(repr(tuple(got)))
+        except BaseException:
+            (tmp_path / "child.txt").write_text(traceback.format_exc())
+        finally:
+            os._exit(0)
+    with deadline(60):
+        os.waitpid(pid, 0)
+    assert (tmp_path / "child.txt").read_text() == repr(want_child)
