@@ -11,29 +11,33 @@ SST table forces `indpoly._OFFLOAD_MIN_BITS`, the tree-DP
 table `indpoly._SLOTS_FROM_N_MAX_VERTICES` and
 `indpoly._PACKED_MAX_BITS`, the square table `intpoly.LEAF_MAX_BITS`, the
 `lc_breaks` table `seqcheck._SCREEN_MIN_BITS`, and the draws table
-`rng._LANE_BLOCK`.  Each forced value, and each spy on a kernel path or
-on the SST helper, is patched in with `unittest.mock` and put back after.
+`rng._LANE_BLOCK`.  Each forced value, and each spy on a kernel path, is
+patched in with `unittest.mock` and put back after.
 The Decimal-kernel table calls each kernel by name.
 
 - The search pool: `run_search` at n = 26..40 with 4,000 samples (the
   benchmark's search pass), pooled on max(2, cpu count) workers: the
-  first pooled call in the process, which starts the fork server, the
-  best later pooled call, whose workers fork from it, and the best call
-  with threads=1, all in seconds.  It runs before every other table, so
-  that no pool ran before its first call.
+  first pooled call in the process, which starts the fork server and
+  the workers, the best later pooled call, which takes the workers the
+  calls before it kept (`indpoly._POOL`), and the best call with
+  threads=1, all in seconds.  It runs before every other table, so that
+  no pool ran before its first call.
 - `indpoly_sst` on spiders, stars, T(2^7 1^23), T(2^8 1^27), Tmt1:40,50
   and Tmt1:60,60: best seconds as shipped and inline (no level sent to a
-  helper process), and the helper's peak RSS in MB (VmHWM, read from
-  /proc before it is closed), which the calling process's own peak RSS
-  does not include.  T(2^8 1^27) and Tmt1:60,60 have coefficients of
-  thousands of bits, and the leaf cap was tuned on them (BENCH_9.json).
-- The SST levels of T(2^6 1^17), T(2^7 1^23), T(2^8 1^27) and Tmt1:40,50
-  of size c^2 len(out) bits(max(out)) from 2^19 on: best seconds of the
-  level's two powers with the power of out sent to a running helper
-  process, and both inline; and the seconds from starting a helper to its
-  first power, which each `indpoly_sst` call that sends a level pays once.
-  The helper imports the caller's main module, this script, as it starts.
-  It is the measurement behind `indpoly._OFFLOAD_MIN_BITS` (BENCH_32.json).
+  helper process), and the kept helper's peak RSS in MB (VmHWM, read
+  from /proc after each call), which the calling process's own peak RSS
+  does not include.  Kept helpers are stopped before each case, so that
+  the peak is the case's own.  T(2^8 1^27) and Tmt1:60,60 have
+  coefficients of thousands of bits, and the leaf cap was tuned on them
+  (BENCH_9.json).
+- The SST levels of T(2^5 1^15), T(2^6 1^17), T(2^7 1^23), T(2^8 1^27)
+  and Tmt1:40,50 of size c^2 len(out) bits(max(out)) from 2^16 on: best
+  seconds of the level's two powers with the power of out sent to a
+  running helper process, and both inline; and the seconds from starting
+  a helper to its first power, a first-use cost: a process pays it at
+  its first level sent, and later calls take the kept helper.  The
+  helper imports the caller's main module, this script, as it starts.
+  It is the measurement behind `indpoly._OFFLOAD_MIN_BITS` (BENCH_34.json).
 - `indpoly_tree` on Rand, Path, Cat, Spider and Star trees of n = 26..400
   vertices: packed with w = ceil(n/8) byte slots, packed with slots from
   the count pass at x = 1, and on lists; plus the rule as shipped.  It is
@@ -134,12 +138,13 @@ NO_OFFLOAD = 1 << 62
 # bits(max(out)), the size indpoly._OFFLOAD_MIN_BITS bounds, is at least
 # OFFLOAD_FROM_BITS; reproduce's deep trees and a Tmt1 between them
 OFFLOAD_CASES = (
+    ("T(2^5 1^15)", [2] * 5 + [1] * 15),
     ("T(2^6 1^17)", [2] * 6 + [1] * 17),
     ("T(2^7 1^23)", [2] * 7 + [1] * 23),
     ("T(2^8 1^27)", [2] * 8 + [1] * 27),
     ("Tmt1:40,50", [40, 50, 1]),
 )
-OFFLOAD_FROM_BITS = 1 << 19
+OFFLOAD_FROM_BITS = 1 << 16
 
 TREE_SIZES = (26, 32, 40, 48, 64, 80, 96, 112, 120, 128, 136, 144, 160, 192, 224, 256, 320, 400)
 # random trees timed per size, reported per tree
@@ -273,24 +278,28 @@ def vm_hwm_mb(pid):
     return None
 
 
+def close_kept_helpers():
+    """Stop this process's idle kept helpers, so that the next call that
+    needs one starts it."""
+    while indpoly._POOL._idle:
+        indpoly._POOL._idle.pop().close(kill=False)
+
+
 def sst_table(repeat):
     """One row per case: best seconds of `indpoly_sst` as shipped and
     inline (`_OFFLOAD_MIN_BITS` forced past every level), taking turns, and
-    the largest peak RSS in MB of a helper process the shipped calls
-    started, read just before each is closed (None if none started)."""
+    the largest peak RSS in MB of the kept helper, read after each shipped
+    call (None if no level was sent).  The kept helpers are stopped before
+    each case, so that its first shipped call starts one and the peak is
+    the case's own; with repeat > 1 the best shipped call is a warm one."""
     rows = []
-    close = indpoly._Helper.close
     for label, counts in SST_CASES:
+        close_kept_helpers()
         peaks = []
-
-        def spy(helper, kill):
-            peaks.append(vm_hwm_mb(helper.process.pid))
-            return close(helper, kill)
-
         shipped = inline = float("inf")
         for _ in range(repeat):
-            with mock.patch.object(indpoly._Helper, "close", spy):
-                shipped = min(shipped, best_of(1, indpoly.indpoly_sst, counts))
+            shipped = min(shipped, best_of(1, indpoly.indpoly_sst, counts))
+            peaks += [vm_hwm_mb(helper.process.pid) for helper in indpoly._POOL._idle]
             with mock.patch.object(indpoly, "_OFFLOAD_MIN_BITS", NO_OFFLOAD):
                 inline = min(inline, best_of(1, indpoly.indpoly_sst, counts))
         rows.append({"tree": label, "s": shipped, "inline_s": inline,
@@ -306,9 +315,10 @@ def start_helper():
 
 
 def offload_table(repeat):
-    """(start_s, rows): the best seconds from starting an SST helper to its
-    first power, of a 3-coefficient base, which a call pays once, at its
-    first level sent; and one row per level of OFFLOAD_CASES from
+    """(first_use_start_s, rows): the best seconds from starting an SST
+    helper to its first power, of a 3-coefficient base, a first-use cost
+    that a process pays at its first level sent, since later calls take
+    the kept helper; and one row per level of OFFLOAD_CASES from
     OFFLOAD_FROM_BITS: its size c**2 len(out) bits(max(out)) as a power of
     2, and the best seconds of its two powers with the power of out sent to
     a running helper (out sent, this process's power, the helper's
@@ -639,7 +649,7 @@ def main(argv=None):
         # first: its first pooled call must be the first pool in the process
         "search_pool": {"rows": search_pool_table(args.repeat)},
         "sst": {"offload_min_bits": indpoly._OFFLOAD_MIN_BITS, "rows": sst_table(args.repeat)},
-        "offload": dict(zip(("offload_min_bits", "start_s", "rows"),
+        "offload": dict(zip(("offload_min_bits", "first_use_start_s", "rows"),
                             (indpoly._OFFLOAD_MIN_BITS, *offload_table(args.repeat)))),
         "tree_dp": {
             "slots_from_n_max_vertices": indpoly._SLOTS_FROM_N_MAX_VERTICES,

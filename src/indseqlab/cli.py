@@ -284,9 +284,10 @@ def build_parser():
         "--threads",
         type=_int_option,
         default=None,
-        help="processes that examine trees: this one and THREADS - 1 workers, forked from"
-        " a fork server that has indseqlab.search imported and that the first pooled run"
-        " starts, each sent its chunks of samples over a pipe (default: machine parallelism)",
+        help="processes that examine trees: this one and THREADS - 1 workers, each sent its"
+        " chunks of samples over a pipe; workers are kept for the life of the process and"
+        " forked where too few are kept, from a fork server that has indseqlab.search"
+        " imported (default: machine parallelism)",
     )
     p.set_defaults(func=cmd_search)
 

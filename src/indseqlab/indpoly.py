@@ -17,6 +17,9 @@ in + out and of out do not depend on each other; at a large level the
 power of out is computed in a helper process forked from the package's
 fork server (_fork_context) while this process computes the other (see
 _levels); search's workers are the same pipe-served helpers (_Helper).
+Helpers are kept for the life of the process: both callers check them out
+of one per-process pool (_Pool) and give them back idle, so only a
+process's first uses pay for starting them.
 
 The tree DP runs on plain ints by one width rule, in _root_pair.  Every
 coefficient the DP ever holds counts the independent sets of some
@@ -79,14 +82,14 @@ _PACKED_MAX_BITS = 1 << 16
 # multiple of 8, so a star at the bound fills its slots exactly.
 _SLOTS_FROM_N_MAX_VERTICES = 112
 # An SST level sends its power of out to a helper process when c**2 *
-# len(out) * bits(max(out)) is at least this (see _levels), about 2**22.3.
-# Measured (benchmarks/layers.py, BENCH_32.json "offload"), a level sent to
-# a running helper took 0.52-0.68x its inline time at 2**22.6 and 2**24.2
-# in both of two runs; from 2**19.8 to 2**22.2, 0.52-0.72x in one run and
-# 1.01-1.06x in the other, when the 2-core host gave two busy processes
-# little more than one core.  A helper's start costs a call 5-45 ms more.
-# Of reproduce's trees, only T(2^8 1^27)'s top level is sent.
-_OFFLOAD_MIN_BITS = 5 << 20
+# len(out) * bits(max(out)) is at least this (see _levels).  Measured
+# (benchmarks/layers.py, BENCH_34.json "offload"), a level sent to a running
+# helper took 0.53-0.73x its inline time from 2**19.8 to 2**24.2 in both of
+# two runs; from 2**16.2 to 2**19.0, 0.47-0.68x in one run and 0.59-1.08x
+# in the other.  Helpers are kept (_Pool), so only a process's first level
+# sent pays for starting one.  Of reproduce's trees, T(2^7 1^23) and
+# T(2^8 1^27) send their levels from 2**19.8 up, five in all.
+_OFFLOAD_MIN_BITS = 1 << 19
 # the directory that holds this package, for the fork server (_fork_context)
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SERVER_START = threading.Lock()
@@ -276,15 +279,18 @@ def _ignore_sigint():
 
 def _serve(conn):
     """A helper's loop: for each (function, args) received on conn, reply
-    (True, function(*args)), or (False, the exception it raised), until
-    end of file."""
+    (True, function(*args)), or (False, the exception it raised), until it
+    receives None, the stop message, or end of file."""
     _ignore_sigint()
     with conn:
         while True:
             try:
-                function, args = conn.recv()
+                call = conn.recv()
             except EOFError:
                 return
+            if call is None:
+                return
+            function, args = call
             try:
                 reply = True, function(*args)
             except Exception as exc:
@@ -297,7 +303,8 @@ class _Helper:
     for its caller over a pipe: search's workers and indpoly_sst's helper.
     Calls run in the order sent, and their replies come back in that
     order.  A daemonic process may have no children, so a helper never
-    starts helpers of its own."""
+    starts helpers of its own.  Callers take helpers from _POOL rather than
+    start them."""
 
     def __init__(self, ctx):
         self._conn, child = ctx.Pipe()
@@ -333,12 +340,82 @@ class _Helper:
         return RuntimeError("a helper process exited with code %s before it replied" % self.process.exitcode)
 
     def close(self, kill):
-        """Close the pipe, at whose end the helper exits, or kill it, and
-        join it."""
-        self._conn.close()
+        """Send the stop message, on which the helper returns, or kill it;
+        then close the pipe and join it.  The message, not end of file,
+        stops a helper started by plain fork, which holds this end of its
+        pipe too."""
         if kill:
             self.process.kill()
+        else:
+            try:
+                self._conn.send(None)
+            except OSError:
+                pass  # it has exited already; join reaps it
+        self._conn.close()
         self.process.join()
+
+
+class _Pool:
+    """This process's idle helpers, kept for later callers.
+
+    take(ctx) checks a helper out: the last one given back, if it is still
+    alive, else a new one from ctx; a kept helper that has died is joined
+    and dropped, never reused.  A helper belongs to the caller that took
+    it until it is given back, so a suspended search generator and an
+    indpoly_sst call in the same thread never share a pipe.  A caller
+    gives a helper back only once it has received every reply, and on any
+    exception, or when its consumer stops early, closes it with kill=True
+    instead.  give_back keeps at most os.cpu_count() - 1 idle helpers and
+    stops the rest.  Kept helpers are daemonic, so they end with this
+    process: multiprocessing's exit handler terminates them, or they read
+    end of file.  A plain os.fork() child forgets its parent's kept helpers
+    (forget, run after each fork).
+    """
+
+    def __init__(self):
+        self._idle = []
+        self._lock = threading.Lock()
+
+    def forget(self):
+        """Start empty, leaving the kept helpers to the process that started
+        them.
+
+        In a plain os.fork() child, they are the parent's: the child must
+        not use them, and its multiprocessing must not list them among its
+        children, since its exit handler would terminate them at the
+        child's normal exit.  A lock that another thread held at the fork
+        stays held in the child, so the lock is new too."""
+        if self._idle:
+            from multiprocessing import process
+
+            for helper in self._idle:
+                process._children.discard(helper.process)
+        self._idle = []
+        self._lock = threading.Lock()
+
+    def take(self, ctx):
+        """A helper for the caller alone: a kept one, or a new one from ctx."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    return _Helper(ctx)
+                helper = self._idle.pop()
+            if helper.process.is_alive():
+                return helper
+            helper.close(kill=True)
+
+    def give_back(self, helpers):
+        """Keep helpers that have replied to every call for later callers,
+        up to os.cpu_count() - 1 idle ones, and stop the rest."""
+        with self._lock:
+            room = max((os.cpu_count() or 1) - 1 - len(self._idle), 0)
+            self._idle += helpers[:room]
+        for helper in helpers[room:]:
+            helper.close(kill=False)
+
+
+_POOL = _Pool()
+os.register_at_fork(after_in_child=_POOL.forget)
 
 
 def _levels(counts):
@@ -346,32 +423,34 @@ def _levels(counts):
     given per-level child counts, as coefficient lists.
 
     A level's two powers, of in + out and of out, do not depend on each
-    other.  At a large level, one whose c**2 * len(out) * bits(max(out))
-    (about the bits its squarings of out multiply) is at least
-    _OFFLOAD_MIN_BITS, with c >= 2 and out of more than 2 coefficients,
-    the call _lpow(out, c) goes over a pipe to a helper process (_Helper),
-    which computes the power of out while this process computes that of
+    other.  At a large level, one with c >= 2, out of more than 2
+    coefficients and c**2 * len(out) * bits(max(out)) (about the bits its
+    squarings of out multiply) at least _OFFLOAD_MIN_BITS, the call
+    _lpow(out, c) goes over a pipe to a helper process (_Helper), which
+    computes the power of out while this process computes that of
     in + out; the helper's power is received only then, so that its
     unpickling never overlaps this process's own product.  The same _lpow
     runs on the same ints, so the result is the inline one.  One helper
-    serves the walk: it starts at the first large level and is joined when
-    the walk ends, or killed if it fails.  The fork server, if not yet
-    running, is started at the first level of at least a quarter of the
-    bound, so that it starts while the levels up to the first large one
-    run.  On one core, and where _helper_context gives no context (no fork
-    server, a daemonic process, a caller's main module read from stdin),
-    every level runs inline.  A helper that exits before returning its
-    power raises RuntimeError.
+    serves the walk: it is taken from _POOL at the first large level, and
+    given back when the walk ends, or killed if it fails; so only a
+    process's first walk that sends a level starts one.  The fork server,
+    if not yet running, is started at the first level of at least a
+    quarter of the bound, so that it starts while the levels up to the
+    first large one run.  On one core, and where _helper_context gives no
+    context (no fork server, a daemonic process, a caller's main module
+    read from stdin), every level runs inline.  A helper that exits before
+    returning its power raises RuntimeError.
     """
     inp, outp = [0, 1], [1]
     ctx = helper = None
     try:
         for c in reversed(counts):
-            size = c * c * len(outp) * max(outp).bit_length() if c > 1 and len(outp) > 2 else 0
+            # -1: a level with c = 1 or out of at most 2 coefficients is never sent
+            size = c * c * len(outp) * max(outp).bit_length() if c > 1 and len(outp) > 2 else -1
             if ctx is None and size >= _OFFLOAD_MIN_BITS >> 2:
                 ctx = (os.cpu_count() or 1) > 1 and _helper_context() or False
             if ctx and size >= _OFFLOAD_MIN_BITS:
-                helper = helper or _Helper(ctx)
+                helper = helper or _POOL.take(ctx)
                 helper.send(_lpow, (outp, c))
                 outp, inp = _lpow(_ladd(inp, outp), c), [0] + helper.recv()
             else:
@@ -382,7 +461,7 @@ def _levels(counts):
             helper.close(kill=True)
         raise
     if helper:
-        helper.close(kill=False)
+        _POOL.give_back([helper])
     return inp, outp
 
 
@@ -396,11 +475,12 @@ def indpoly_sst(child_counts) -> IntPolynomial:
     The pass runs on coefficient lists, so each product's slots fit its
     operands (`intpoly.convolve`), and a power of a base of degree at most
     1 comes from its binomial row (`intpoly._lpow`).  At a large level
-    the power of out is computed in a helper process (see _levels), which
-    imports the caller's main module as it starts, so a script that calls
-    this on a large tree needs its `if __name__ == "__main__":` guard; a
-    script read from stdin runs every level inline.  Agrees with
-    indpoly_tree on the materialized tree.
+    the power of out is computed in a helper process (see _levels), kept
+    idle for later calls once this one returns; a helper imports the
+    caller's main module as it starts, so a script that calls this on a
+    large tree needs its `if __name__ == "__main__":` guard; a script read
+    from stdin runs every level inline.  Agrees with indpoly_tree on the
+    materialized tree.
     """
     return IntPolynomial._raw(_ladd(*_levels(_level_counts(child_counts)[0])))
 

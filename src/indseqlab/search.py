@@ -24,14 +24,18 @@ Workers are the helper processes that indpoly_sst also uses
 at a time, and writes back each call's lines, or the exception it raised,
 which the parent raises again.  The parent itself writes each worker's
 next chunks before it examines one of its own, so no thread of the
-parent's stands between a worker and its next chunk.  They fork from
-multiprocessing's fork server, a fresh single-threaded process that has
-this module imported; indpoly._fork_context gives its context to this
-module and to indpoly_sst, and sets its process-wide preload list.
-Whichever of them comes first in a process starts the server, at about
-the cost of one spawned interpreter; later runs fork their workers from it
-in milliseconds.  Where there is no fork server (Windows, or a plain
-os.fork() child of a process whose server runs) workers are spawned.
+parent's stands between a worker and its next chunk.  A run takes its
+workers from the process's pool of kept helpers (indpoly._POOL), the one
+indpoly_sst takes its helper from, and gives them back idle when it ends,
+so a later run in the same process starts only the workers the pool
+lacks.  New ones fork from multiprocessing's fork server, a fresh
+single-threaded process that has this module imported;
+indpoly._fork_context gives its context to this module and to
+indpoly_sst, and sets its process-wide preload list.  Whichever of them
+comes first in a process starts the server, at about the cost of one
+spawned interpreter; later workers fork from it in milliseconds.  Where
+there is no fork server (Windows, or a plain os.fork() child of a process
+whose server runs) workers are spawned.
 Either way each worker imports the caller's main module, so a script that
 runs several workers needs its `if __name__ == "__main__":` guard; a
 script read from stdin, which no worker could import, and a daemonic
@@ -45,7 +49,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, fields
 
-from .indpoly import _Helper, _helper_context, _root_pair
+from .indpoly import _POOL, _helper_context, _root_pair
 from .rng import SplitMix64, derive_from_mixed, derive_seed, mix64
 from .seqcheck import lc_breaks
 from .trees import RootedTree, _edge_text, _independence_number, _random_decoded, random_tree
@@ -147,7 +151,11 @@ def _examine_range(seed, lo, hi, n_min, n_max, emit_all):
 
 def _pooled_lines(seed, samples, n_min, n_max, emit_all, workers, ctx):
     """Record lines of all samples in index order, examined by workers - 1
-    helper processes started from ctx (indpoly._Helper) and by this one.
+    helper processes (indpoly._Helper) and by this one.  The helpers are
+    taken from the process's pool (indpoly._POOL), which starts them from
+    ctx where too few are kept, and given back once every reply is
+    received; on an exception, or when the consumer closes this generator
+    early, they are killed instead.
 
     The chunks not yet yielded wait, oldest first, in one deque of boxes
     [lines, helper]: lines is None until the helper's reply is received,
@@ -170,7 +178,7 @@ def _pooled_lines(seed, samples, n_min, n_max, emit_all, workers, ctx):
     helpers = []
     try:
         for _ in range(workers - 1):
-            helpers.append(_Helper(ctx))
+            helpers.append(_POOL.take(ctx))
         sent = {helper: deque() for helper in helpers}  # boxes awaiting a reply
         pending = deque()
         lo = 0
@@ -200,8 +208,7 @@ def _pooled_lines(seed, samples, n_min, n_max, emit_all, workers, ctx):
         for helper in helpers:
             helper.close(kill=True)
         raise
-    for helper in helpers:
-        helper.close(kill=False)
+    _POOL.give_back(helpers)
 
 
 def run_search(
@@ -223,13 +230,18 @@ def run_search(
     os.cpu_count()): threads - 1 worker processes plus this one, which
     examines chunks while they start.  Workers are helper processes served
     over pipes (indpoly._Helper); an exception raised in one is raised
-    here with its type, and a worker that dies raises RuntimeError.  One
-    worker, or a run that fits in one chunk, runs in this process alone,
-    and so does a run from a script read from stdin or from a daemonic
-    process (indpoly._helper_context).  Workers fork from a fork server
-    that has this module imported (indpoly._fork_context); the first pooled
-    run or SST helper in a process starts it, and it exits with this
-    process.  Its preload list is process-wide.
+    here with its type, and a worker that dies raises RuntimeError.  They
+    are taken from the process's pool (indpoly._POOL) and kept idle for
+    later runs and indpoly_sst calls once this run returns, at most
+    os.cpu_count() - 1 of them; the rest are stopped, and after an
+    exception every worker of the run is killed.  Kept workers exit with
+    this process.  One worker, or a run that fits in one chunk, runs in
+    this process alone, and so does a run from a script read from stdin or
+    from a daemonic process (indpoly._helper_context).  New workers fork
+    from a fork server that has this module imported
+    (indpoly._fork_context); the first pooled run or SST helper in a
+    process starts it, and it exits with this process.  Its preload list
+    is process-wide.
     Each worker still imports the caller's main module (spawned ones too,
     where there is no fork server), so a script that runs several must
     guard its entry point with `if __name__ == "__main__":`.  With

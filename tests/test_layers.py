@@ -6,10 +6,10 @@ search-sample, oracle, lc_breaks and spider-suite tables run on one or two
 small cases each, and put back every value they force."""
 
 import importlib.util
-import multiprocessing
 import os
 
 from indseqlab import indpoly, intpoly, rng, search, seqcheck
+from test_sst_helper import only_idle_helpers_alive
 
 SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks", "layers.py")
 
@@ -58,25 +58,26 @@ def test_layer_tables_run(monkeypatch, capsys):
     assert (row["n_min"], row["n_max"], row["samples"]) == (26, 40, 2 * search.CHUNK + 1)
     assert row["threads"] >= 2
     assert row["first_pooled_s"] > 0 and row["later_pooled_s"] > 0 and row["inline_s"] > 0
-    assert multiprocessing.active_children() == []
+    only_idle_helpers_alive()
     (row,) = layers.sst_table(1)
     assert row["tree"] == layers.SST_CASES[0][0] and row["s"] > 0 and row["inline_s"] > 0
-    assert row["helper_peak_mb"] is None  # no spider level is ever sent
-    # with every level sent, Tmt1:3,3's top level starts a helper
+    # no spider level is ever sent, and the kept helpers were stopped first
+    assert row["helper_peak_mb"] is None and indpoly._POOL._idle == []
+    # with every level sent, Tmt1:3,3's top level starts a helper, kept
     with monkeypatch.context() as patch:
         patch.setattr(indpoly, "_OFFLOAD_MIN_BITS", 0)
         patch.setattr(layers, "SST_CASES", (("Tmt1:3,3", [3, 3, 1]),))
         (row,) = layers.sst_table(1)
         assert indpoly._OFFLOAD_MIN_BITS == 0
-    assert row["s"] > 0 and row["inline_s"] > 0
+    assert row["s"] > 0 and row["inline_s"] > 0 and len(indpoly._POOL._idle) == 1
     if os.path.isdir("/proc/self"):
         assert row["helper_peak_mb"] > 0
     monkeypatch.setattr(layers, "OFFLOAD_CASES", (("Tmt1:3,3", [3, 3, 1]),))
     monkeypatch.setattr(layers, "OFFLOAD_FROM_BITS", 0)
-    start_s, (row,) = layers.offload_table(1)
-    assert start_s > 0 and (row["tree"], row["c"]) == ("Tmt1:3,3", 3)
+    first_use_start_s, (row,) = layers.offload_table(1)
+    assert first_use_start_s > 0 and (row["tree"], row["c"]) == ("Tmt1:3,3", 3)
     assert row["sent_s"] > 0 and row["inline_s"] > 0
-    assert multiprocessing.active_children() == []
+    only_idle_helpers_alive()
     rows = layers.tree_dp_table(1)
     assert [(row["tree"], row["n"]) for row in rows] == [("Spider", 25), ("Star", 26)]
     assert all(row[column + "_s"] > 0 for row in rows for column, _ in layers.TREE_MODES)

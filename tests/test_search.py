@@ -28,6 +28,7 @@ from indseqlab.search import (
 )
 from indseqlab.seqcheck import analyze
 from indseqlab.trees import _edge_text, edge_list_text
+from test_sst_helper import close_idle, killed, only_idle_helpers_alive, spy_taken
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # SHA-256 of a 600-sample emit-all run at n = 26..40, seed 5, recorded with
@@ -151,15 +152,16 @@ def test_chunked_output_identical_across_worker_counts(tmp_path, samples):
         out = tmp_path / ("w%d.jsonl" % threads)
         assert run_search(4, 9, samples, 2024, out, threads=threads, emit_all=True) == samples
         outs.append(out.read_bytes())
-        assert multiprocessing.active_children() == []
+        only_idle_helpers_alive()
     assert outs[0] == outs[1] == outs[2]
     lines = outs[0].decode().splitlines()
     assert [record_from_json(line).sample_index for line in lines] == list(range(samples))
 
 
 def test_two_pooled_runs_in_one_process(tmp_path):
-    # the second run forks its workers from the fork server the first one
-    # started; both write what one process writes
+    # the second run takes the worker the first one kept, or forks one from
+    # the fork server the first one started; both write what one process
+    # writes
     samples = 3 * CHUNK + 7
     want = tmp_path / "inline.jsonl"
     run_search(4, 9, samples, 41, want, threads=1, emit_all=True)
@@ -167,7 +169,7 @@ def test_two_pooled_runs_in_one_process(tmp_path):
         out = tmp_path / ("pooled%d.jsonl" % i)
         assert run_search(4, 9, samples, 41, out, threads=2, emit_all=True) == samples
         assert out.read_bytes() == want.read_bytes()
-        assert multiprocessing.active_children() == []
+        only_idle_helpers_alive()
 
 
 def _session_processes(sid):
@@ -210,11 +212,32 @@ def test_no_process_outlives_a_pooled_cli_run(tmp_path):
     assert alive == []
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_no_process_outlives_a_cli_reproduce(tmp_path):
+    # reproduce keeps the SST helper of its deep trees until it exits;
+    # multiprocessing's exit handler stops it, and the fork server exits
+    # with the run.  Exit code 1 is the known T(2^7 1^23) miss
+    with open(tmp_path / "err.txt", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "indseqlab.cli", "reproduce"], stdout=subprocess.DEVNULL,
+            stderr=err, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+            start_new_session=True,
+        )
+        assert proc.wait(timeout=120) == 1, (tmp_path / "err.txt").read_text()
+    deadline = time.monotonic() + 10
+    while True:
+        alive = [p for p in _session_processes(proc.pid) if p[1] != "Z"]
+        if not alive or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert alive == []
+
+
 def test_fewer_samples_than_workers(tmp_path):
     out = tmp_path / "few.jsonl"
     assert run_search(4, 9, 3, 5, out, threads=8, emit_all=True) == 3
     assert out.read_text().count("\n") == 3
-    assert multiprocessing.active_children() == []
+    only_idle_helpers_alive()
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyboardInterrupt()])
@@ -238,7 +261,7 @@ def test_inline_failure_leaves_complete_records_before_it(tmp_path, monkeypatch,
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
-def test_interrupted_pooled_run_stops_workers_and_keeps_whole_records(tmp_path):
+def test_interrupted_pooled_run_stops_workers_and_keeps_whole_records(tmp_path, monkeypatch):
     # far more chunks than run before the alarm; the rest are cancelled
     samples = 4000 * CHUNK
     full = tmp_path / "full.jsonl"
@@ -249,6 +272,7 @@ def test_interrupted_pooled_run_stops_workers_and_keeps_whole_records(tmp_path):
 
     previous = signal.signal(signal.SIGALRM, interrupt)
     out = tmp_path / "cut.jsonl"
+    taken = spy_taken(monkeypatch)
     try:
         signal.setitimer(signal.ITIMER_REAL, 1.0)
         with pytest.raises(KeyboardInterrupt):
@@ -256,7 +280,7 @@ def test_interrupted_pooled_run_stops_workers_and_keeps_whole_records(tmp_path):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
+    killed(taken)
     cut = out.read_text()
     lines = cut.splitlines()
     assert cut.endswith("\n") and cut.startswith(full.read_text())
@@ -275,10 +299,11 @@ def test_failure_in_a_chunk_this_process_examines(tmp_path, monkeypatch, exc):
         raise exc
 
     monkeypatch.setattr(search, "examine_sample", examine_sample)
+    taken = spy_taken(monkeypatch)
     out = tmp_path / "cut.jsonl"
     with pytest.raises(type(exc)):
         run_search(4, 9, samples, 13, out, threads=2, emit_all=True)
-    assert multiprocessing.active_children() == []
+    killed(taken)
     cut = out.read_text()
     lines = cut.splitlines(keepends=True)
     assert full.read_text().startswith(cut)
@@ -288,11 +313,13 @@ def test_failure_in_a_chunk_this_process_examines(tmp_path, monkeypatch, exc):
 
 @pytest.mark.parametrize("threads", [2, 3, 8])
 def test_threads_count_this_process(tmp_path, monkeypatch, threads):
-    # threads = k starts k - 1 worker processes, and this process examines
-    # at least one chunk: the last, which the pool never takes
+    # threads = k starts k - 1 worker processes where none is kept, and
+    # keeps at most os.cpu_count() - 1; this process examines at least one
+    # chunk: the last, which the pool never takes
     samples = 8 * CHUNK + 7
     want = tmp_path / "inline.jsonl"
     run_search(4, 9, samples, 21, want, threads=1, emit_all=True)
+    close_idle()
     started, examined = [], []
     method = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
     process_class = multiprocessing.get_context(method).Process
@@ -310,7 +337,8 @@ def test_threads_count_this_process(tmp_path, monkeypatch, threads):
     monkeypatch.setattr(search, "_examine", spy_examine)
     out = tmp_path / "pooled.jsonl"
     assert run_search(4, 9, samples, 21, out, threads=threads, emit_all=True) == samples
-    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    only_idle_helpers_alive()
     assert out.read_bytes() == want.read_bytes()
     assert len(started) == threads - 1
     assert (8 * CHUNK, samples) in examined
@@ -351,4 +379,5 @@ def test_last_chunk_after_the_pool_drains(tmp_path, monkeypatch):
     out = tmp_path / "pooled.jsonl"
     assert run_search(4, 9, samples, 31, out, threads=2, emit_all=True) == samples
     assert out.read_bytes() == want.read_bytes()
-    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    only_idle_helpers_alive()
